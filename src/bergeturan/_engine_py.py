@@ -3,10 +3,9 @@
 Searches a host r-graph for an injective placement of a pattern graph's
 vertices together with a bijection from pattern edges onto distinct
 hyperedges, each hyperedge containing the images of its pattern edge's
-endpoints.  The compiled kernel in ``_engine_cy`` implements the exact
-same procedure; both must produce bit-identical results.
+endpoints.
 
-Deterministic contract (shared by both kernels):
+Deterministic contract:
 
 * pattern vertices are assigned in the caller-supplied ``order``;
 * host candidates are tried in the caller-supplied ``host_order``;
@@ -30,10 +29,6 @@ Vertices and indices are 0-based here; wrappers translate.
 NOT_FOUND = 0
 FOUND = 1
 INDETERMINATE = 2
-
-# host-size limits of the compiled kernel, mirrored here for reference
-MAX_HOST_VERTICES = 64
-MAX_HOST_EDGES = 4096
 
 
 class _BudgetHit(Exception):

@@ -17,7 +17,7 @@ from enum import Enum
 from functools import lru_cache
 from math import comb
 
-from . import engine
+from . import _engine_py
 from .core import Hypergraph, PatternGraph, cycle_pattern, parse_pattern, path_pattern, star_pattern
 from .errors import (
     BadParameters,
@@ -39,9 +39,9 @@ class Status(Enum):
 
 
 _STATUS_FROM_ENGINE = {
-    engine.NOT_FOUND: Status.NOT_FOUND,
-    engine.FOUND: Status.FOUND,
-    engine.INDETERMINATE: Status.INDETERMINATE,
+    _engine_py.NOT_FOUND: Status.NOT_FOUND,
+    _engine_py.FOUND: Status.FOUND,
+    _engine_py.INDETERMINATE: Status.INDETERMINATE,
 }
 
 
@@ -167,14 +167,14 @@ def solve_raw(n, edge_masks, pattern, host_order, budget=0, cycle_sym=False, pin
     """Low-level search over raw edge masks; used by the exhaustive search."""
     edges0, order = _pattern_plan(pattern)
     pinned_pe, pinned_he = pinned if pinned else (-1, -1)
-    return engine.solve(n, edge_masks, edges0, order, host_order, budget,
-                        cycle_sym, pinned_pe, pinned_he)
+    return _engine_py.solve(n, edge_masks, edges0, order, host_order, budget,
+                            cycle_sym, pinned_pe, pinned_he)
 
 
 def _result_from_engine(pattern, raw):
     status, images, assignment, nodes = raw
     cert = None
-    if status == engine.FOUND:
+    if status == _engine_py.FOUND:
         cert = BergeCertificate(
             pattern=pattern,
             defining_vertices=tuple(v + 1 for v in images),

@@ -18,7 +18,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -103,11 +102,9 @@ class _Run:
         """Route the result document per --json and write the manifest."""
         ns = self.ns
         manifest = self.manifest()
-        doc = dict(doc)
         target = getattr(ns, "json", None)
         if target == "-":
-            doc["manifest"] = manifest
-            print(json.dumps(doc, indent=2))
+            print(json.dumps({**doc, "manifest": manifest}, indent=2))
         else:
             if target:
                 self.write_file(target, json.dumps(doc, indent=2) + "\n")
@@ -117,15 +114,11 @@ class _Run:
         if manifest_path is None and self.outputs:
             manifest_path = self.outputs[0] + ".manifest.json"
         if manifest_path:
-            manifest["result_summary"] = self.summary
-            Path(manifest_path).write_text(json.dumps(self.manifest(), indent=2) + "\n")
+            Path(manifest_path).write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _add_common(sp, budget=False, json_out=True):
     sp.add_argument("--manifest", help="write the run manifest to this path")
-    sp.add_argument("--threads", type=int,
-                    default=int(os.environ.get("BERGETURAN_THREADS", "1")),
-                    help="worker cap for the search engines (currently sequential)")
     if budget:
         sp.add_argument("--budget", type=int, default=0,
                         help="node budget; 0 means unlimited (exact)")
@@ -544,9 +537,6 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if getattr(ns, "threads", 1) < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     run = _Run(ns)
     try:
         return ns.func(ns, run)

@@ -1,53 +1,15 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Kernel report: every embedding search runs in ``_engine_py``.
 
-The environment variable ``BERGETURAN_PURE=1`` forces the pure lane.  Hosts
-beyond the compiled kernel's fixed-width limits (64 vertices, 4096 edges)
-fall back to the pure lane transparently; both lanes implement the same
-deterministic procedure and return identical results.
+The CLI manifest (``engine_backend``) and the benchmark in ``bench/`` read
+these names, so they stay although there is only one kernel.
 """
 
-import os
-
-from . import _engine_py
-
-NOT_FOUND = _engine_py.NOT_FOUND
-FOUND = _engine_py.FOUND
-INDETERMINATE = _engine_py.INDETERMINATE
-
-try:
-    from . import _engine_cy
-except ImportError:
-    _engine_cy = None
-
-_FORCE_PURE = os.environ.get("BERGETURAN_PURE", "") not in ("", "0")
+_engine_cy = None
 
 
 def compiled_available() -> bool:
-    return _engine_cy is not None
+    return False
 
 
 def backend_name() -> str:
-    if _engine_cy is not None and not _FORCE_PURE:
-        return "compiled"
     return "pure-python"
-
-
-def _fits_compiled(n, m, p, q):
-    return (
-        n <= _engine_py.MAX_HOST_VERTICES
-        and m <= _engine_py.MAX_HOST_EDGES
-        and p <= 64
-        and q <= 256
-    )
-
-
-def solve(n, edge_masks, pat_edges, order, host_order, budget=0,
-          cycle_sym=False, pinned_pe=-1, pinned_he=-1):
-    """Dispatch one embedding search to the active kernel."""
-    impl = _engine_py
-    if _engine_cy is not None and not _FORCE_PURE:
-        p = max((max(a, b) for a, b in pat_edges), default=-1) + 1
-        if _fits_compiled(n, len(edge_masks), p, len(pat_edges)):
-            impl = _engine_cy
-    return impl.solve(n, edge_masks, pat_edges, order, host_order, budget,
-                      cycle_sym, pinned_pe, pinned_he)

@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass, replace
 from itertools import combinations
 
+from ._engine_py import FOUND, NOT_FOUND
 from .berge import Status, find_berge_embedding, solve_raw
 from .constructions import extremal_construction
 from .core import FormulaParams, Hypergraph, PatternGraph, disjoint_paths_pattern
@@ -53,6 +54,39 @@ def _mask(edge):
     return m
 
 
+def _pinned_copy(n, masks, pattern, host_order):
+    """Does some Berge copy in ``masks`` use its last hyperedge?  One pinned
+    search per pattern edge, in index order, stopping at the first copy."""
+    new_idx = len(masks) - 1
+    for pe in range(pattern.num_edges):
+        status, _, _, _ = solve_raw(n, masks, pattern, host_order,
+                                    budget=0, pinned=(pe, new_idx))
+        if status == FOUND:
+            return True
+    return False
+
+
+def _spans_one_component(n, edges):
+    """Do the edges cover 1..n and join it into one component?"""
+    parent = list(range(n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    covered = set()
+    for e in edges:
+        covered.update(e)
+        root = find(e[0])
+        for v in e[1:]:
+            parent[find(v)] = root
+    if len(covered) != n:
+        return False
+    return len({find(v) for v in covered}) == 1
+
+
 class _Searcher:
     def __init__(self, n, r, pattern, opts):
         self.n = n
@@ -62,7 +96,6 @@ class _Searcher:
         self.candidates = list(combinations(range(1, n + 1), r))
         self.cand_masks = [_mask(e) for e in self.candidates]
         self.host_order = list(range(n))
-        self.q = pattern.num_edges
         self.chosen: list[int] = []
         self.chosen_masks: list[int] = []
         self.best = -1
@@ -72,71 +105,22 @@ class _Searcher:
 
     def creates_copy(self, new_mask):
         """Does adding this edge to the (free) chosen set create a copy?"""
-        masks = self.chosen_masks + [new_mask]
-        pinned_idx = len(masks) - 1
-        for pe in range(self.q):
-            status, _, _, _ = solve_raw(
-                self.n, masks, self.pattern, self.host_order,
-                budget=0, pinned=(pe, pinned_idx),
-            )
-            if status == 1:
-                return True
-        return False
+        return _pinned_copy(self.n, self.chosen_masks + [new_mask], self.pattern, self.host_order)
 
     def is_free(self, masks):
         status, _, _, _ = solve_raw(self.n, masks, self.pattern, self.host_order, budget=0)
-        return status == 0
+        return status == NOT_FOUND
 
     def connect_feasible(self, idx):
         """Can the chosen set plus remaining candidates still cover 1..n in
         one component?"""
-        parent = list(range(self.n + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        covered = set()
-        for j in self.chosen:
-            e = self.candidates[j]
-            covered.update(e)
-            root = find(e[0])
-            for v in e[1:]:
-                parent[find(v)] = root
-        for j in range(idx, len(self.candidates)):
-            e = self.candidates[j]
-            covered.update(e)
-            root = find(e[0])
-            for v in e[1:]:
-                parent[find(v)] = root
-        if len(covered) != self.n:
-            return False
-        roots = {find(v) for v in range(1, self.n + 1)}
-        return len(roots) == 1
+        edges = [self.candidates[j] for j in self.chosen] + self.candidates[idx:]
+        return _spans_one_component(self.n, edges)
 
     def leaf_feasible(self):
         if not self.opts.connected_only:
             return True
-        covered = set()
-        parent = list(range(self.n + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for j in self.chosen:
-            e = self.candidates[j]
-            covered.update(e)
-            root = find(e[0])
-            for v in e[1:]:
-                parent[find(v)] = root
-        if len(covered) != self.n:
-            return False
-        return len({find(v) for v in covered}) == 1
+        return _spans_one_component(self.n, [self.candidates[j] for j in self.chosen])
 
     def record_leaf(self):
         if not self.leaf_feasible():
@@ -254,16 +238,7 @@ def is_maximal_free(h: Hypergraph, pattern: PatternGraph) -> bool:
     for e in combinations(range(1, h.n + 1), h.r):
         if e in present:
             continue
-        extended = masks + [_mask(e)]
-        pinned_idx = len(extended) - 1
-        created = False
-        for pe in range(pattern.num_edges):
-            status, _, _, _ = solve_raw(h.n, extended, pattern, host_order,
-                                        budget=0, pinned=(pe, pinned_idx))
-            if status == 1:
-                created = True
-                break
-        if not created:
+        if not _pinned_copy(h.n, masks + [_mask(e)], pattern, host_order):
             return False
     return True
 

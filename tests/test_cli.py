@@ -271,9 +271,5 @@ class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 
-    def test_threads_validation(self, capsys):
-        assert main(["formula", "--name", "erdos-gallai", "-n", "1", "-l", "1",
-                     "--threads", "0"]) == 2
-
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -14,7 +15,7 @@ from bergeturan import (
     parse_pattern,
 )
 from bergeturan.errors import HostNotFree, ParamsOutOfRange, ScaleGuardExceeded
-from oracles import naive_turan, random_hypergraph
+from oracles import naive_contains, naive_turan, random_hypergraph
 
 
 class TestExactTuran:
@@ -135,6 +136,28 @@ class TestMaximality:
         h = make_hypergraph(3, 6, [[1, 2, 3], [3, 4, 5]])
         with pytest.raises(HostNotFree):
             is_maximal_free(h, parse_pattern("P2"))
+
+    def test_matches_naive_extension(self):
+        # greedy maximal free hosts, then with a few edges dropped
+        rng = random.Random(515151)
+        triples = list(combinations(range(1, 7), 3))
+        seen = set()
+        for _ in range(12):
+            pat = parse_pattern(rng.choice(["P2", "P3", "M2", "2P2", "P2+M1", "C3"]))
+            edges = []
+            for e in rng.sample(triples, len(triples)):
+                if not naive_contains(make_hypergraph(3, 6, edges + [list(e)]), pat):
+                    edges.append(list(e))
+            for drop in range(3):
+                kept = rng.sample(edges, len(edges) - min(drop, len(edges) - 1))
+                h = make_hypergraph(3, 6, kept)
+                naive = all(
+                    naive_contains(make_hypergraph(3, 6, kept + [list(e)]), pat)
+                    for e in triples if list(e) not in kept
+                )
+                assert is_maximal_free(h, pat) == naive, (h.edges, pat.expr)
+                seen.add(naive)
+        assert seen == {True, False}
 
 
 class TestCompareWithFormula:
