@@ -21,6 +21,7 @@ from . import _engine_py
 from .core import Hypergraph, PatternGraph, cycle_pattern, parse_pattern, path_pattern, star_pattern
 from .errors import (
     BadParameters,
+    BergeTuranError,
     EmptyHypergraph,
     FormatError,
     IndexOutOfRange,
@@ -70,17 +71,28 @@ class BergeCertificate:
 
     @staticmethod
     def from_json(text: str) -> "BergeCertificate":
-        doc = json.loads(text)
-        pattern = parse_pattern(doc["pattern"])
-        triples = doc["edge_assignment"]
-        by_pair = {}
-        for u, v, h in triples:
-            by_pair[(min(u, v), max(u, v))] = h
+        """Parse a document written by :meth:`to_json`.  Raises FormatError
+        for any malformed document: bad JSON, a missing or mistyped field,
+        a bad pattern expression, or a pattern edge without a hyperedge."""
+        try:
+            doc = json.loads(text)
+            pattern = parse_pattern(doc["pattern"])
+            vertices = tuple(doc["defining_vertices"])
+            triples = [tuple(t) for t in doc["edge_assignment"]]
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"invalid JSON: {exc.msg}", exc.lineno) from exc
+        except (KeyError, TypeError, ValueError, BergeTuranError) as exc:
+            raise FormatError(f"malformed certificate: {exc!r}", 1) from exc
+        if not all(type(v) is int for v in vertices):
+            raise FormatError("defining_vertices must be integers", 1)
+        if not all(len(t) == 3 and all(type(x) is int for x in t) for t in triples):
+            raise FormatError("edge_assignment entries must be [u, v, hyperedge] integers", 1)
+        by_pair = {(min(u, v), max(u, v)): h for u, v, h in triples}
         try:
             assignment = tuple(by_pair[(min(u, v), max(u, v))] for u, v in pattern.edges)
         except KeyError as exc:
             raise FormatError(f"edge_assignment misses pattern edge {exc}", 1) from exc
-        return BergeCertificate(pattern, tuple(doc["defining_vertices"]), assignment)
+        return BergeCertificate(pattern, vertices, assignment)
 
 
 @dataclass(frozen=True)
@@ -183,8 +195,7 @@ def _result_from_engine(pattern, raw):
     return EmbeddingResult(_STATUS_FROM_ENGINE[status], cert, nodes)
 
 
-def find_berge_embedding(h: Hypergraph, pattern: PatternGraph, budget: int = 0,
-                         cycle_sym: bool = False) -> EmbeddingResult:
+def find_berge_embedding(h: Hypergraph, pattern: PatternGraph, budget: int = 0) -> EmbeddingResult:
     """Search for a Berge copy of ``pattern`` in ``h``.
 
     budget 0 means unlimited, in which case "not found" is a proof of
@@ -192,7 +203,7 @@ def find_berge_embedding(h: Hypergraph, pattern: PatternGraph, budget: int = 0,
     exhausted budget yields an indeterminate status.
     """
     masks, host_order = _host_prep(h)
-    raw = solve_raw(h.n, masks, pattern, host_order, budget, cycle_sym)
+    raw = solve_raw(h.n, masks, pattern, host_order, budget)
     return _result_from_engine(pattern, raw)
 
 
@@ -254,14 +265,18 @@ def longest_berge_path(h: Hypergraph, budget: int = 0) -> PathSearchResult:
 def find_berge_cycle(h: Hypergraph, length: int, budget: int = 0) -> EmbeddingResult:
     """Search for a Berge cycle of the given length (>= 3).
 
-    Convenience wrapper over the embedding search with the rotation and
-    reflection symmetry of the cycle pruned away: the first defining vertex
-    is forced minimal and the traversal is oriented toward its smaller
-    neighbour.
+    The embedding search with the rotation and reflection symmetry of the
+    cycle pruned away: the first defining vertex is forced minimal and the
+    traversal is oriented toward its smaller neighbour.  The rule is sound
+    only for cycle patterns, so this is the one caller that asks the kernel
+    for it.
     """
     if length < 3:
         raise InvalidCycleLength(f"cycle length must be >= 3, got {length}")
-    return find_berge_embedding(h, cycle_pattern(length), budget, cycle_sym=True)
+    pattern = cycle_pattern(length)
+    masks, host_order = _host_prep(h)
+    raw = solve_raw(h.n, masks, pattern, host_order, budget, cycle_sym=True)
+    return _result_from_engine(pattern, raw)
 
 
 def good_order(h: Hypergraph, first: int) -> GoodOrder:

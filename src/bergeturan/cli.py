@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 import time
@@ -52,15 +53,12 @@ def _frac(x):
     return x
 
 
-def _sha256(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _load_host(path):
+def _load_host(run, path):
     try:
-        return read_hypergraph(Path(path).read_text())
+        text = run.read_input(path)
     except FileNotFoundError:
         raise BergeTuranError(f"no such file: {path}")
+    return read_hypergraph(text)
 
 
 def _certificate_doc(cert):
@@ -79,8 +77,13 @@ class _Run:
         self.outputs = []
         self.summary = {}
 
-    def digest(self, path):
-        self.inputs[str(path)] = _sha256(path)
+    def read_input(self, path):
+        """Read an input file once: digest its bytes for the manifest and
+        decode the same bytes as ``Path.read_text`` would, universal
+        newlines included."""
+        data = Path(path).read_bytes()
+        self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
+        return io.TextIOWrapper(io.BytesIO(data)).read()
 
     def write_file(self, path, text):
         Path(path).write_text(text)
@@ -209,10 +212,10 @@ _STATUS_EXIT = {
 }
 
 
-def _embedding_doc(ns, host_path, pattern, result):
+def _embedding_doc(host_path, expr, result):
     return {
         "host": str(host_path),
-        "pattern": pattern.expr,
+        "pattern": expr,
         "status": result.status.value,
         "nodes": result.nodes,
         "certificate": _certificate_doc(result.certificate),
@@ -220,11 +223,10 @@ def _embedding_doc(ns, host_path, pattern, result):
 
 
 def _cmd_check(ns, run):
-    h = _load_host(ns.host)
-    run.digest(ns.host)
+    h = _load_host(run, ns.host)
     pattern = parse_pattern(ns.pattern)
     result = berge.find_berge_embedding(h, pattern, budget=ns.budget)
-    doc = _embedding_doc(ns, ns.host, pattern, result)
+    doc = _embedding_doc(ns.host, pattern.expr, result)
     doc["free"] = result.status is berge.Status.NOT_FOUND
     run.summary = {"status": result.status.value}
     if result.status is berge.Status.NOT_FOUND:
@@ -238,11 +240,10 @@ def _cmd_check(ns, run):
 
 
 def _cmd_find(ns, run):
-    h = _load_host(ns.host)
-    run.digest(ns.host)
+    h = _load_host(run, ns.host)
     pattern = parse_pattern(ns.pattern)
     result = berge.find_berge_embedding(h, pattern, budget=ns.budget)
-    doc = _embedding_doc(ns, ns.host, pattern, result)
+    doc = _embedding_doc(ns.host, pattern.expr, result)
     run.summary = {"status": result.status.value}
     lines = [result.status.value.upper()]
     if result.certificate:
@@ -252,11 +253,9 @@ def _cmd_find(ns, run):
 
 
 def _cmd_cycle(ns, run):
-    h = _load_host(ns.host)
-    run.digest(ns.host)
+    h = _load_host(run, ns.host)
     result = berge.find_berge_cycle(h, ns.length, budget=ns.budget)
-    doc = _embedding_doc(ns, ns.host, result.certificate.pattern if result.certificate
-                         else parse_pattern(f"C{ns.length}"), result)
+    doc = _embedding_doc(ns.host, f"C{ns.length}", result)
     run.summary = {"status": result.status.value}
     lines = [result.status.value.upper()]
     if result.certificate:
@@ -266,8 +265,7 @@ def _cmd_cycle(ns, run):
 
 
 def _cmd_longest_path(ns, run):
-    h = _load_host(ns.host)
-    run.digest(ns.host)
+    h = _load_host(run, ns.host)
     result = berge.longest_berge_path(h, budget=ns.budget)
     doc = {
         "host": ns.host,
@@ -282,8 +280,7 @@ def _cmd_longest_path(ns, run):
 
 
 def _cmd_good_order(ns, run):
-    h = _load_host(ns.host)
-    run.digest(ns.host)
+    h = _load_host(run, ns.host)
     order = berge.good_order(h, ns.first)
     doc = {"host": ns.host, "first": ns.first, "ordering": list(order.ordering)}
     run.summary = {"length": len(order.ordering)}
@@ -292,8 +289,7 @@ def _cmd_good_order(ns, run):
 
 
 def _cmd_bcn(ns, run):
-    h = _load_host(ns.host)
-    run.digest(ns.host)
+    h = _load_host(run, ns.host)
     base = [int(x) for x in ns.vertices.split(",")]
     result = sorted(berge.berge_common_neighbours(h, base))
     doc = {"host": ns.host, "base_set": sorted(set(base)), "common_neighbours": result}
@@ -303,8 +299,7 @@ def _cmd_bcn(ns, run):
 
 
 def _cmd_star(ns, run):
-    h = _load_host(ns.host)
-    run.digest(ns.host)
+    h = _load_host(run, ns.host)
     result = berge.berge_star_exists(h, ns.centre, ns.size)
     doc = {
         "host": ns.host,
@@ -392,11 +387,9 @@ def _cmd_verify_lemmas(ns, run):
 
 
 def _cmd_audit(ns, run):
-    h = _load_host(ns.host)
-    run.digest(ns.host)
+    h = _load_host(run, ns.host)
     layout_path = ns.layout or ns.host + ".layout.json"
-    data = json.loads(Path(layout_path).read_text())
-    run.digest(layout_path)
+    data = json.loads(run.read_input(layout_path))
     layout = ConstructionLayout(
         core_A=tuple(data["A"]),
         outer_B=tuple(data["B"]),
@@ -517,7 +510,6 @@ def build_parser():
 
     sp = sub.add_parser("verify-lemmas", help="verify the binomial inequalities exactly")
     sp.add_argument("--lemma", default="all", choices=["all", *sorted(LEMMAS)])
-    sp.add_argument("--grid", default="default", choices=["default"])
     sp.add_argument("--csv", help="write one row per grid point here")
     _add_common(sp)
     sp.set_defaults(func=_cmd_verify_lemmas)

@@ -108,6 +108,12 @@ class PatternGraph:
         return len(self.edges)
 
 
+def _is_digit(ch: str) -> bool:
+    # str.isdigit also accepts superscripts and other scripts' digits,
+    # which int() then rejects or silently converts
+    return "0" <= ch <= "9"
+
+
 def _shift(edges, offset):
     return [(u + offset, v + offset) for u, v in edges]
 
@@ -175,9 +181,9 @@ def union_pattern(parts: list[PatternGraph]) -> PatternGraph:
 def parse_pattern(expr: str) -> PatternGraph:
     """Parse a pattern expression: TERM ('+' TERM)*.
 
-    TERM is [k]P<l> | C<l> | S<l> | M<k> with positive integers; whitespace
-    is ignored.  Raises ParseError with the byte offset of the problem, or
-    InvalidCycleLength for C<l> with l < 3.
+    TERM is [k]P<l> | C<l> | S<l> | M<k> with positive integers in ASCII
+    digits; whitespace is ignored.  Raises ParseError with the byte offset
+    of the problem, or InvalidCycleLength for C<l> with l < 3.
     """
     terms = []
     i = 0
@@ -196,9 +202,9 @@ def parse_pattern(expr: str) -> PatternGraph:
             expect_term = True
             continue
         mult = None
-        if expr[i].isdigit():
+        if _is_digit(expr[i]):
             start = i
-            while i < len(expr) and expr[i].isdigit():
+            while i < len(expr) and _is_digit(expr[i]):
                 i += 1
             mult = int(expr[start:i])
             if mult < 1:
@@ -215,10 +221,10 @@ def parse_pattern(expr: str) -> PatternGraph:
         i += 1
         while i < len(expr) and expr[i].isspace():
             i += 1
-        if i >= len(expr) or not expr[i].isdigit():
+        if i >= len(expr) or not _is_digit(expr[i]):
             raise ParseError(f"expected a positive integer after {letter!r}", i)
         start = i
-        while i < len(expr) and expr[i].isdigit():
+        while i < len(expr) and _is_digit(expr[i]):
             i += 1
         value = int(expr[start:i])
         if value < 1:
@@ -271,6 +277,7 @@ class FormulaParams:
 #
 #   line 1:  "r n m"  (three integers)
 #   then m lines, each r ascending integers separated by single spaces.
+#   Integers are written in ASCII digits.
 #   Lines beginning '#' are comments.  Trailing newline required.
 
 
@@ -298,7 +305,7 @@ def read_hypergraph(text) -> Hypergraph:
         raise FormatError("missing header", 1)
     head_no, head = content[0]
     parts = head.split(" ")
-    if len(parts) != 3 or not all(p.isdigit() for p in parts):
+    if len(parts) != 3 or not head.isascii() or not all(p.isdigit() for p in parts):
         raise FormatError("header must be three integers 'r n m'", head_no)
     r, n, m = (int(p) for p in parts)
     if len(content) - 1 != m:
@@ -306,7 +313,7 @@ def read_hypergraph(text) -> Hypergraph:
     edges = []
     for no, line in content[1:]:
         fields = line.split(" ")
-        if len(fields) != r or not all(f.isdigit() for f in fields):
+        if len(fields) != r or not line.isascii() or not all(f.isdigit() for f in fields):
             raise FormatError(f"expected {r} integers", no)
         vertices = [int(f) for f in fields]
         if any(a >= b for a, b in zip(vertices, vertices[1:])):

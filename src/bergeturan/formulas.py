@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from .core import FormulaParams
@@ -239,7 +240,7 @@ def _i5_sides(r, k, l):
         cap - Fraction(comb(k * L - 1, r - 2), 2) + Fraction(1, 2),
         Fraction(comb(l, r), l) + Fraction(5, 2),
     )
-    # stated as max{...} < cap; slack is cap - max
+    # stated as max{...} < cap, so lhs is the cap and rhs the max
     return cap, inner
 
 
@@ -250,8 +251,7 @@ class Lemma:
     params: tuple[str, ...]
     strict: bool
     hypotheses: object  # callable(point) -> bool
-    sides: object  # callable(point) -> (lhs, rhs)
-    slack_of: object  # callable(lhs, rhs) -> Fraction
+    sides: object  # callable(point) -> (lhs, rhs); the slack is lhs - rhs
 
 
 LEMMAS: dict[str, Lemma] = {
@@ -261,8 +261,7 @@ LEMMAS: dict[str, Lemma] = {
         ("r", "L"),
         True,
         lambda r, L: L >= r >= 3,
-        lambda r, L: _i1_sides(r, L),
-        lambda lhs, rhs: lhs - rhs,
+        _i1_sides,
     ),
     "I2": Lemma(
         "I2",
@@ -270,8 +269,7 @@ LEMMAS: dict[str, Lemma] = {
         ("r", "k", "l"),
         False,
         lambda r, k, l: k >= 2 and l >= r >= 3,
-        lambda r, k, l: _i2_sides(r, k, l),
-        lambda lhs, rhs: lhs - rhs,
+        _i2_sides,
     ),
     "I3": Lemma(
         "I3",
@@ -279,8 +277,7 @@ LEMMAS: dict[str, Lemma] = {
         ("r", "k", "l"),
         True,
         lambda r, k, l: k >= 3 and l >= r >= 3,
-        lambda r, k, l: _i3_sides(r, k, l),
-        lambda lhs, rhs: lhs - rhs,
+        _i3_sides,
     ),
     "I4": Lemma(
         "I4",
@@ -288,8 +285,7 @@ LEMMAS: dict[str, Lemma] = {
         ("r", "k", "l"),
         True,
         lambda r, k, l: k >= 2 and l >= r >= 3,
-        lambda r, k, l: _i4_sides(r, k, l),
-        lambda lhs, rhs: lhs - rhs,
+        _i4_sides,
     ),
     "I5": Lemma(
         "I5",
@@ -298,8 +294,7 @@ LEMMAS: dict[str, Lemma] = {
         ("r", "k", "l"),
         True,
         lambda r, k, l: k >= 2 and l >= 5 and (l + 1) // 2 >= r >= 3,
-        lambda r, k, l: _i5_sides(r, k, l),
-        lambda lhs, rhs: lhs - rhs,  # lhs is the cap, rhs the max; slack = cap - max
+        _i5_sides,
     ),
 }
 
@@ -319,24 +314,14 @@ class LemmaReport:
 
 
 def default_grid(lemma_id: str, r_max: int = 8, k_max: int = 6, l_max: int = 30):
-    """Default verification grid: r in 3..r_max, k up to k_max from each
-    inequality's minimum, length parameter up to l_max, filtered by the
-    stated hypotheses."""
+    """Default verification grid: r in 3..r_max, k in 2..k_max, length
+    parameter in 3..l_max, in lexicographic order, filtered by the stated
+    hypotheses."""
     lemma = LEMMAS[lemma_id]
-    points = []
-    if lemma.params == ("r", "L"):
-        for r in range(3, r_max + 1):
-            for L in range(r, l_max + 1):
-                points.append((r, L))
-    else:
-        k_min = 3 if lemma_id == "I3" else 2
-        for r in range(3, r_max + 1):
-            for k in range(k_min, k_max + 1):
-                l_min = 5 if lemma_id == "I5" else r
-                for l in range(l_min, l_max + 1):
-                    if lemma.hypotheses(r, k, l):
-                        points.append((r, k, l))
-    return tuple(points)
+    axes = {"r": range(3, r_max + 1), "k": range(2, k_max + 1),
+            "l": range(3, l_max + 1), "L": range(3, l_max + 1)}
+    return tuple(pt for pt in product(*(axes[name] for name in lemma.params))
+                 if lemma.hypotheses(*pt))
 
 
 def verify_lemma(lemma_id: str, grid=None) -> LemmaReport:
@@ -360,7 +345,7 @@ def verify_lemma(lemma_id: str, grid=None) -> LemmaReport:
     margin = None
     for pt in grid:
         lhs, rhs = lemma.sides(*pt)
-        slack = lemma.slack_of(lhs, rhs)
+        slack = lhs - rhs
         rows.append((pt, lhs, rhs, slack))
         failed = slack <= 0 if lemma.strict else slack < 0
         if failed:

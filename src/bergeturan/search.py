@@ -6,8 +6,8 @@ branch first, keeping the current set free at all times.  Adding an edge
 is checked incrementally: a new Berge copy must use the new hyperedge as
 one of its representatives, so only embeddings pinned through it are
 searched.  The value is label-invariant, so a labelled search suffices;
-the optional root symmetry rule forces the first included edge to be
-{1..r}, which any nonempty free host can be relabelled to satisfy.
+the root symmetry rule forces the first included edge to be {1..r},
+which any nonempty free host can be relabelled to satisfy.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from ._engine_py import FOUND, NOT_FOUND
+from ._engine_py import FOUND
 from .berge import Status, find_berge_embedding, solve_raw
 from .constructions import extremal_construction
 from .core import FormulaParams, Hypergraph, PatternGraph, disjoint_paths_pattern
@@ -29,7 +29,6 @@ class SearchOptions:
     connected_only: bool = False
     node_budget: int = 0
     witness_limit: int = 1
-    symmetry_pruning: bool = True
     max_candidates: int = 64
     initial_witness: Hypergraph | None = None
 
@@ -103,28 +102,7 @@ class _Searcher:
         self.nodes = 0
         self.truncated = False
 
-    def creates_copy(self, new_mask):
-        """Does adding this edge to the (free) chosen set create a copy?"""
-        return _pinned_copy(self.n, self.chosen_masks + [new_mask], self.pattern, self.host_order)
-
-    def is_free(self, masks):
-        status, _, _, _ = solve_raw(self.n, masks, self.pattern, self.host_order, budget=0)
-        return status == NOT_FOUND
-
-    def connect_feasible(self, idx):
-        """Can the chosen set plus remaining candidates still cover 1..n in
-        one component?"""
-        edges = [self.candidates[j] for j in self.chosen] + self.candidates[idx:]
-        return _spans_one_component(self.n, edges)
-
-    def leaf_feasible(self):
-        if not self.opts.connected_only:
-            return True
-        return _spans_one_component(self.n, [self.candidates[j] for j in self.chosen])
-
     def record_leaf(self):
-        if not self.leaf_feasible():
-            return
         size = len(self.chosen)
         current = tuple(self.chosen)
         if size > self.best:
@@ -142,19 +120,28 @@ class _Searcher:
         room = len(self.chosen) + remaining
         if room < self.best or (room == self.best and len(self.witness_sets) >= self.opts.witness_limit):
             return
-        if self.opts.connected_only and not self.connect_feasible(idx):
+        # can the chosen set plus the remaining candidates still cover 1..n
+        # in one component?  At a leaf this checks the chosen set itself.
+        if self.opts.connected_only and not _spans_one_component(
+                self.n, [self.candidates[j] for j in self.chosen] + self.candidates[idx:]):
             return
         if idx == len(self.candidates):
             self.record_leaf()
             return
-        new_mask = self.cand_masks[idx]
-        if not self.creates_copy(new_mask):
-            self.chosen.append(idx)
-            self.chosen_masks.append(new_mask)
-            self.dfs(idx + 1)
-            self.chosen.pop()
-            self.chosen_masks.pop()
+        self.include(idx)
         self.dfs(idx + 1)
+
+    def include(self, idx):
+        """Branch on adding candidate ``idx`` to the (free) chosen set,
+        unless that creates a Berge copy."""
+        new_mask = self.cand_masks[idx]
+        if _pinned_copy(self.n, self.chosen_masks + [new_mask], self.pattern, self.host_order):
+            return
+        self.chosen.append(idx)
+        self.chosen_masks.append(new_mask)
+        self.dfs(idx + 1)
+        self.chosen.pop()
+        self.chosen_masks.pop()
 
     def run(self):
         started = time.perf_counter()
@@ -163,7 +150,7 @@ class _Searcher:
             w = opts.initial_witness
             if w.n != self.n or w.r != self.r:
                 raise ParamsOutOfRange("initial witness has mismatched n or r")
-            if not self.is_free([_mask(e) for e in w.edges]):
+            if find_berge_embedding(w, self.pattern, budget=0).status is not Status.NOT_FOUND:
                 raise HostNotFree("initial witness contains the forbidden pattern")
             self.best = w.m
             self.witness_sets = [tuple(self.candidates.index(e) for e in w.edges)]
@@ -173,16 +160,8 @@ class _Searcher:
             if self.best == 0:
                 self.witness_sets = [()]
         try:
-            if opts.symmetry_pruning:
-                # any nonempty free host relabels so its first edge is {1..r}
-                if not self.creates_copy(self.cand_masks[0]):
-                    self.chosen.append(0)
-                    self.chosen_masks.append(self.cand_masks[0])
-                    self.dfs(1)
-                    self.chosen.pop()
-                    self.chosen_masks.pop()
-            else:
-                self.dfs(0)
+            # any nonempty free host relabels so its first edge is {1..r}
+            self.include(0)
         except _Budget:
             self.truncated = True
         witnesses = tuple(

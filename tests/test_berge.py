@@ -20,6 +20,7 @@ from bergeturan.constructions import extremal_construction
 from bergeturan.errors import (
     BadParameters,
     EmptyHypergraph,
+    FormatError,
     IndexOutOfRange,
     InvalidCycleLength,
     V0TooSmall,
@@ -135,6 +136,23 @@ class TestVerifyCertificate:
         assert back == self.good
         assert verify_certificate(self.h, back)
 
+    @pytest.mark.parametrize("text", [
+        "{",
+        "{}",
+        "[]",
+        "null",
+        '{"pattern": "P2", "defining_vertices": [1, 2, 3], "edge_assignment": [[1, 2], [2, 3, 1]]}',
+        '{"pattern": "P2", "defining_vertices": [1, 2, 3], "edge_assignment": [[1, 2, 0]]}',
+        '{"pattern": "P2", "defining_vertices": [1, 2, 3], "edge_assignment": [[1, "2", 0], [2, 3, 1]]}',
+        '{"pattern": "P2", "defining_vertices": [1, "a", 3], "edge_assignment": [[1, 2, 0], [2, 3, 1]]}',
+        '{"pattern": "P2", "defining_vertices": 5, "edge_assignment": [[1, 2, 0], [2, 3, 1]]}',
+        '{"pattern": "Q2", "defining_vertices": [1, 2, 3], "edge_assignment": [[1, 2, 0], [2, 3, 1]]}',
+        '{"pattern": "C2", "defining_vertices": [1, 2], "edge_assignment": []}',
+    ])
+    def test_malformed_json_raises_format_error(self, text):
+        with pytest.raises(FormatError):
+            BergeCertificate.from_json(text)
+
 
 class TestLongestPath:
     def test_complete_four_vertex_host(self):
@@ -189,7 +207,17 @@ class TestCycles:
         with pytest.raises(InvalidCycleLength):
             find_berge_cycle(h, 2)
 
-    def test_symmetry_pruning_found_iff_naive(self):
+    def test_cycle_rule_stays_out_of_general_embedding(self):
+        # every P2 here has an end below its centre, which the cycle rule
+        # (first image minimal) forbids; only find_berge_cycle applies it
+        h = make_hypergraph(3, 6, [[1, 2, 3], [3, 5, 6], [4, 5, 6]])
+        res = find_berge_embedding(h, parse_pattern("P2"))
+        assert res.status is Status.FOUND
+        assert verify_certificate(h, res.certificate)
+        with pytest.raises(TypeError):
+            find_berge_embedding(h, parse_pattern("P2"), cycle_sym=True)
+
+    def test_cycle_rule_found_iff_naive(self):
         rng = random.Random(2718)
         for _ in range(200):
             h = random_hypergraph(rng, 7, 3, rng.randint(3, 8))

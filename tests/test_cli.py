@@ -4,6 +4,7 @@ Each invocation runs in-process through ``cli.main``; tests assert the
 exit code and validate machine output against the shipped JSON schemas.
 """
 
+import hashlib
 import json
 from importlib import resources
 
@@ -147,6 +148,25 @@ class TestContainmentCommands:
         code, _ = run_cli(capsys, "check", str(host_file), "-F", "Z9")
         assert code == 2
 
+    def test_crlf_host_reads_as_lf_and_digests_raw_bytes(self, host_file, tmp_path, capsys):
+        raw = host_file.read_bytes().replace(b"\n", b"\r\n")
+        crlf = tmp_path / "crlf.hg"
+        crlf.write_bytes(raw)
+        code, doc = json_doc(capsys, "check", str(crlf), "-F", "2P5", "--json")
+        assert code == 0
+        assert doc["free"]
+        digests = doc["manifest"]["input_digests"]
+        assert digests == {str(crlf): hashlib.sha256(raw).hexdigest()}
+
+    def test_audit_digests_host_and_layout(self, host_file, capsys):
+        code, doc = json_doc(capsys, "audit", str(host_file), "--json")
+        assert code == 0
+        layout = host_file.with_name(host_file.name + ".layout.json")
+        assert doc["manifest"]["input_digests"] == {
+            str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (host_file, layout)
+        }
+
 
 class TestVertexCommands:
     def test_good_order(self, host_file, capsys):
@@ -247,8 +267,7 @@ class TestFormulaCommand:
 class TestVerifyLemmas:
     def test_default_grid_csv(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
-        code, doc = json_doc(capsys, "verify-lemmas", "--grid", "default",
-                             "--csv", str(out), "--json")
+        code, doc = json_doc(capsys, "verify-lemmas", "--csv", str(out), "--json")
         assert code == 0
         validate(doc, "lemmas")
         assert doc["total_violations"] == 0

@@ -65,6 +65,14 @@ class TestExtremalConstruction:
             h, _ = extremal_construction(FormulaParams(n=10, r=3, ell=ell, k=1))
             assert find_berge_embedding(h, parse_pattern(f"P{ell}")).status is Status.NOT_FOUND
 
+    def test_even_length_freeness_searches(self):
+        # 2P6 has 14 vertices, so the n=13 checks above finish at once; 2P4
+        # has 10 and must be ruled out by a real search
+        h, _ = extremal_construction(FormulaParams(n=13, r=4, ell=4, k=2))
+        res = find_berge_embedding(h, parse_pattern("2P4"))
+        assert res.status is Status.NOT_FOUND
+        assert res.nodes > 0
+
     def test_contains_single_path_positive_control(self):
         h, _ = extremal_construction(FormulaParams(n=13, r=3, ell=5, k=2))
         res = find_berge_embedding(h, parse_pattern("P5"))

@@ -86,6 +86,16 @@ class TestParsePattern:
         with pytest.raises(ParseError):
             parse_pattern("")
 
+    def test_non_ascii_digits_rejected(self):
+        # str.isdigit accepts these; int() rejects the superscript and
+        # silently converts full-width digits
+        with pytest.raises(ParseError) as exc:
+            parse_pattern("P\u00b2")
+        assert exc.value.offset == 1
+        with pytest.raises(ParseError) as exc:
+            parse_pattern("P\uff13")
+        assert exc.value.offset == 1
+
     def test_single_edge_aliases(self):
         for expr in ("P1", "S1", "M1"):
             pat = parse_pattern(expr)
@@ -157,3 +167,11 @@ class TestHgFormat:
     def test_header_garbage(self):
         with pytest.raises(FormatError):
             read_hypergraph("three five two\n")
+
+    def test_non_ascii_digits_rejected(self):
+        with pytest.raises(FormatError) as exc:
+            read_hypergraph("3 5 1\n1 2 \u00b2\n")
+        assert exc.value.line == 2
+        with pytest.raises(FormatError) as exc:
+            read_hypergraph("\uff13 5 0\n")
+        assert exc.value.line == 1
