@@ -8,20 +8,24 @@ endpoints.
 Deterministic contract:
 
 * pattern vertices are assigned in the caller-supplied ``order``;
-* host candidates are tried in the caller-supplied ``host_order``;
+* host candidates are the covered vertices (those in some hyperedge of
+  ``edge_masks``), tried in ascending order; no pattern vertex can map to
+  an isolated vertex, and a host with fewer covered vertices than the
+  pattern has vertices (or fewer hyperedges than it has edges) is refuted
+  after 0 nodes;
 * a "node" is one vertex-assignment attempt: each host candidate examined
-  at a position after the used-vertex and symmetry filters;
+  at a position after the used-vertex filter, which is the only filter;
 * once both endpoints of a pattern edge are placed, the edge must admit a
   system of distinct representative hyperedges jointly with all other such
   edges; feasibility is maintained with an incremental augmenting-path
   matching, scanning candidate hyperedges in ascending index order;
-* with ``cycle_sym`` set (single-cycle patterns ordered along the cycle),
-  images of later positions must exceed the first image, and the last
-  position's image must exceed the second position's image, cancelling the
-  rotation/reflection symmetry of the cycle;
 * ``pinned`` (pattern-edge index, host-edge index) restricts that pattern
   edge's representative to exactly that hyperedge;
 * the first embedding reached in this order is returned.
+
+An exhaustive search (budget 0, NOT_FOUND) expands every feasible partial
+placement whatever the candidate order, so its node count depends only on
+the host's edge sets and the pattern plan, not on the vertex labels.
 
 Vertices and indices are 0-based here; wrappers translate.
 """
@@ -35,8 +39,7 @@ class _BudgetHit(Exception):
     pass
 
 
-def solve(n, edge_masks, pat_edges, order, host_order, budget=0,
-          cycle_sym=False, pinned_pe=-1, pinned_he=-1):
+def solve(n, edge_masks, pat_edges, order, budget=0, pinned_pe=-1, pinned_he=-1):
     """Run the embedding search.
 
     Returns (status, images, assignment, nodes) where images maps pattern
@@ -46,8 +49,12 @@ def solve(n, edge_masks, pat_edges, order, host_order, budget=0,
     m = len(edge_masks)
     p = max((max(a, b) for a, b in pat_edges), default=-1) + 1
     q = len(pat_edges)
-    if q > m or p > len(host_order):
+    covered = 0
+    for em in edge_masks:
+        covered |= em
+    if q > m or p > covered.bit_count():
         return (NOT_FOUND, None, None, 0)
+    host_order = [v for v in range(n) if covered >> v & 1]
 
     pair_mask = [[0] * n for _ in range(n)]
     for j, em in enumerate(edge_masks):
@@ -107,9 +114,6 @@ def solve(n, edge_masks, pat_edges, order, host_order, budget=0,
             else:
                 owner[idx] = old
 
-    first_pos_vertex = order[0]
-    second_pos_vertex = order[1] if p > 1 else order[0]
-
     def dfs(pos):
         if pos == p:
             return True
@@ -119,11 +123,6 @@ def solve(n, edge_masks, pat_edges, order, host_order, budget=0,
             vbit = 1 << v
             if state["used"] & vbit:
                 continue
-            if cycle_sym:
-                if pos > 0 and v < images[first_pos_vertex]:
-                    continue
-                if pos == p - 1 and v < images[second_pos_vertex]:
-                    continue
             state["nodes"] += 1
             if budget and state["nodes"] > budget:
                 raise _BudgetHit

@@ -25,7 +25,6 @@ from .errors import (
     EmptyHypergraph,
     FormatError,
     IndexOutOfRange,
-    InvalidCycleLength,
     TooFewEdges,
     V0TooSmall,
     VertexNotInHost,
@@ -163,24 +162,16 @@ def _pattern_plan(pattern: PatternGraph):
 
 
 def _host_prep(h: Hypergraph):
-    masks = h.edge_vertex_masks()
-    deg = [0] * h.n
-    for em in masks:
-        t = em
-        while t:
-            v = (t & -t).bit_length() - 1
-            deg[v] += 1
-            t &= t - 1
-    host_order = sorted((v for v in range(h.n) if deg[v] > 0), key=lambda v: (deg[v], v))
-    return masks, host_order
+    """The kernel's view of the host: one vertex bitmask per hyperedge.
+    A named step, so the benchmark tracer can time host preparation."""
+    return h.edge_vertex_masks()
 
 
-def solve_raw(n, edge_masks, pattern, host_order, budget=0, cycle_sym=False, pinned=None):
+def solve_raw(n, edge_masks, pattern, budget=0, pinned=None):
     """Low-level search over raw edge masks; used by the exhaustive search."""
     edges0, order = _pattern_plan(pattern)
     pinned_pe, pinned_he = pinned if pinned else (-1, -1)
-    return _engine_py.solve(n, edge_masks, edges0, order, host_order, budget,
-                            cycle_sym, pinned_pe, pinned_he)
+    return _engine_py.solve(n, edge_masks, edges0, order, budget, pinned_pe, pinned_he)
 
 
 def _result_from_engine(pattern, raw):
@@ -202,8 +193,7 @@ def find_berge_embedding(h: Hypergraph, pattern: PatternGraph, budget: int = 0) 
     absence.  A positive budget caps vertex-assignment attempts and an
     exhausted budget yields an indeterminate status.
     """
-    masks, host_order = _host_prep(h)
-    raw = solve_raw(h.n, masks, pattern, host_order, budget)
+    raw = solve_raw(h.n, _host_prep(h), pattern, budget)
     return _result_from_engine(pattern, raw)
 
 
@@ -241,16 +231,17 @@ def longest_berge_path(h: Hypergraph, budget: int = 0) -> PathSearchResult:
     """
     if h.m == 0:
         raise EmptyHypergraph("host has no hyperedges")
-    masks, host_order = _host_prep(h)
-    upper = min(h.m, len(host_order) - 1)
+    masks = _host_prep(h)
+    upper = min(h.m, len(h.covered_vertices()) - 1)
     best = None
     total_nodes = 0
     exact = True
     length = 0
     for ell in range(1, upper + 1):
-        raw = solve_raw(h.n, masks, path_pattern(ell), host_order, budget)
+        pattern = path_pattern(ell)
+        raw = solve_raw(h.n, masks, pattern, budget)
         total_nodes += raw[3]
-        result = _result_from_engine(path_pattern(ell), raw)
+        result = _result_from_engine(pattern, raw)
         if result.status is Status.FOUND:
             best = result.certificate
             length = ell
@@ -263,20 +254,11 @@ def longest_berge_path(h: Hypergraph, budget: int = 0) -> PathSearchResult:
 
 
 def find_berge_cycle(h: Hypergraph, length: int, budget: int = 0) -> EmbeddingResult:
-    """Search for a Berge cycle of the given length (>= 3).
-
-    The embedding search with the rotation and reflection symmetry of the
-    cycle pruned away: the first defining vertex is forced minimal and the
-    traversal is oriented toward its smaller neighbour.  The rule is sound
-    only for cycle patterns, so this is the one caller that asks the kernel
-    for it.
-    """
-    if length < 3:
-        raise InvalidCycleLength(f"cycle length must be >= 3, got {length}")
-    pattern = cycle_pattern(length)
-    masks, host_order = _host_prep(h)
-    raw = solve_raw(h.n, masks, pattern, host_order, budget, cycle_sym=True)
-    return _result_from_engine(pattern, raw)
+    """Search for a Berge cycle of the given length: the embedding search
+    for C<length>, so answer, certificate and node count are those of
+    ``find_berge_embedding``.  Lengths below 3 raise InvalidCycleLength
+    (from :func:`cycle_pattern`)."""
+    return find_berge_embedding(h, cycle_pattern(length), budget)
 
 
 def good_order(h: Hypergraph, first: int) -> GoodOrder:

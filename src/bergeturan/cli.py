@@ -53,6 +53,22 @@ def _frac(x):
     return x
 
 
+def _integer(text):
+    """Parse an integer argument: ASCII digits with an optional leading '-'.
+
+    ``int`` alone also takes other scripts' digits, '+', '_' and
+    surrounding whitespace."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def _integer_list(text):
+    """Parse a comma-separated list, each item as :func:`_integer`."""
+    return [_integer(item) for item in text.split(",")]
+
+
 def _load_host(run, path):
     try:
         text = run.read_input(path)
@@ -123,7 +139,7 @@ class _Run:
 def _add_common(sp, budget=False, json_out=True):
     sp.add_argument("--manifest", help="write the run manifest to this path")
     if budget:
-        sp.add_argument("--budget", type=int, default=0,
+        sp.add_argument("--budget", type=_integer, default=0,
                         help="node budget; 0 means unlimited (exact)")
     if json_out:
         sp.add_argument("--json", nargs="?", const="-",
@@ -195,8 +211,7 @@ def _cmd_formula(ns, run):
                "hypothesis_failures": list(res.hypothesis_failures),
                "large_n_required": res.large_n_required}
     else:  # conjecture
-        ells = [int(x) for x in ns.ells.split(",")]
-        res = conjecture_values(ns.n, ns.r, ells)
+        res = conjecture_values(ns.n, ns.r, ns.ells)
         doc = {"formula": name, "value": res.forest_value,
                "indicator": res.forest_indicator,
                "uniform_value": res.uniform_value, "notes": list(res.notes)}
@@ -290,9 +305,8 @@ def _cmd_good_order(ns, run):
 
 def _cmd_bcn(ns, run):
     h = _load_host(run, ns.host)
-    base = [int(x) for x in ns.vertices.split(",")]
-    result = sorted(berge.berge_common_neighbours(h, base))
-    doc = {"host": ns.host, "base_set": sorted(set(base)), "common_neighbours": result}
+    result = sorted(berge.berge_common_neighbours(h, ns.vertices))
+    doc = {"host": ns.host, "base_set": sorted(set(ns.vertices)), "common_neighbours": result}
     run.summary = {"count": len(result)}
     run.emit(doc, [" ".join(str(v) for v in result) if result else "(none)"])
     return EXIT_OK
@@ -426,18 +440,18 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("construct", help="build the core extremal construction")
-    sp.add_argument("-n", type=int, required=True)
-    sp.add_argument("-r", type=int, required=True)
-    sp.add_argument("-l", "--ell", dest="ell", type=int, required=True)
-    sp.add_argument("-k", type=int, default=1)
+    sp.add_argument("-n", type=_integer, required=True)
+    sp.add_argument("-r", type=_integer, required=True)
+    sp.add_argument("-l", "--ell", dest="ell", type=_integer, required=True)
+    sp.add_argument("-k", type=_integer, default=1)
     sp.add_argument("-o", "--output", help="write .hg here (plus .layout.json sidecar)")
     _add_common(sp)
     sp.set_defaults(func=_cmd_construct)
 
     sp = sub.add_parser("block", help="disjoint complete blocks construction")
-    sp.add_argument("-n", type=int, required=True)
-    sp.add_argument("-l", "--block", dest="block", type=int, required=True)
-    sp.add_argument("-r", type=int, required=True)
+    sp.add_argument("-n", type=_integer, required=True)
+    sp.add_argument("-l", "--block", dest="block", type=_integer, required=True)
+    sp.add_argument("-r", type=_integer, required=True)
     sp.add_argument("-o", "--output")
     _add_common(sp)
     sp.set_defaults(func=_cmd_block)
@@ -446,12 +460,13 @@ def build_parser():
     sp.add_argument("--name", required=True,
                     choices=["erdos-gallai", "kpl-graph", "berge-path",
                              "connected-berge-path", "two-path", "berge-kpl", "conjecture"])
-    sp.add_argument("-n", type=int, required=True)
-    sp.add_argument("-r", type=int, default=2)
-    sp.add_argument("-l", "--ell", dest="ell", type=int)
-    sp.add_argument("--ell2", type=int, default=1)
-    sp.add_argument("-k", type=int, default=2)
-    sp.add_argument("--ells", help="comma-separated path lengths for the forest conjecture")
+    sp.add_argument("-n", type=_integer, required=True)
+    sp.add_argument("-r", type=_integer, default=2)
+    sp.add_argument("-l", "--ell", dest="ell", type=_integer)
+    sp.add_argument("--ell2", type=_integer, default=1)
+    sp.add_argument("-k", type=_integer, default=2)
+    sp.add_argument("--ells", type=_integer_list,
+                    help="comma-separated path lengths for the forest conjecture")
     _add_common(sp)
     sp.set_defaults(func=_cmd_formula)
 
@@ -474,36 +489,37 @@ def build_parser():
 
     sp = sub.add_parser("cycle", help="find a Berge cycle of a given length")
     sp.add_argument("host")
-    sp.add_argument("--length", type=int, required=True)
+    sp.add_argument("--length", type=_integer, required=True)
     _add_common(sp, budget=True)
     sp.set_defaults(func=_cmd_cycle)
 
     sp = sub.add_parser("good-order", help="vertex order whose consecutive pairs are good")
     sp.add_argument("host")
-    sp.add_argument("--first", type=int, required=True)
+    sp.add_argument("--first", type=_integer, required=True)
     _add_common(sp)
     sp.set_defaults(func=_cmd_good_order)
 
     sp = sub.add_parser("bcn", help="Berge-common neighbours of a vertex set")
     sp.add_argument("host")
-    sp.add_argument("--vertices", required=True, help="comma-separated base set")
+    sp.add_argument("--vertices", type=_integer_list, required=True,
+                    help="comma-separated base set")
     _add_common(sp)
     sp.set_defaults(func=_cmd_bcn)
 
     sp = sub.add_parser("star", help="Berge star with a given centre")
     sp.add_argument("host")
-    sp.add_argument("--centre", type=int, required=True)
-    sp.add_argument("--size", type=int, required=True)
+    sp.add_argument("--centre", type=_integer, required=True)
+    sp.add_argument("--size", type=_integer, required=True)
     _add_common(sp)
     sp.set_defaults(func=_cmd_star)
 
     sp = sub.add_parser("turan", help="exact Turan number by branch and bound")
-    sp.add_argument("-n", type=int, required=True)
-    sp.add_argument("-r", type=int, required=True)
+    sp.add_argument("-n", type=_integer, required=True)
+    sp.add_argument("-r", type=_integer, required=True)
     sp.add_argument("-F", "--pattern", required=True)
     sp.add_argument("--connected", action="store_true")
-    sp.add_argument("--witnesses", type=int, default=1)
-    sp.add_argument("--max-candidates", type=int, default=64)
+    sp.add_argument("--witnesses", type=_integer, default=1)
+    sp.add_argument("--max-candidates", type=_integer, default=64)
     sp.add_argument("--out-dir", help="directory for witness .hg files")
     _add_common(sp, budget=True)
     sp.set_defaults(func=_cmd_turan)

@@ -45,9 +45,6 @@ class Hypergraph:
             seen.update(e)
         return tuple(sorted(seen))
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def edge_vertex_masks(self) -> list[int]:
         """Per-edge bitmask of member vertices (bit v-1 set for vertex v)."""
         return [sum(1 << (v - 1) for v in e) for e in self.edges]
@@ -65,27 +62,38 @@ def make_hypergraph(r, n, raw_edges) -> Hypergraph:
     """Validate and canonicalize raw edges into a Hypergraph.
 
     Duplicate edges are collapsed and the result flags it.  Raises
-    NonUniformEdge when an edge has a number of distinct vertices other
-    than r, VertexOutOfRange for labels outside 1..n.
+    ParamsOutOfRange for r < 2 or n < r, NonUniformEdge when an edge has a
+    number of distinct vertices other than r, VertexOutOfRange for labels
+    outside 1..n.
     """
+
+    def canonical_edges():
+        for raw in raw_edges:
+            edge = tuple(sorted(set(raw)))
+            if len(edge) != r:
+                raise NonUniformEdge(f"edge {list(raw)} has {len(edge)} distinct vertices, expected {r}")
+            if edge[0] < 1 or edge[-1] > n:
+                raise VertexOutOfRange(f"edge {list(raw)} leaves the vertex range 1..{n}")
+            yield edge
+
+    return _assemble(r, n, canonical_edges())
+
+
+def _assemble(r, n, edges) -> Hypergraph:
+    """Check r and n, then de-duplicate and sort ``edges``, which must be
+    ascending r-tuples inside 1..n.  A generator of edges is consumed after
+    the r and n checks; a list was checked before them."""
     if r < 2:
         raise ParamsOutOfRange(f"uniformity r must be >= 2, got {r}")
     if n < r:
         raise ParamsOutOfRange(f"need n >= r, got n={n}, r={r}")
-    canon = []
-    for raw in raw_edges:
-        edge = tuple(sorted(set(raw)))
-        if len(edge) != r:
-            raise NonUniformEdge(f"edge {list(raw)} has {len(edge)} distinct vertices, expected {r}")
-        if edge[0] < 1 or edge[-1] > n:
-            raise VertexOutOfRange(f"edge {list(raw)} leaves the vertex range 1..{n}")
-        canon.append(edge)
-    deduped = sorted(set(canon))
+    edges = list(edges)
+    deduped = sorted(set(edges))
     return Hypergraph(
         n=n,
         r=r,
         edges=tuple(deduped),
-        duplicates_collapsed=len(deduped) != len(canon),
+        duplicates_collapsed=len(deduped) != len(edges),
     )
 
 
@@ -315,13 +323,13 @@ def read_hypergraph(text) -> Hypergraph:
         fields = line.split(" ")
         if len(fields) != r or not line.isascii() or not all(f.isdigit() for f in fields):
             raise FormatError(f"expected {r} integers", no)
-        vertices = [int(f) for f in fields]
+        vertices = tuple(map(int, fields))
         if any(a >= b for a, b in zip(vertices, vertices[1:])):
             raise FormatError("vertices must be strictly ascending", no)
         if vertices[0] < 1 or vertices[-1] > n:
             raise FormatError(f"vertex outside 1..{n}", no)
         edges.append(vertices)
     try:
-        return make_hypergraph(r, n, edges)
-    except (ParamsOutOfRange, NonUniformEdge, VertexOutOfRange) as exc:
+        return _assemble(r, n, edges)
+    except ParamsOutOfRange as exc:
         raise FormatError(str(exc), head_no) from exc

@@ -53,13 +53,12 @@ def _mask(edge):
     return m
 
 
-def _pinned_copy(n, masks, pattern, host_order):
+def _pinned_copy(n, masks, pattern):
     """Does some Berge copy in ``masks`` use its last hyperedge?  One pinned
     search per pattern edge, in index order, stopping at the first copy."""
     new_idx = len(masks) - 1
     for pe in range(pattern.num_edges):
-        status, _, _, _ = solve_raw(n, masks, pattern, host_order,
-                                    budget=0, pinned=(pe, new_idx))
+        status, _, _, _ = solve_raw(n, masks, pattern, pinned=(pe, new_idx))
         if status == FOUND:
             return True
     return False
@@ -94,7 +93,6 @@ class _Searcher:
         self.opts = opts
         self.candidates = list(combinations(range(1, n + 1), r))
         self.cand_masks = [_mask(e) for e in self.candidates]
-        self.host_order = list(range(n))
         self.chosen: list[int] = []
         self.chosen_masks: list[int] = []
         self.best = -1
@@ -135,7 +133,7 @@ class _Searcher:
         """Branch on adding candidate ``idx`` to the (free) chosen set,
         unless that creates a Berge copy."""
         new_mask = self.cand_masks[idx]
-        if _pinned_copy(self.n, self.chosen_masks + [new_mask], self.pattern, self.host_order):
+        if _pinned_copy(self.n, self.chosen_masks + [new_mask], self.pattern):
             return
         self.chosen.append(idx)
         self.chosen_masks.append(new_mask)
@@ -212,12 +210,11 @@ def is_maximal_free(h: Hypergraph, pattern: PatternGraph) -> bool:
     if res.status is not Status.NOT_FOUND:
         raise HostNotFree("host already contains the pattern")
     masks = h.edge_vertex_masks()
-    host_order = list(range(h.n))
     present = set(h.edges)
     for e in combinations(range(1, h.n + 1), h.r):
         if e in present:
             continue
-        if not _pinned_copy(h.n, masks + [_mask(e)], pattern, host_order):
+        if not _pinned_copy(h.n, masks + [_mask(e)], pattern):
             return False
     return True
 

@@ -8,6 +8,7 @@ from bergeturan import (
     Status,
     berge_common_neighbours,
     berge_star_exists,
+    cycle_pattern,
     find_berge_cycle,
     find_berge_embedding,
     longest_berge_path,
@@ -207,9 +208,9 @@ class TestCycles:
         with pytest.raises(InvalidCycleLength):
             find_berge_cycle(h, 2)
 
-    def test_cycle_rule_stays_out_of_general_embedding(self):
-        # every P2 here has an end below its centre, which the cycle rule
-        # (first image minimal) forbids; only find_berge_cycle applies it
+    def test_general_embedding_has_no_cycle_option(self):
+        # every P2 here has an end below its centre, which a cycle rule
+        # forcing the first image minimal would forbid; no such rule exists
         h = make_hypergraph(3, 6, [[1, 2, 3], [3, 5, 6], [4, 5, 6]])
         res = find_berge_embedding(h, parse_pattern("P2"))
         assert res.status is Status.FOUND
@@ -217,13 +218,27 @@ class TestCycles:
         with pytest.raises(TypeError):
             find_berge_embedding(h, parse_pattern("P2"), cycle_sym=True)
 
-    def test_cycle_rule_found_iff_naive(self):
+    def test_cycle_found_iff_naive(self):
         rng = random.Random(2718)
         for _ in range(200):
             h = random_hypergraph(rng, 7, 3, rng.randint(3, 8))
             for length in (3, 4):
                 res = find_berge_cycle(h, length)
                 assert (res.status is Status.FOUND) == naive_contains(h, parse_pattern(f"C{length}"))
+
+    def test_cycle_is_the_cycle_pattern_embedding(self):
+        rng = random.Random(1414)
+        seen = set()
+        for _ in range(150):
+            n = rng.randint(4, 8)
+            r = min(rng.choice([2, 3, 3, 4]), n)
+            h = random_hypergraph(rng, n, r, rng.randint(2, 9))
+            length = rng.randint(3, 5)
+            budget = rng.choice([0, 0, 5])
+            res = find_berge_cycle(h, length, budget)
+            assert res == find_berge_embedding(h, cycle_pattern(length), budget)
+            seen.add(res.status)
+        assert seen == set(Status)
 
 
 class TestBCN:

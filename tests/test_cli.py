@@ -6,7 +6,11 @@ exit code and validate machine output against the shipped JSON schemas.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -290,5 +294,28 @@ class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("argv,option,item", [
+        (["bcn", "h.hg", "--vertices", "\uff11,3"], "--vertices", "\uff11"),
+        (["bcn", "h.hg", "--vertices", "1,,3"], "--vertices", ""),
+        (["formula", "--name", "conjecture", "-n", "20", "-r", "3", "--ells", "5,x"],
+         "--ells", "x"),
+        (["formula", "--name", "erdos-gallai", "-n", "\uff11\uff10", "-l", "3"],
+         "-n", "\uff11\uff10"),
+        (["turan", "-n", "6", "-r", "3", "-F", "P2", "--witnesses", "+2"],
+         "--witnesses", "+2"),
+    ])
+    def test_integer_arguments_take_ascii_digits_only(self, capsys, argv, option, item):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: not an integer: {item!r}" in err
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
+
+    def test_runs_as_module_from_checkout(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-m", "bergeturan", "--version"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("bergeturan ")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bergeturan import (
@@ -72,6 +74,25 @@ class TestExtremalConstruction:
         res = find_berge_embedding(h, parse_pattern("2P4"))
         assert res.status is Status.NOT_FOUND
         assert res.nodes > 0
+
+    def test_exhaustive_node_count_ignores_labels(self):
+        # a NOT_FOUND search expands every feasible partial placement, so
+        # relabelling the host or adding isolated vertices keeps its nodes
+        h, _ = extremal_construction(FormulaParams(n=13, r=4, ell=4, k=2))
+        pattern = parse_pattern("2P4")
+        rng = random.Random(4)
+        labellings = []
+        for _ in range(2):
+            perm = list(range(1, 14))
+            rng.shuffle(perm)
+            labellings.append((13, perm))
+        # labels 1 and 8 of 1..15 stay isolated
+        labellings.append((15, [v for v in range(1, 16) if v not in (1, 8)]))
+        for n, labels in labellings:
+            g = make_hypergraph(4, n, [[labels[v - 1] for v in e] for e in h.edges])
+            res = find_berge_embedding(g, pattern)
+            assert res.status is Status.NOT_FOUND
+            assert res.nodes == 531_269
 
     def test_contains_single_path_positive_control(self):
         h, _ = extremal_construction(FormulaParams(n=13, r=3, ell=5, k=2))

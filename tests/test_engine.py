@@ -60,6 +60,29 @@ def test_every_search_calls_the_kernel_by_module_name(monkeypatch):
     assert len(calls) == len(pinned) + len(result.witnesses)
 
 
+def test_short_covered_hosts_stop_at_zero_nodes(monkeypatch):
+    # 2P2 has 6 vertices; a pinned query on a host covering fewer is
+    # refuted before any vertex is placed
+    calls = []
+    real = _engine_py.solve
+
+    def recording(n, edge_masks, *args):
+        out = real(n, edge_masks, *args)
+        covered = 0
+        for em in edge_masks:
+            covered |= em
+        calls.append((covered.bit_count(), out[3]))
+        return out
+
+    monkeypatch.setattr(_engine_py, "solve", recording)
+    result = exact_turan(6, 3, parse_pattern("2P2"))
+    assert result.exact
+    short = [nodes for covered, nodes in calls if covered < 6]
+    full = [nodes for covered, nodes in calls if covered >= 6]
+    assert short and full and max(full) > 0
+    assert set(short) == {0}
+
+
 def test_cli_manifest_reports_backend(capsys):
     code = main(["formula", "--name", "erdos-gallai", "-n", "10", "-l", "3", "--json", "-"])
     doc = json.loads(capsys.readouterr().out)
