@@ -13,8 +13,10 @@ Deterministic contract:
   an isolated vertex, and a host with fewer covered vertices than the
   pattern has vertices (or fewer hyperedges than it has edges) is refuted
   after 0 nodes;
+* host twins are pruned: a candidate is skipped while a smaller twin of it
+  is still unused (the twin rule below);
 * a "node" is one vertex-assignment attempt: each host candidate examined
-  at a position after the used-vertex filter, which is the only filter;
+  at a position that passes the used-vertex and twin filters;
 * once both endpoints of a pattern edge are placed, the edge must admit a
   system of distinct representative hyperedges jointly with all other such
   edges; feasibility is maintained with an incremental augmenting-path
@@ -23,9 +25,28 @@ Deterministic contract:
   edge's representative to exactly that hyperedge;
 * the first embedding reached in this order is returned.
 
-An exhaustive search (budget 0, NOT_FOUND) expands every feasible partial
-placement whatever the candidate order, so its node count depends only on
-the host's edge sets and the pattern plan, not on the vertex labels.
+Twin rule.  Host vertices u and v are twins when swapping them maps the
+set of hyperedges onto itself and, when a hyperedge is pinned, u and v are
+both inside it or both outside it (the swap then lies in the pinned edge's
+stabiliser).  The transpositions that are automorphisms of a structure
+form an equivalence relation, so twins fall into classes, computed once
+per call.  At every position the search skips candidate v while a twin u
+< v is unused.  This is exact: an embedding that extends the current
+placement with v maps under the swap of u and v to one that extends the
+same placement with u, because neither vertex is used yet, the swap fixes
+every earlier image and the pinned hyperedge, and it carries hyperedges to
+hyperedges.  So v's subtree holds an embedding only if u's does, and u's
+subtree is searched first.  Every status and the first embedding (images
+and assignment) are those of the search without the rule; only node
+counts fall.  Twins are looked for among covered vertices of equal degree
+and equal pinned-edge membership; a host whose edge list repeats an edge
+gets no twins.
+
+An exhaustive search (budget 0, NOT_FOUND) expands, at every reachable
+placement, one unused vertex of each twin class whatever the candidate
+order, and the swap carries the subtrees of the others onto its subtree,
+so its node count depends only on the host's edge sets and the pattern
+plan, not on the vertex labels.
 
 Vertices and indices are 0-based here; wrappers translate.
 """
@@ -37,6 +58,45 @@ INDETERMINATE = 2
 
 class _BudgetHit(Exception):
     pass
+
+
+def _earlier_twins(edge_masks, inc, host_order, pinned_mask):
+    """Per vertex, the bitmask of its twins with smaller labels."""
+    buckets = {}
+    for v in host_order:
+        key = inc[v].bit_count() << 1 | pinned_mask >> v & 1
+        if key in buckets:
+            buckets[key].append(v)
+        else:
+            buckets[key] = [v]
+    earlier = [0] * len(inc)
+    edge_set = None
+    for members in buckets.values():
+        if len(members) < 2:
+            continue
+        if edge_set is None:
+            edge_set = set(edge_masks)
+            if len(edge_set) < len(edge_masks):
+                return earlier
+        classes = []  # [representative's bit, its edges, bitmask of members so far]
+        for v in members:
+            vbit = 1 << v
+            for cls in classes:
+                if cls[1] is None:
+                    cls[1] = [em for em in edge_masks if em & cls[0]]
+                # equal degrees, so the swap maps u's edges missing v onto
+                # v's edges missing u once each image is an edge
+                swap = vbit | cls[0]
+                for em in cls[1]:
+                    if not em & vbit and em ^ swap not in edge_set:
+                        break
+                else:
+                    earlier[v] = cls[2]
+                    cls[2] |= vbit
+                    break
+            else:
+                classes.append([vbit, None, vbit])
+    return earlier
 
 
 def solve(n, edge_masks, pat_edges, order, budget=0, pinned_pe=-1, pinned_he=-1):
@@ -54,21 +114,23 @@ def solve(n, edge_masks, pat_edges, order, budget=0, pinned_pe=-1, pinned_he=-1)
         covered |= em
     if q > m or p > covered.bit_count():
         return (NOT_FOUND, None, None, 0)
-    host_order = [v for v in range(n) if covered >> v & 1]
 
-    pair_mask = [[0] * n for _ in range(n)]
+    # one pass over the edges: the hyperedges through each vertex as a
+    # bitmask; a pair's shared edges are inc[a] & inc[b]
+    inc = [0] * n
     for j, em in enumerate(edge_masks):
         bit = 1 << j
-        vs = []
-        t = em
-        while t:
-            v = (t & -t).bit_length() - 1
-            vs.append(v)
-            t &= t - 1
-        for x in range(len(vs)):
-            for y in range(x + 1, len(vs)):
-                pair_mask[vs[x]][vs[y]] |= bit
-                pair_mask[vs[y]][vs[x]] |= bit
+        while em:
+            low = em & -em
+            inc[low.bit_length() - 1] |= bit
+            em ^= low
+    host_order = [v for v in range(n) if covered >> v & 1]
+    earlier = _earlier_twins(
+        edge_masks, inc, host_order, edge_masks[pinned_he] if pinned_he >= 0 else 0
+    )
+    # candidate v passes the used-vertex and twin filters when
+    # used & (earlier twins | v) == earlier twins
+    cands = [(v, 1 << v, earlier[v] | 1 << v, earlier[v]) for v in host_order]
 
     pos_of = [-1] * p
     for i, pv in enumerate(order):
@@ -86,17 +148,20 @@ def solve(n, edge_masks, pat_edges, order, budget=0, pinned_pe=-1, pinned_he=-1)
     owner = [-1] * m
     cand = [0] * q
     log = []  # (array_tag, index, old_value); tag 0 = match_of, 1 = owner
-    state = {"used": 0, "nodes": 0, "visited": 0}
+    used = 0
+    nodes = 0
+    visited = 0
     pinned_bit = (1 << pinned_he) if pinned_he >= 0 else 0
 
     def augment(pe):
+        nonlocal visited
         remaining = cand[pe]
         while remaining:
             low = remaining & -remaining
             remaining ^= low
-            if state["visited"] & low:
+            if visited & low:
                 continue
-            state["visited"] |= low
+            visited |= low
             j = low.bit_length() - 1
             if owner[j] == -1 or augment(owner[j]):
                 log.append((0, pe, match_of[pe]))
@@ -115,51 +180,48 @@ def solve(n, edge_masks, pat_edges, order, budget=0, pinned_pe=-1, pinned_he=-1)
                 owner[idx] = old
 
     def dfs(pos):
+        nonlocal used, nodes, visited
         if pos == p:
             return True
         pv = order[pos]
-        inc = incident[pos]
-        for v in host_order:
-            vbit = 1 << v
-            if state["used"] & vbit:
+        # the hyperedges through each placed neighbour, fixed at this position
+        rows = []
+        for pe, other in incident[pos]:
+            row = inc[images[other]]
+            if pe == pinned_pe:
+                row &= pinned_bit
+            rows.append((pe, row))
+        for v, vbit, guard, earl in cands:
+            if used & guard != earl:
                 continue
-            state["nodes"] += 1
-            if budget and state["nodes"] > budget:
+            nodes += 1
+            if budget and nodes > budget:
                 raise _BudgetHit
-            feasible = True
-            for pe, other in inc:
-                pm = pair_mask[images[other]][v]
-                if pe == pinned_pe:
-                    pm &= pinned_bit
-                if pm == 0:
-                    feasible = False
+            iv = inc[v]
+            for _, row in rows:
+                if not row & iv:
                     break
-            if not feasible:
-                continue
-            images[pv] = v
-            state["used"] |= vbit
-            mark = len(log)
-            ok = True
-            for pe, other in inc:
-                pm = pair_mask[images[other]][v]
-                if pe == pinned_pe:
-                    pm &= pinned_bit
-                cand[pe] = pm
-                state["visited"] = 0
-                if not augment(pe):
-                    ok = False
-                    break
-            if ok and dfs(pos + 1):
-                return True
-            rollback(mark)
-            images[pv] = -1
-            state["used"] &= ~vbit
+            else:
+                images[pv] = v
+                used |= vbit
+                mark = len(log)
+                for pe, row in rows:
+                    cand[pe] = row & iv
+                    visited = 0
+                    if not augment(pe):
+                        break
+                else:
+                    if dfs(pos + 1):
+                        return True
+                rollback(mark)
+                images[pv] = -1
+                used ^= vbit
         return False
 
     try:
         found = dfs(0)
     except _BudgetHit:
-        return (INDETERMINATE, None, None, state["nodes"])
+        return (INDETERMINATE, None, None, nodes)
     if found:
-        return (FOUND, list(images), list(match_of), state["nodes"])
-    return (NOT_FOUND, None, None, state["nodes"])
+        return (FOUND, list(images), list(match_of), nodes)
+    return (NOT_FOUND, None, None, nodes)

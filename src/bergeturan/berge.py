@@ -25,6 +25,7 @@ from .errors import (
     EmptyHypergraph,
     FormatError,
     IndexOutOfRange,
+    ScaleGuardExceeded,
     TooFewEdges,
     V0TooSmall,
     VertexNotInHost,
@@ -168,10 +169,21 @@ def _host_prep(h: Hypergraph):
 
 
 def solve_raw(n, edge_masks, pattern, budget=0, pinned=None):
-    """Low-level search over raw edge masks; used by the exhaustive search."""
+    """Low-level search over raw edge masks; used by the exhaustive search.
+
+    The kernel recurses once per placed pattern vertex and once per
+    augmenting step, so a pattern too deep for the interpreter's recursion
+    limit raises ScaleGuardExceeded instead of a bare RecursionError.
+    """
     edges0, order = _pattern_plan(pattern)
     pinned_pe, pinned_he = pinned if pinned else (-1, -1)
-    return _engine_py.solve(n, edge_masks, edges0, order, budget, pinned_pe, pinned_he)
+    try:
+        return _engine_py.solve(n, edge_masks, edges0, order, budget, pinned_pe, pinned_he)
+    except RecursionError:
+        raise ScaleGuardExceeded(
+            f"pattern {pattern.expr} with {pattern.num_vertices} vertices and "
+            f"{pattern.num_edges} edges is too deep for the recursive embedding search"
+        ) from None
 
 
 def _result_from_engine(pattern, raw):

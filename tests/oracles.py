@@ -10,25 +10,32 @@ import random
 from itertools import combinations
 
 
-def naive_contains(h, pattern):
+def naive_contains(h, pattern, pinned=None):
     """Try all injective maps of pattern vertices into host vertices and,
     for each, all assignments of pattern edges to distinct hyperedges.
 
+    ``pinned`` = (pattern-edge index, hyperedge index), both 0-based,
+    forces that pattern edge onto exactly that hyperedge.
+
     A partial map is abandoned only when a fully-mapped pattern edge's
-    endpoints lie in no hyperedge at all (a direct consequence of the
-    containment requirement, not a search heuristic).
+    endpoints lie in no allowed hyperedge at all (a direct consequence of
+    the containment requirement, not a search heuristic).
     """
     p = pattern.num_vertices
     hosts = sorted({v for e in h.edges for v in e})
     if p > len(hosts) or pattern.num_edges > h.m:
         return False
     edge_sets = [set(e) for e in h.edges]
+    allowed = [range(h.m)] * pattern.num_edges
+    if pinned is not None:
+        allowed[pinned[0]] = [pinned[1]]
     by_later = [[] for _ in range(p + 1)]
-    for u, v in pattern.edges:
-        by_later[max(u, v)].append((u, v))
+    for i, (u, v) in enumerate(pattern.edges):
+        by_later[max(u, v)].append(i)
 
-    def candidates(img, u, v):
-        return [j for j, es in enumerate(edge_sets) if img[u] in es and img[v] in es]
+    def candidates(img, i):
+        u, v = pattern.edges[i]
+        return [j for j in allowed[i] if img[u] in edge_sets[j] and img[v] in edge_sets[j]]
 
     def assign(pairs, used):
         if not pairs:
@@ -46,15 +53,15 @@ def naive_contains(h, pattern):
 
     def place(k):
         if k > p:
-            pairs = [candidates(img, u, v) for u, v in pattern.edges]
+            pairs = [candidates(img, i) for i in range(pattern.num_edges)]
             return assign(pairs, set())
         for w in hosts:
             if w in img.values():
                 continue
             img[k] = w
             ok = True
-            for u, v in by_later[k]:
-                if not candidates(img, u, v):
+            for i in by_later[k]:
+                if not candidates(img, i):
                     ok = False
                     break
             if ok and place(k + 1):
@@ -146,5 +153,24 @@ def random_hypergraph(rng: random.Random, n, r, m):
 
     edges = set()
     for _ in range(m):
+        edges.add(tuple(sorted(rng.sample(range(1, n + 1), r))))
+    return make_hypergraph(r, n, sorted(edges))
+
+
+def symmetric_hypergraph(rng: random.Random, n, r):
+    """Complete r-graphs on disjoint blocks of r..r+2 shuffled vertices plus
+    up to three random edges: hosts with large classes of interchangeable
+    vertices."""
+    from bergeturan.core import make_hypergraph
+
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    edges = set()
+    start = 0
+    while start < n:
+        size = rng.randint(r, r + 2)
+        edges.update(combinations(sorted(labels[start:start + size]), r))
+        start += size
+    for _ in range(rng.randint(0, 3)):
         edges.add(tuple(sorted(rng.sample(range(1, n + 1), r))))
     return make_hypergraph(r, n, sorted(edges))

@@ -16,7 +16,8 @@ from bergeturan import (
     parse_pattern,
     verify_certificate,
 )
-from bergeturan.core import FormulaParams
+from bergeturan.cli import main
+from bergeturan.core import FormulaParams, write_hypergraph
 from bergeturan.constructions import extremal_construction
 from bergeturan.errors import (
     BadParameters,
@@ -24,6 +25,7 @@ from bergeturan.errors import (
     FormatError,
     IndexOutOfRange,
     InvalidCycleLength,
+    ScaleGuardExceeded,
     V0TooSmall,
 )
 from oracles import brute_bcn, naive_contains, random_hypergraph
@@ -55,6 +57,21 @@ class TestFindEmbedding:
         assert res.status is Status.INDETERMINATE
         assert res.certificate is None
         assert res.nodes >= 10
+
+    def test_deep_patterns_raise_the_scale_guard(self, capsys, tmp_path):
+        # the kernel recurses once per pattern vertex: P900 still fits the
+        # interpreter's recursion limit, P1200 is refused with a typed error
+        h = make_hypergraph(2, 1300, [[v, v + 1] for v in range(1, 1300)])
+        res = find_berge_embedding(h, parse_pattern("P900"))
+        assert res.status is Status.FOUND and res.nodes == 767_248
+        assert verify_certificate(h, res.certificate)
+        with pytest.raises(ScaleGuardExceeded, match="P1200 with 1201 vertices"):
+            find_berge_embedding(h, parse_pattern("P1200"))
+        path = tmp_path / "path.hg"
+        path.write_text(write_hypergraph(h))
+        capsys.readouterr()
+        assert main(["check", str(path), "-F", "P1200"]) == 2
+        assert "P1200 with 1201 vertices" in capsys.readouterr().err
 
     def test_pigeonhole_refutations_are_exact(self):
         # too few host vertices or hyperedges: refuted without search

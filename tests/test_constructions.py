@@ -12,6 +12,7 @@ from bergeturan import (
     find_berge_embedding,
     make_hypergraph,
     parse_pattern,
+    verify_certificate,
 )
 from bergeturan.core import Hypergraph
 from bergeturan.errors import BlockTooSmall, DoesNotDivide, ParamsOutOfRange
@@ -76,8 +77,9 @@ class TestExtremalConstruction:
         assert res.nodes > 0
 
     def test_exhaustive_node_count_ignores_labels(self):
-        # a NOT_FOUND search expands every feasible partial placement, so
-        # relabelling the host or adding isolated vertices keeps its nodes
+        # a NOT_FOUND search expands one unused vertex of each twin class at
+        # every feasible partial placement, so relabelling the host or adding
+        # isolated vertices keeps its nodes
         h, _ = extremal_construction(FormulaParams(n=13, r=4, ell=4, k=2))
         pattern = parse_pattern("2P4")
         rng = random.Random(4)
@@ -92,7 +94,26 @@ class TestExtremalConstruction:
             g = make_hypergraph(4, n, [[labels[v - 1] for v in e] for e in h.edges])
             res = find_berge_embedding(g, pattern)
             assert res.status is Status.NOT_FOUND
-            assert res.nodes == 531_269
+            assert res.nodes == 229
+
+    @pytest.mark.parametrize("n, r, ell, k, edges, nodes", [
+        (14, 3, 6, 2, 105, 2_820),
+        (30, 3, 5, 3, 672, 2_386),
+        (32, 4, 9, 2, 2_058, 3_981),
+    ])
+    def test_freeness_searches_at_scale(self, n, r, ell, k, edges, nodes):
+        # kP_ell has k*(ell+1) <= n vertices, so absence needs a real search;
+        # one more r-set inside B gives a copy the same search must find
+        h, layout = extremal_construction(FormulaParams(n=n, r=r, ell=ell, k=k))
+        pattern = parse_pattern(f"{k}P{ell}")
+        assert h.m == edges and pattern.num_vertices <= n
+        res = find_berge_embedding(h, pattern)
+        assert res.status is Status.NOT_FOUND
+        assert res.nodes == nodes
+        g = make_hypergraph(r, n, [list(e) for e in h.edges] + [list(layout.outer_B[-r:])])
+        control = find_berge_embedding(g, pattern)
+        assert control.status is Status.FOUND
+        assert verify_certificate(g, control.certificate)
 
     def test_contains_single_path_positive_control(self):
         h, _ = extremal_construction(FormulaParams(n=13, r=3, ell=5, k=2))

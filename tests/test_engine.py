@@ -1,6 +1,10 @@
-"""The single embedding kernel: its report and the call path to it."""
+"""The single embedding kernel: its contract, its twin rule, its report
+and the call path to it."""
 
+import hashlib
+import inspect
 import json
+import random
 
 from bergeturan import (
     SearchOptions,
@@ -8,12 +12,61 @@ from bergeturan import (
     exact_turan,
     find_berge_embedding,
     longest_berge_path,
+    make_hypergraph,
     parse_pattern,
     search,
 )
+from bergeturan.berge import _pattern_plan, solve_raw
 from bergeturan.cli import main
 from bergeturan.core import FormulaParams
 from bergeturan.constructions import block_construction, extremal_construction
+from bergeturan.errors import ParamsOutOfRange
+from oracles import naive_contains, random_hypergraph, symmetric_hypergraph
+
+CORPUS_PATTERNS = [parse_pattern(e) for e in
+                   ("P1", "P2", "P3", "P4", "C3", "C4", "S2", "S3", "M2", "2P2", "P2+M1")]
+
+
+def _fits(params):
+    try:
+        extremal_construction(FormulaParams(*params))
+    except ParamsOutOfRange:
+        return False
+    return True
+
+
+# the extremal constructions that fit on 6..10 vertices, as (n, r, ell, k)
+SMALL_CONSTRUCTIONS = [params for params in ((n, r, ell, k) for n in range(6, 11)
+                                             for r in (2, 3, 4) for ell in range(2, 7)
+                                             for k in (1, 2)) if _fits(params)]
+
+
+def _twin_corpus(seed, count):
+    """Seeded (host, pattern, pinned) queries, about half of them pinned, on
+    hosts with many twins (unions of complete blocks plus random edges, and
+    relabelled small extremal constructions) and on random hosts."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.45:
+            n = rng.randint(4, 8)
+            h = symmetric_hypergraph(rng, n, min(rng.choice((2, 3, 3, 4)), n))
+        elif kind < 0.75:
+            params = rng.choice(SMALL_CONSTRUCTIONS)
+            g, _ = extremal_construction(FormulaParams(*params))
+            labels = list(range(1, g.n + 1))
+            rng.shuffle(labels)
+            h = make_hypergraph(g.r, g.n, [[labels[v - 1] for v in e] for e in g.edges])
+        else:
+            n = rng.randint(3, 8)
+            h = random_hypergraph(rng, n, min(rng.choice((2, 3, 3, 4)), n), rng.randint(1, 10))
+        pattern = rng.choice(CORPUS_PATTERNS)
+        pinned = None
+        if rng.random() < 0.5:
+            pinned = (rng.randrange(pattern.num_edges), rng.randrange(h.m))
+        out.append((h, pattern, pinned))
+    return out
 
 
 def test_backend_report():
@@ -88,3 +141,53 @@ def test_cli_manifest_reports_backend(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert doc["manifest"]["engine_backend"] == "pure-python"
+
+
+def test_solve_keeps_its_positional_contract():
+    # the benchmark tracer wraps _engine_py.solve positionally and reads
+    # out[0] (status) and out[3] (nodes)
+    params = list(inspect.signature(_engine_py.solve).parameters.values())
+    assert [p.name for p in params] == [
+        "n", "edge_masks", "pat_edges", "order", "budget", "pinned_pe", "pinned_he"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    assert [p.default for p in params[4:]] == [0, -1, -1]
+    h, _ = extremal_construction(FormulaParams(n=13, r=3, ell=5, k=2))
+    edges0, order = _pattern_plan(parse_pattern("2P5"))
+    masks = h.edge_vertex_masks()
+    out = _engine_py.solve(h.n, masks, edges0, order)
+    assert type(out) is tuple and len(out) == 4
+    assert out[:3] == (_engine_py.NOT_FOUND, None, None) and out[3] > 0
+    status, images, assignment, nodes = _engine_py.solve(h.n, masks, edges0, order, 10, -1, -1)
+    assert (status, images, assignment, nodes) == (_engine_py.INDETERMINATE, None, None, 11)
+    status, images, assignment, nodes = _engine_py.solve(
+        h.n, masks, *_pattern_plan(parse_pattern("P5")), 0, 2, 7)
+    assert status == _engine_py.FOUND and assignment[2] == 7
+    assert len(images) == 6 and len(assignment) == 5 and nodes > 0
+
+
+def test_twin_rule_agrees_with_naive_oracles():
+    # statuses of pinned and unpinned queries on hosts full of twins
+    corpus = _twin_corpus(20261018, 1500)
+    seen = set()
+    for h, pattern, pinned in corpus:
+        status = solve_raw(h.n, h.edge_vertex_masks(), pattern, pinned=pinned)[0]
+        expected = naive_contains(h, pattern, pinned)
+        assert (status == _engine_py.FOUND) == expected, (h, pattern.expr, pinned)
+        assert status != _engine_py.INDETERMINATE
+        seen.add((pinned is None, expected))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_twin_rule_keeps_first_certificates():
+    # sha256 of (status, images, assignment) over 2,400 queries, recorded by
+    # the kernel without twin pruning: the rule only removes subtrees that
+    # a smaller twin's branch, searched first, mirrors
+    corpus = _twin_corpus(7, 2400)
+    digest = hashlib.sha256()
+    pinned = 0
+    for h, pattern, pin in corpus:
+        out = solve_raw(h.n, h.edge_vertex_masks(), pattern, pinned=pin)
+        digest.update(repr(out[:3]).encode() + b"\n")
+        pinned += pin is not None
+    assert pinned >= 1000
+    assert digest.hexdigest() == "6ea83e8e70bb67bbc096e8f9263cacb151fce03121d0bc503ff0ae76d812e646"
