@@ -16,13 +16,15 @@ Deterministic contract:
 * host twins are pruned: a candidate is skipped while a smaller twin of it
   is still unused (the twin rule below);
 * a "node" is one vertex-assignment attempt: each host candidate examined
-  at a position that passes the used-vertex and twin filters;
+  at a position that passes the used-vertex, twin and pin filters;
 * once both endpoints of a pattern edge are placed, the edge must admit a
   system of distinct representative hyperedges jointly with all other such
   edges; feasibility is maintained with an incremental augmenting-path
   matching, scanning candidate hyperedges in ascending index order;
 * ``pinned`` (pattern-edge index, host-edge index) restricts that pattern
-  edge's representative to exactly that hyperedge;
+  edge's representative to exactly that hyperedge, and the positions of
+  its two endpoints draw candidates only from the pinned hyperedge (the
+  pin rule below);
 * the first embedding reached in this order is returned.
 
 Twin rule.  Host vertices u and v are twins when swapping them maps the
@@ -41,6 +43,18 @@ and assignment) are those of the search without the rule; only node
 counts fall.  Twins are looked for among covered vertices of equal degree
 and equal pinned-edge membership; a host whose edge list repeats an edge
 gets no twins.
+
+Pin rule.  Under a pin, the positions of both endpoints of the pinned
+pattern edge take their candidates from a list holding only the vertices
+of the pinned hyperedge, built once per call; every other position, and
+every unpinned call, keeps the list of all covered vertices.  This is
+exact: an embedding represents the pinned pattern edge by the pinned
+hyperedge, which must contain the images of both its endpoints, so a
+placement of either endpoint outside it can never complete.  The twin
+rule is untouched, because twins agree on pinned-edge membership: a
+skipped candidate's smaller twin is in the same list.  So every status and
+first embedding stay those of the search without the rule; only the node
+counts of pinned queries fall.
 
 An exhaustive search (budget 0, NOT_FOUND) expands, at every reachable
 placement, one unused vertex of each twin class whatever the candidate
@@ -107,7 +121,8 @@ def solve(n, edge_masks, pat_edges, order, budget=0, pinned_pe=-1, pinned_he=-1)
     edge index (both None unless status == FOUND).
     """
     m = len(edge_masks)
-    p = max((max(a, b) for a, b in pat_edges), default=-1) + 1
+    # pattern vertices are never isolated, so the plan lists all of them
+    p = len(order)
     q = len(pat_edges)
     covered = 0
     for em in edge_masks:
@@ -125,12 +140,12 @@ def solve(n, edge_masks, pat_edges, order, budget=0, pinned_pe=-1, pinned_he=-1)
             inc[low.bit_length() - 1] |= bit
             em ^= low
     host_order = [v for v in range(n) if covered >> v & 1]
-    earlier = _earlier_twins(
-        edge_masks, inc, host_order, edge_masks[pinned_he] if pinned_he >= 0 else 0
-    )
+    pinned_mask = edge_masks[pinned_he] if pinned_he >= 0 else 0
+    earlier = _earlier_twins(edge_masks, inc, host_order, pinned_mask)
     # candidate v passes the used-vertex and twin filters when
     # used & (earlier twins | v) == earlier twins
     cands = [(v, 1 << v, earlier[v] | 1 << v, earlier[v]) for v in host_order]
+    pos_cands = [cands] * p
 
     pos_of = [-1] * p
     for i, pv in enumerate(order):
@@ -142,6 +157,11 @@ def solve(n, edge_masks, pat_edges, order, budget=0, pinned_pe=-1, pinned_he=-1)
             incident[pos_of[a]].append((pe, b))
         else:
             incident[pos_of[b]].append((pe, a))
+    if pinned_pe >= 0:
+        # the pin rule: both endpoints of the pinned edge lie in its hyperedge
+        inside = [c for c in cands if pinned_mask >> c[0] & 1]
+        for pv in pat_edges[pinned_pe]:
+            pos_cands[pos_of[pv]] = inside
 
     images = [-1] * p
     match_of = [-1] * q
@@ -191,7 +211,7 @@ def solve(n, edge_masks, pat_edges, order, budget=0, pinned_pe=-1, pinned_he=-1)
             if pe == pinned_pe:
                 row &= pinned_bit
             rows.append((pe, row))
-        for v, vbit, guard, earl in cands:
+        for v, vbit, guard, earl in pos_cands[pos]:
             if used & guard != earl:
                 continue
             nodes += 1

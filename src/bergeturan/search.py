@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 from ._engine_py import FOUND
-from .berge import Status, find_berge_embedding, solve_raw
+from .berge import Status, _pattern_edge_orbits, find_berge_embedding, solve_raw
 from .constructions import extremal_construction
 from .core import FormulaParams, Hypergraph, PatternGraph, disjoint_paths_pattern
 from .errors import HostNotFree, ParamsOutOfRange, ScaleGuardExceeded
@@ -55,10 +55,17 @@ def _mask(edge):
 
 def _pinned_copy(n, masks, pattern):
     """Does some Berge copy in ``masks`` use its last hyperedge?  One pinned
-    search per pattern edge, in index order, stopping at the first copy."""
+    search per orbit of pattern edges under Aut(F), on the orbit's smallest
+    edge index, in index order, stopping at the first copy.
+
+    One query answers for its whole orbit: if a copy (phi, psi) puts
+    pattern edge e on hyperedge j and sigma in Aut(F) maps e to e', then
+    (phi o sigma^-1, psi o sigma^-1) is a copy that puts e' on j.  So the
+    answer is that of one query per pattern edge, with at most as many
+    calls (:func:`berge._pattern_edge_orbits`)."""
     new_idx = len(masks) - 1
-    for pe in range(pattern.num_edges):
-        status, _, _, _ = solve_raw(n, masks, pattern, pinned=(pe, new_idx))
+    for orbit in _pattern_edge_orbits(pattern):
+        status, _, _, _ = solve_raw(n, masks, pattern, pinned=(orbit[0], new_idx))
         if status == FOUND:
             return True
     return False

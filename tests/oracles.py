@@ -174,3 +174,23 @@ def symmetric_hypergraph(rng: random.Random, n, r):
     for _ in range(rng.randint(0, 3)):
         edges.add(tuple(sorted(rng.sample(range(1, n + 1), r))))
     return make_hypergraph(r, n, sorted(edges))
+
+
+def naive_edge_orbits(pattern):
+    """Orbits of pattern edges under all vertex permutations that map the
+    edge set onto itself, as ascending tuples of 0-based edge indices
+    ordered by their smallest index.  Tries all p! permutations, so keep
+    to patterns of at most 8 vertices."""
+    from itertools import permutations
+
+    edges = [frozenset(e) for e in pattern.edges]
+    index = {e: i for i, e in enumerate(edges)}
+    automorphisms = [
+        perm for perm in permutations(range(1, pattern.num_vertices + 1))
+        if all(frozenset(perm[v - 1] for v in e) in index for e in edges)
+    ]
+    orbits = {
+        tuple(sorted({index[frozenset(perm[v - 1] for v in e)] for perm in automorphisms}))
+        for e in edges
+    }
+    return tuple(sorted(orbits))

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from bergeturan import (
     parse_pattern,
     verify_certificate,
 )
+from bergeturan.berge import _pattern_edge_orbits
 from bergeturan.cli import main
 from bergeturan.core import FormulaParams, write_hypergraph
 from bergeturan.constructions import extremal_construction
@@ -28,7 +30,7 @@ from bergeturan.errors import (
     ScaleGuardExceeded,
     V0TooSmall,
 )
-from oracles import brute_bcn, naive_contains, random_hypergraph
+from oracles import brute_bcn, naive_contains, naive_edge_orbits, random_hypergraph
 
 K4_TRIPLES = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]
 
@@ -115,6 +117,28 @@ class TestFindEmbedding:
             if find_berge_embedding(h, pat).status is Status.NOT_FOUND:
                 sub = make_hypergraph(3, 7, [list(e) for e in h.edges[::2]])
                 assert find_berge_embedding(sub, pat).status is Status.NOT_FOUND
+
+
+class TestEdgeOrbits:
+    def test_matches_naive_automorphism_group(self):
+        for expr in ("P1", "P2", "P3", "P4", "P5", "P6", "C3", "C4", "C5", "C6",
+                     "S3", "M3", "2P2", "2P3", "P2+M1", "C3+C3", "C3+C4"):
+            pattern = parse_pattern(expr)
+            assert _pattern_edge_orbits(pattern) == naive_edge_orbits(pattern), expr
+
+    def test_disjoint_paths_fold_to_half_a_path(self):
+        # Aut(kP_l) swaps the paths and reverses each, so edge i of a path
+        # meets edge l-1-i of every path
+        for k, ell in ((3, 10), (4, 12), (6, 20)):
+            pattern = parse_pattern(f"{k}P{ell}")
+            started = time.perf_counter()
+            orbits = _pattern_edge_orbits.__wrapped__(pattern)
+            assert time.perf_counter() - started < 0.5, pattern.expr
+            assert len(orbits) == (ell + 1) // 2
+            for orbit in orbits:
+                i = orbit[0]
+                assert orbit == tuple(sorted(
+                    {c * ell + i for c in range(k)} | {c * ell + ell - 1 - i for c in range(k)}))
 
 
 class TestVerifyCertificate:

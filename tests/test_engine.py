@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import random
+from itertools import combinations
 
 from bergeturan import (
     SearchOptions,
@@ -16,7 +17,7 @@ from bergeturan import (
     parse_pattern,
     search,
 )
-from bergeturan.berge import _pattern_plan, solve_raw
+from bergeturan.berge import _pattern_edge_orbits, _pattern_plan, solve_raw
 from bergeturan.cli import main
 from bergeturan.core import FormulaParams
 from bergeturan.constructions import block_construction, extremal_construction
@@ -191,3 +192,66 @@ def test_twin_rule_keeps_first_certificates():
         pinned += pin is not None
     assert pinned >= 1000
     assert digest.hexdigest() == "6ea83e8e70bb67bbc096e8f9263cacb151fce03121d0bc503ff0ae76d812e646"
+
+
+def test_pin_rule_starts_inside_the_pinned_hyperedge():
+    # P1 pinned to the last triple of K_6^(3): both endpoints are drawn from
+    # {4, 5, 6}, whose three vertices are twins, so the first two
+    # candidates complete the copy
+    h = make_hypergraph(3, 6, [list(e) for e in combinations(range(1, 7), 3)])
+    status, images, assignment, nodes = solve_raw(
+        h.n, h.edge_vertex_masks(), parse_pattern("P1"), pinned=(0, h.m - 1))
+    assert (status, images, assignment, nodes) == (_engine_py.FOUND, [3, 4], [h.m - 1], 2)
+
+
+def test_pinned_copy_agrees_with_every_pinned_edge():
+    # one query per edge orbit answers as one naive query per pattern edge,
+    # with the new edge last in the kernel's host and anywhere in the oracle's
+    rng = random.Random(6)
+    seen = set()
+    for h, pattern, _ in _twin_corpus(606, 400):
+        absent = [e for e in combinations(range(1, h.n + 1), h.r) if e not in h.edges]
+        if not absent:
+            continue
+        new = rng.choice(absent)
+        grown = make_hypergraph(h.r, h.n, [list(e) for e in h.edges] + [list(new)])
+        pinned_he = grown.edges.index(new)
+        expected = any(naive_contains(grown, pattern, (pe, pinned_he))
+                       for pe in range(pattern.num_edges))
+        masks = h.edge_vertex_masks() + [search._mask(new)]
+        assert search._pinned_copy(h.n, masks, pattern) == expected, (grown, pattern.expr)
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_pinned_copy_queries_one_edge_per_orbit(monkeypatch):
+    # each pinned check runs at most one kernel call per edge orbit, on the
+    # orbit's smallest edge; 2P2 has one orbit, so a free include costs one
+    # call where one call per pattern edge would cost four
+    for expr in ("2P2", "P3", "P2+M1"):
+        pattern = parse_pattern(expr)
+        reps = [orbit[0] for orbit in _pattern_edge_orbits(pattern)]
+        checks = []
+        real_copy, real_raw = search._pinned_copy, search.solve_raw
+
+        def counting_copy(*args):
+            checks.append([])
+            found = real_copy(*args)
+            checks[-1].append(found)
+            return found
+
+        def counting_raw(*args, **kwargs):
+            checks[-1].append(kwargs["pinned"][0])
+            return real_raw(*args, **kwargs)
+
+        monkeypatch.setattr(search, "_pinned_copy", counting_copy)
+        monkeypatch.setattr(search, "solve_raw", counting_raw)
+        assert exact_turan(6, 3, pattern).exact
+        monkeypatch.undo()
+        assert checks
+        for *pinned, found in checks:
+            assert pinned == reps[:len(pinned)]
+            if not found:
+                assert pinned == reps
+        if expr == "2P2":
+            assert reps == [0] and any(c == [0, False] for c in checks)

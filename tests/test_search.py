@@ -14,6 +14,8 @@ from bergeturan import (
     make_hypergraph,
     parse_pattern,
 )
+from bergeturan.constructions import extremal_construction
+from bergeturan.core import FormulaParams
 from bergeturan.errors import HostNotFree, ParamsOutOfRange, ScaleGuardExceeded
 from oracles import naive_contains, naive_turan, random_hypergraph
 
@@ -129,6 +131,17 @@ class TestMaximality:
         h = make_hypergraph(3, 6, [[1, 2, 3], [3, 4, 5]])
         with pytest.raises(HostNotFree):
             is_maximal_free(h, parse_pattern("P2"))
+
+    def test_extremal_construction_is_saturated(self):
+        # every absent triple of the n=13 construction creates a Berge 2P5;
+        # with one hyperedge deleted the host stays free and re-adding that
+        # hyperedge creates none
+        h, _ = extremal_construction(FormulaParams(n=13, r=3, ell=5, k=2))
+        pattern = parse_pattern("2P5")
+        assert is_maximal_free(h, pattern)
+        cut = make_hypergraph(3, 13, [list(e) for e in h.edges[1:]])
+        assert find_berge_embedding(cut, pattern).status is Status.NOT_FOUND
+        assert not is_maximal_free(cut, pattern)
 
     def test_matches_naive_extension(self):
         # greedy maximal free hosts, then with a few edges dropped
