@@ -15,42 +15,44 @@ file; ``--manifest PATH`` overrides the location.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import io
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
-from . import __version__, berge, engine
-from .constructions import ConstructionLayout, block_construction, construction_audit, extremal_construction
+from . import __version__, _lazy_getattr, berge, engine
 from .core import FormulaParams, parse_pattern, read_hypergraph, write_hypergraph
 from .errors import BergeTuranError
-from .formulas import (
-    LEMMAS,
-    berge_kpl_turan,
-    berge_path_bound,
-    conjecture_values,
-    connected_berge_path_turan,
-    erdos_gallai_bound,
-    kpl_graph_turan,
-    two_path_turan,
-    verify_lemma,
-)
-from .search import SearchOptions, exact_turan
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
 EXIT_USAGE = 2
 EXIT_TRUNCATED = 3
 
+# the keys of formulas.LEMMAS in order (a test keeps them equal), spelled
+# out so that building the parser does not import formulas
+_LEMMA_IDS = ("I1", "I2", "I3", "I4", "I5")
+
+
+# The functions that the commands import from their defining module when
+# they run.  They resolve on this module too, as they did when it imported
+# them at its top, because the benchmark's tracer (``bench/tracer.py``)
+# looks them up and re-binds them here; the wrapper it puts on the
+# defining module is the one that runs.
+__getattr__ = _lazy_getattr(__name__, {
+    "extremal_construction": "constructions",
+    "block_construction": "constructions",
+    "construction_audit": "constructions",
+    "exact_turan": "search",
+})
+
 
 def _frac(x):
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else str(x)
-    return x
+    """An exact rational (an int or a ``Fraction``) as JSON: an integer when
+    whole, else the string 'p/q'."""
+    return int(x) if x.denominator == 1 else str(x)
 
 
 def _integer(text):
@@ -109,7 +111,7 @@ class _Run:
         args = {k: v for k, v in vars(self.ns).items() if k != "func" and v is not None}
         return {
             "subcommand": self.ns.subcommand,
-            "arguments": {k: _frac(v) for k, v in args.items()},
+            "arguments": args,
             "input_digests": self.inputs,
             "tool_version": __version__,
             "engine_backend": engine.backend_name(),
@@ -147,6 +149,9 @@ def _add_common(sp, budget=False, json_out=True):
 
 
 def _cmd_construct(ns, run):
+    from .constructions import extremal_construction
+    from .formulas import berge_kpl_turan
+
     params = FormulaParams(n=ns.n, r=ns.r, ell=ns.ell, k=ns.k)
     h, layout = extremal_construction(params)
     doc = {
@@ -169,6 +174,8 @@ def _cmd_construct(ns, run):
 
 
 def _cmd_block(ns, run):
+    from .constructions import block_construction
+
     h = block_construction(ns.n, ns.block, ns.r)
     doc = {"n": ns.n, "r": ns.r, "block": ns.block, "edges": h.m, "hg_file": ns.output}
     if ns.output:
@@ -182,6 +189,16 @@ def _cmd_block(ns, run):
 
 
 def _cmd_formula(ns, run):
+    from .formulas import (
+        berge_kpl_turan,
+        berge_path_bound,
+        conjecture_values,
+        connected_berge_path_turan,
+        erdos_gallai_bound,
+        kpl_graph_turan,
+        two_path_turan,
+    )
+
     name = ns.name
     if name == "conjecture":
         if not ns.ells:
@@ -331,6 +348,8 @@ def _cmd_star(ns, run):
 
 
 def _cmd_turan(ns, run):
+    from .search import SearchOptions, exact_turan
+
     pattern = parse_pattern(ns.pattern)
     opts = SearchOptions(
         connected_only=ns.connected,
@@ -363,17 +382,24 @@ def _cmd_turan(ns, run):
 
 
 def _cmd_verify_lemmas(ns, run):
+    import csv
+
+    from .formulas import LEMMAS, verify_lemma
+
     ids = sorted(LEMMAS) if ns.lemma == "all" else [ns.lemma]
     reports = [verify_lemma(lid) for lid in ids]
-    rows = []
-    for rep in reports:
-        for pt, lhs, rhs, slack in rep.rows:
-            rows.append([rep.lemma_id, *pt, str(lhs), str(rhs), str(slack)])
     if ns.csv:
+        # one column per parameter name of any lemma; a lemma's row leaves
+        # the others empty
         with open(ns.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lemma", "params...", "lhs", "rhs", "slack"])
-            writer.writerows(rows)
+            writer = csv.DictWriter(fh, ["lemma", "r", "k", "l", "L", "lhs", "rhs", "slack"],
+                                    restval="")
+            writer.writeheader()
+            for rep in reports:
+                names = LEMMAS[rep.lemma_id].params
+                for pt, lhs, rhs, slack in rep.rows:
+                    writer.writerow({"lemma": rep.lemma_id, **dict(zip(names, pt)),
+                                     "lhs": lhs, "rhs": rhs, "slack": slack})
         run.outputs.append(ns.csv)
     total_violations = sum(len(r.violations) for r in reports)
     doc = {
@@ -401,17 +427,11 @@ def _cmd_verify_lemmas(ns, run):
 
 
 def _cmd_audit(ns, run):
+    from .constructions import ConstructionLayout, construction_audit
+
     h = _load_host(run, ns.host)
     layout_path = ns.layout or ns.host + ".layout.json"
-    data = json.loads(run.read_input(layout_path))
-    layout = ConstructionLayout(
-        core_A=tuple(data["A"]),
-        outer_B=tuple(data["B"]),
-        special_pair=tuple(data["special_pair"]) if data.get("special_pair") else None,
-        edge_classes=dict(data["class_counts"]),
-        theorem_hypothesis_holds=bool(data.get("theorem_hypothesis_holds", False)),
-        k1_extrapolation=bool(data.get("k1_extrapolation", False)),
-    )
+    layout = ConstructionLayout.from_json(run.read_input(layout_path))
     report = construction_audit(h, layout)
     doc = {
         "host": ns.host,
@@ -525,7 +545,7 @@ def build_parser():
     sp.set_defaults(func=_cmd_turan)
 
     sp = sub.add_parser("verify-lemmas", help="verify the binomial inequalities exactly")
-    sp.add_argument("--lemma", default="all", choices=["all", *sorted(LEMMAS)])
+    sp.add_argument("--lemma", default="all", choices=["all", *_LEMMA_IDS])
     sp.add_argument("--csv", help="write one row per grid point here")
     _add_common(sp)
     sp.set_defaults(func=_cmd_verify_lemmas)

@@ -13,12 +13,15 @@ and it contains no k vertex-disjoint Berge paths of length ell.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .core import FormulaParams, Hypergraph
-from .errors import BlockTooSmall, DoesNotDivide, ParamsOutOfRange
+from .errors import BlockTooSmall, DoesNotDivide, FormatError, ParamsOutOfRange
+
+EDGE_CLASSES = ("inside_core", "one_outer", "special_pair")
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,36 @@ class ConstructionLayout:
             "theorem_hypothesis_holds": self.theorem_hypothesis_holds,
             "k1_extrapolation": self.k1_extrapolation,
         }
+
+    @staticmethod
+    def from_json(text: str) -> "ConstructionLayout":
+        """Parse the JSON of a :meth:`to_json_dict` document.  Raises
+        FormatError for any malformed document: bad JSON, not an object, a
+        missing or mistyped field, a vertex that is not an integer, a
+        special pair that is not a pair, or an edge class without an
+        integer count."""
+        try:
+            doc = json.loads(text)
+            layout = ConstructionLayout(
+                core_A=tuple(doc["A"]),
+                outer_B=tuple(doc["B"]),
+                special_pair=tuple(doc["special_pair"]) if doc.get("special_pair") else None,
+                edge_classes=dict(doc["class_counts"]),
+                theorem_hypothesis_holds=bool(doc.get("theorem_hypothesis_holds", False)),
+                k1_extrapolation=bool(doc.get("k1_extrapolation", False)),
+            )
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"invalid JSON: {exc.msg}", exc.lineno) from exc
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise FormatError(f"malformed layout: {exc!r}", 1) from exc
+        pair = layout.special_pair or ()
+        if not all(type(v) is int for v in layout.core_A + layout.outer_B + pair):
+            raise FormatError("A, B and special_pair must hold integers", 1)
+        if pair and len(pair) != 2:
+            raise FormatError("special_pair must hold two vertices", 1)
+        if not all(type(layout.edge_classes.get(name)) is int for name in EDGE_CLASSES):
+            raise FormatError(f"class_counts must give an integer for each of {EDGE_CLASSES}", 1)
+        return layout
 
 
 @dataclass(frozen=True)
@@ -121,7 +154,7 @@ def construction_audit(h: Hypergraph, layout: ConstructionLayout) -> AuditReport
     a_size = len(layout.core_A)
     outer = set(layout.outer_B)
     special = set(layout.special_pair) if layout.special_pair else None
-    counts = {"inside_core": 0, "one_outer": 0, "special_pair": 0}
+    counts = dict.fromkeys(EDGE_CLASSES, 0)
     unexpected = 0
     for e in h.edges:
         meet = outer.intersection(e)

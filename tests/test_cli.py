@@ -4,6 +4,7 @@ Each invocation runs in-process through ``cli.main``; tests assert the
 exit code and validate machine output against the shipped JSON schemas.
 """
 
+import csv
 import hashlib
 import json
 import os
@@ -97,6 +98,27 @@ class TestConstructAndAudit:
                              "--layout", str(host_file) + ".layout.json", "--json")
         assert code == 1
         assert not doc["passed"]
+
+
+    @pytest.mark.parametrize("layout", [
+        '{"B": [1]}',
+        "[1, 2]",
+        '"A"',
+        "{not json",
+        '{"A": [1, "2"], "B": [3], "class_counts": {"inside_core": 0, "one_outer": 1,'
+        ' "special_pair": 0}}',
+        '{"A": [1, 2], "B": [3, 4], "special_pair": [3], "class_counts": {"inside_core": 0,'
+        ' "one_outer": 2, "special_pair": 0}}',
+        '{"A": [1, 2], "B": [3], "class_counts": {"inside_core": 1, "one_outer": 2}}',
+        '{"A": [1, 2], "B": [3], "class_counts": [1, 2]}',
+    ])
+    def test_audit_malformed_layout_exit_two(self, host_file, tmp_path, capsys, layout):
+        bad = tmp_path / "bad.layout.json"
+        bad.write_text(layout)
+        code = main(["audit", str(host_file), "--layout", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: line ") and err.count("\n") == 1
 
 
 class TestContainmentCommands:
@@ -282,6 +304,25 @@ class TestVerifyLemmas:
         assert any("/" in line.rsplit(",", 1)[1] for line in lines[1:])
         manifest = json.loads((tmp_path / "rows.csv.manifest.json").read_text())
         validate(manifest, "manifest")
+
+    def test_csv_rows_fill_one_header(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        code, _ = run_cli(capsys, "verify-lemmas", "--csv", str(out))
+        assert code == 0
+        with out.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["lemma", "r", "k", "l", "L", "lhs", "rhs", "slack"]
+        assert {len(row) for row in rows} == {8}
+        with out.open(newline="") as fh:
+            by_lemma = {}
+            for row in csv.DictReader(fh):
+                by_lemma.setdefault(row["lemma"], row)
+        assert sorted(by_lemma) == ["I1", "I2", "I3", "I4", "I5"]
+        # the first grid points: I1 at (r, L) = (3, 3), I2 at (r, k, l) = (3, 2, 3)
+        assert by_lemma["I1"] == {"lemma": "I1", "r": "3", "k": "", "l": "", "L": "3",
+                                  "lhs": "10", "rhs": "28/3", "slack": "2/3"}
+        assert by_lemma["I2"] == {"lemma": "I2", "r": "3", "k": "2", "l": "3", "L": "",
+                                  "lhs": "15/2", "rhs": "4", "slack": "7/2"}
 
     def test_single_lemma(self, capsys):
         code, doc = json_doc(capsys, "verify-lemmas", "--lemma", "I1", "--json")

@@ -1,0 +1,164 @@
+"""What each entry point loads: the lazy public API of the package and the
+per-subcommand import sets of the command line."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bergeturan
+from bergeturan import cli, constructions, formulas, search
+from bergeturan.cli import build_parser, main
+from bergeturan.formulas import LEMMAS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# every public name the package exported when its __init__ imported all
+# submodules eagerly
+EAGER_EXPORTS = sorted([
+    "BergeCertificate", "EmbeddingResult", "GoodOrder", "PathSearchResult", "StarResult",
+    "Status", "berge_common_neighbours", "berge_star_exists", "find_berge_cycle",
+    "find_berge_embedding", "good_order", "longest_berge_path", "verify_certificate",
+    "AuditReport", "ConstructionLayout", "block_construction", "construction_audit",
+    "extremal_construction",
+    "FormulaParams", "Hypergraph", "PatternGraph", "cycle_pattern", "disjoint_paths_pattern",
+    "make_hypergraph", "matching_pattern", "parse_pattern", "path_pattern", "read_hypergraph",
+    "star_pattern", "union_pattern", "write_hypergraph",
+    "backend_name", "compiled_available",
+    "ConjectureReport", "LemmaReport", "berge_kpl_turan", "berge_path_bound",
+    "conjecture_values", "connected_berge_path_turan", "default_grid", "erdos_gallai_bound",
+    "kpl_graph_turan", "two_path_turan", "verify_lemma",
+    "ComparisonReport", "SearchOptions", "SearchResult", "compare_with_formula",
+    "exact_turan", "is_maximal_free",
+])
+
+
+class TestLazyPublicApi:
+    def test_all_matches_the_eager_exports(self):
+        assert sorted(bergeturan.__all__) == EAGER_EXPORTS
+
+    def test_every_name_resolves_to_its_submodule_object(self):
+        for name in bergeturan.__all__:
+            value = getattr(bergeturan, name)
+            module = sys.modules[value.__module__]
+            assert getattr(module, name) is value
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from bergeturan import *", namespace)
+        assert set(bergeturan.__all__) <= set(namespace)
+        assert namespace["find_berge_embedding"] is bergeturan.berge.find_berge_embedding
+
+    def test_dir_lists_every_name(self):
+        assert set(bergeturan.__all__) <= set(dir(bergeturan))
+        assert "__version__" in dir(bergeturan)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            bergeturan.no_such_name
+        assert not hasattr(bergeturan, "no_such_name")
+
+
+def _loaded_submodules(*argv, cwd):
+    """The package modules that ``python -m bergeturan ARGV`` imports, read
+    from the interpreter's own ``-X importtime`` report."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "bergeturan", *argv],
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
+    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return proc.returncode, {name for name in names if name.split(".")[0] == "bergeturan"}
+
+
+class TestSubcommandImports:
+    def test_check_loads_only_the_kernel_path(self, tmp_path):
+        host = tmp_path / "h.hg"
+        host.write_text("3 5 2\n1 2 3\n3 4 5\n")
+        code, loaded = _loaded_submodules("check", str(host), "-F", "P2", cwd=tmp_path)
+        assert code == 1  # P2 is there: the command ran to its answer
+        assert loaded == {"bergeturan", "bergeturan.cli", "bergeturan.core",
+                          "bergeturan.errors", "bergeturan.berge", "bergeturan._engine_py",
+                          "bergeturan.engine"}
+
+    def test_turan_loads_search_but_no_formulas(self, tmp_path):
+        code, loaded = _loaded_submodules("turan", "-n", "4", "-r", "3", "-F", "P2",
+                                          cwd=tmp_path)
+        assert code == 0
+        assert "bergeturan.search" in loaded
+        assert not loaded & {"bergeturan.formulas", "bergeturan.constructions"}
+
+    def test_verify_lemmas_loads_formulas(self, tmp_path):
+        # the control: the report does show a module a command imports late
+        code, loaded = _loaded_submodules("verify-lemmas", "--lemma", "I1", cwd=tmp_path)
+        assert code == 0
+        assert "bergeturan.formulas" in loaded
+        assert "bergeturan.search" not in loaded
+
+    def test_lemma_choices_are_the_lemma_ids(self):
+        subcommands = next(a for a in build_parser()._actions if a.dest == "subcommand")
+        verify = subcommands.choices["verify-lemmas"]
+        lemma = next(a for a in verify._actions if a.dest == "lemma")
+        assert lemma.choices == ["all", *sorted(LEMMAS)]
+
+
+# the names the benchmark's tracer (bench/tracer.py) looks up and re-binds
+TRACED_ON_CLI = {"extremal_construction": constructions, "block_construction": constructions,
+                 "construction_audit": constructions, "exact_turan": search}
+TRACED_ON_SEARCH = {"extremal_construction": constructions, "berge_kpl_turan": formulas}
+
+
+class TestLateImports:
+    def test_traced_names_resolve_on_the_importing_module(self):
+        for module, names in ((cli, TRACED_ON_CLI), (search, TRACED_ON_SEARCH)):
+            for name, source in names.items():
+                assert getattr(module, name) is getattr(source, name)
+            with pytest.raises(AttributeError):
+                module.no_such_name
+
+    @pytest.mark.parametrize("source,name,argv", [
+        (constructions, "extremal_construction",
+         ["construct", "-n", "10", "-r", "3", "-l", "5", "-k", "2"]),
+        (constructions, "block_construction", ["block", "-n", "8", "-l", "4", "-r", "3"]),
+        (search, "exact_turan", ["turan", "-n", "4", "-r", "3", "-F", "P2"]),
+        (formulas, "verify_lemma", ["verify-lemmas", "--lemma", "I1"]),
+    ])
+    def test_commands_call_the_defining_module(self, monkeypatch, capsys, source, name, argv):
+        calls = []
+        real = getattr(source, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(source, name, counting)
+        assert main(argv) == 0
+        assert calls == [name]
+
+    def test_audit_calls_the_defining_module(self, monkeypatch, capsys, tmp_path):
+        host = str(tmp_path / "h.hg")
+        assert main(["construct", "-n", "10", "-r", "3", "-l", "5", "-k", "2", "-o", host]) == 0
+        calls = []
+        real = constructions.construction_audit
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(constructions, "construction_audit", counting)
+        assert main(["audit", host]) == 0
+        assert len(calls) == 1
+
+    def test_compare_with_formula_calls_the_defining_modules(self, monkeypatch):
+        calls = []
+        for source, name in ((constructions, "extremal_construction"),
+                             (formulas, "berge_kpl_turan")):
+            def counting(*args, _real=getattr(source, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(source, name, counting)
+        report = search.compare_with_formula(5, 3, 2, 3, search.SearchOptions(max_candidates=16))
+        assert report.flag == "construction-absent"
+        assert sorted(calls) == ["berge_kpl_turan", "extremal_construction"]
