@@ -15,7 +15,6 @@ file; ``--manifest PATH`` overrides the location.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import sys
@@ -99,6 +98,8 @@ class _Run:
         """Read an input file once: digest its bytes for the manifest and
         decode the same bytes as ``Path.read_text`` would, universal
         newlines included."""
+        import hashlib  # loads OpenSSL; only commands that read an input pay for it
+
         data = Path(path).read_bytes()
         self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
         return io.TextIOWrapper(io.BytesIO(data)).read()

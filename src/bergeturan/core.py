@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from operator import lt
 
 from .errors import (
     FormatError,
@@ -47,15 +48,17 @@ class Hypergraph:
 
     def edge_vertex_masks(self) -> list[int]:
         """Per-edge bitmask of member vertices (bit v-1 set for vertex v)."""
-        return [sum(1 << (v - 1) for v in e) for e in self.edges]
+        bit = [0, *[1 << i for i in range(self.n)]].__getitem__
+        return [sum(map(bit, e)) for e in self.edges]
 
     def incidence_masks(self) -> dict[int, int]:
-        """Per-vertex bitmask over edge indices (bit j set when v in edge j)."""
-        out: dict[int, int] = {}
-        for j, e in enumerate(self.edges):
-            for v in e:
-                out[v] = out.get(v, 0) | (1 << j)
-        return out
+        """Per covered vertex, the bitmask over edge indices (bit j set when
+        v is in edge j)."""
+        from ._engine_py import incidence
+
+        covered = [v - 1 for v in self.covered_vertices()]
+        inc = incidence(self.n, self.edge_vertex_masks(), covered)
+        return {v + 1: inc[v] for v in covered}
 
 
 def make_hypergraph(r, n, raw_edges) -> Hypergraph:
@@ -88,7 +91,9 @@ def _assemble(r, n, edges) -> Hypergraph:
     if n < r:
         raise ParamsOutOfRange(f"need n >= r, got n={n}, r={r}")
     edges = list(edges)
-    deduped = sorted(set(edges))
+    # a strictly ascending list, as every canonical file holds, is already
+    # sorted and free of duplicates
+    deduped = edges if all(map(lt, edges, edges[1:])) else sorted(set(edges))
     return Hypergraph(
         n=n,
         r=r,
@@ -302,9 +307,63 @@ def read_hypergraph(text) -> Hypergraph:
     Raises FormatError with the 1-based physical line number of the first
     problem.  read(write(h)) == h, and write(read(s)) == s byte-exactly for
     canonical s.
+
+    The edge block is checked in bulk first (:func:`_read_bulk`); a text
+    that fails any bulk check is read again line by line
+    (:func:`_read_lines`), which finds and reports the first problem.
     """
     if isinstance(text, io.TextIOBase):
         text = text.read()
+    h = _read_bulk(text)
+    return h if h is not None else _read_lines(text)
+
+
+_DIGITS = b"0123456789"
+
+
+def _read_bulk(text):
+    """The hypergraph of ``text``, or None where :func:`_read_lines` might
+    raise.  Each check runs over the whole edge block at C speed: the lines
+    must hold r fields of ASCII digits between single spaces, and the
+    vertex columns must rise strictly within 1..n."""
+    if not text.endswith("\n"):
+        return None
+    if "#" in text:
+        lines = [line for line in text.split("\n") if not line.startswith("#")]
+        if len(lines) < 2:
+            return None
+        head, body = lines[0], "\n".join(lines[1:])
+    else:
+        head, _, body = text.partition("\n")
+    parts = head.split(" ")
+    if len(parts) != 3 or not head.isascii() or not all(map(str.isdigit, parts)):
+        return None
+    r, n, m = map(int, parts)
+    if r < 2 or n < r or not body.isascii():
+        return None
+    # the bytes besides digits must be r-1 spaces and a newline per line
+    # (sizes first, so that the expected layout is never larger than the text)
+    holes = body.encode().translate(None, _DIGITS)
+    if len(holes) != r * m or m and holes != (b" " * (r - 1) + b"\n") * m:
+        return None
+    try:
+        values = list(map(int, body.split()))
+    except ValueError:  # an integer too long to convert
+        return None
+    if len(values) != r * m:  # an empty field
+        return None
+    columns = [values[i::r] for i in range(r)]
+    if m and (min(columns[0]) < 1 or max(columns[-1]) > n):
+        return None
+    for low, high in zip(columns, columns[1:]):
+        if not all(map(lt, low, high)):
+            return None
+    return _assemble(r, n, zip(*columns))
+
+
+def _read_lines(text) -> Hypergraph:
+    """Read ``text`` one line at a time, raising FormatError at the first
+    line with a problem."""
     if not text.endswith("\n"):
         raise FormatError("missing trailing newline", max(1, text.count("\n") + 1))
     numbered = [(i + 1, line) for i, line in enumerate(text.split("\n")[:-1])]

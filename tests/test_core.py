@@ -10,6 +10,7 @@ from bergeturan import (
     read_hypergraph,
     write_hypergraph,
 )
+from bergeturan.core import _read_bulk, _read_lines
 from bergeturan.errors import (
     FormatError,
     InvalidCycleLength,
@@ -175,3 +176,52 @@ class TestHgFormat:
         with pytest.raises(FormatError) as exc:
             read_hypergraph("\uff13 5 0\n")
         assert exc.value.line == 1
+
+
+# texts and what the line-by-line reader makes of them: the edges and the
+# duplicates flag, or the FormatError message and line
+READER_TABLE = [
+    ("# host\n3 5 2\n1 2 3\n# edge\n3 4 5\n", (((1, 2, 3), (3, 4, 5)), False)),
+    ("3 5 2\n3 4 5\n1 2 3\n", (((1, 2, 3), (3, 4, 5)), False)),
+    ("3 5 3\n1 2 3\n2 3 4\n1 2 3\n", (((1, 2, 3), (2, 3, 4)), True)),
+    ("3 5 0\n", ((), False)),
+    ("2 4 2\n1 2\n3 4\n", (((1, 2), (3, 4)), False)),
+    ("3 5 1\n01 02 003\n", (((1, 2, 3),), False)),
+    ("3 5 1\n1  2 3\n", ("line 2: expected 3 integers", 2)),
+    ("3 5 1\n1 2 3 \n", ("line 2: expected 3 integers", 2)),
+    ("3 5 1\n 1 2 3\n", ("line 2: expected 3 integers", 2)),
+    ("3 5 1\n1\t2 3\n", ("line 2: expected 3 integers", 2)),
+    ("3 5 1\n1 2 3\r\n", ("line 2: expected 3 integers", 2)),
+    ("3 5 1\n1 2 \uff13\n", ("line 2: expected 3 integers", 2)),
+    ("3 5 1\n\n", ("line 2: expected 3 integers", 2)),
+    ("3 5 1\n1 2 \n", ("line 2: expected 3 integers", 2)),
+    ("3 5 1\n 2 3\n", ("line 2: expected 3 integers", 2)),
+    ("3 5 2\n1 2 3\n2  4\n", ("line 3: expected 3 integers", 3)),
+    ("3 5 1\n0 2 3\n", ("line 2: vertex outside 1..5", 2)),
+    ("3 5 1\n1 2 6\n", ("line 2: vertex outside 1..5", 2)),
+    ("3 5 1\n1 3 2\n", ("line 2: vertices must be strictly ascending", 2)),
+    ("3 5 2\n1 2 3\n", ("line 1: expected 2 edge lines, found 1", 1)),
+    ("3 5 1\n1 2 3\n2 3 4\n", ("line 1: expected 1 edge lines, found 2", 1)),
+    ("# a\n3 5 2\n1 2 3\n# b\n1 2 9\n", ("line 5: vertex outside 1..5", 5)),
+    ("1 5 1\n1\n", ("line 1: uniformity r must be >= 2, got 1", 1)),
+    ("3 2 0\n", ("line 1: need n >= r, got n=2, r=3", 1)),
+    ("3 5 1\n1 2 3", ("line 2: missing trailing newline", 2)),
+    ("# a\n# b\n", ("line 1: missing header", 1)),
+]
+
+
+@pytest.mark.parametrize("text,expected", READER_TABLE)
+def test_reader_table(text, expected):
+    if isinstance(expected[0], str):
+        with pytest.raises(FormatError) as exc:
+            read_hypergraph(text)
+        assert (str(exc.value), exc.value.line) == expected
+        # the bulk pass declines every text the line scan rejects
+        assert _read_bulk(text) is None
+    else:
+        h = read_hypergraph(text)
+        assert (h.edges, h.duplicates_collapsed) == expected
+        # and reads every text it accepts without falling back to the scan
+        bulk = _read_bulk(text)
+        assert bulk == _read_lines(text)
+        assert bulk.duplicates_collapsed == expected[1]

@@ -1,6 +1,7 @@
 """The single embedding kernel: its contract, its twin rule, its report
 and the call path to it."""
 
+import gc
 import hashlib
 import inspect
 import json
@@ -192,6 +193,99 @@ def test_twin_rule_keeps_first_certificates():
         pinned += pin is not None
     assert pinned >= 1000
     assert digest.hexdigest() == "6ea83e8e70bb67bbc096e8f9263cacb151fce03121d0bc503ff0ae76d812e646"
+
+
+def test_lazy_twin_classes_keep_node_counts():
+    # sha256 of the whole answer, node counts included, over the queries
+    # above, recorded by the kernel that classified every covered vertex
+    # before the search began
+    digest = hashlib.sha256()
+    for h, pattern, pin in _twin_corpus(7, 2400):
+        out = solve_raw(h.n, h.edge_vertex_masks(), pattern, pinned=pin)
+        digest.update(repr(out).encode() + b"\n")
+    assert digest.hexdigest() == "f1b2a28d78e1c6270c1db9372a6548cdefc14f2ce65a3640040c8b5d6d598a4b"
+
+
+# relabelled extremal constructions with 7,084, 12,144 and 14,157 edges
+LARGE_HOSTS = [(44, 3, 15, 3), (64, 3, 15, 3), (60, 4, 13, 2)]
+
+
+def test_large_hosts_keep_answers_and_node_counts():
+    # sha256 of (status, images, assignment, nodes) for P3, 2P2 and C4,
+    # unpinned and pinned, recorded by the kernel that built the incidence
+    # with one growing integer per vertex and classified every covered
+    # vertex before the search began
+    rng = random.Random(8)
+    digest = hashlib.sha256()
+    for params in LARGE_HOSTS:
+        g, _ = extremal_construction(FormulaParams(*params))
+        labels = list(range(1, g.n + 1))
+        rng.shuffle(labels)
+        h = make_hypergraph(g.r, g.n, [[labels[v - 1] for v in e] for e in g.edges])
+        masks = h.edge_vertex_masks()
+        for expr in ("P3", "2P2", "C4"):
+            pattern = parse_pattern(expr)
+            for pinned in (None, (rng.randrange(pattern.num_edges), rng.randrange(h.m))):
+                out = solve_raw(h.n, masks, pattern, pinned=pinned)
+                assert out[0] == _engine_py.FOUND
+                digest.update(repr(out).encode() + b"\n")
+    assert digest.hexdigest() == "bab0b7572ed4ae077520b1ed69670edd8fc44f03b3e8cc2c4f21a90b5ce9b174"
+
+
+def test_solve_leaves_no_reference_cycles():
+    # every call's search state is freed by reference counting when it
+    # returns; cycles would leave it to the collector, which then runs
+    # every few hundred calls
+    h, _ = extremal_construction(FormulaParams(n=13, r=3, ell=5, k=2))
+    masks = h.edge_vertex_masks()
+    plan = _pattern_plan(parse_pattern("2P2"))
+    gc.collect()
+    gc.disable()
+    try:
+        for budget, pin in ((0, (-1, -1)), (0, (1, 5)), (3, (-1, -1))):
+            _engine_py.solve(h.n, masks, *plan, budget, *pin)
+        _engine_py.solve(h.n, masks, *_pattern_plan(parse_pattern("2P5")), 0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _incidence_by_definition(n, edge_masks):
+    inc = [0] * n
+    for j, em in enumerate(edge_masks):
+        for v in range(n):
+            if em >> v & 1:
+                inc[v] |= 1 << j
+    return inc
+
+
+def test_incidence_agrees_with_its_definition():
+    # hosts on both sides of the switch from the per-bit loop to the byte
+    # transpose, with vertices in every byte of one, two and three words
+    rng = random.Random(11)
+    switched = set()
+    for _ in range(400):
+        n = rng.choice((rng.randint(2, 24), rng.randint(60, 150)))
+        pool = rng.sample(range(n), rng.randint(2, min(n, 30)))
+        r = rng.randint(1, min(4, len(pool)))
+        m = rng.randint(1, 60)
+        masks = [sum(1 << v for v in rng.sample(pool, r)) for _ in range(m)]
+        covered = [v for v in range(n) if any(em >> v & 1 for em in masks)]
+        assert _engine_py.incidence(n, masks, covered) == _incidence_by_definition(n, masks)
+        switched.add((m * r > 4 * len(covered), n > 64))
+    assert switched == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_hypergraph_incidence_masks_agree_with_their_definition():
+    rng = random.Random(12)
+    for _ in range(200):
+        n = rng.randint(3, 20)
+        h = random_hypergraph(rng, n, rng.randint(2, min(4, n)), rng.randint(1, 50))
+        expected = {}
+        for j, e in enumerate(h.edges):
+            for v in e:
+                expected[v] = expected.get(v, 0) | (1 << j)
+        assert h.incidence_masks() == expected
 
 
 def test_pin_rule_starts_inside_the_pinned_hyperedge():

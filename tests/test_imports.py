@@ -61,15 +61,21 @@ class TestLazyPublicApi:
         assert not hasattr(bergeturan, "no_such_name")
 
 
-def _loaded_submodules(*argv, cwd):
-    """The package modules that ``python -m bergeturan ARGV`` imports, read
-    from the interpreter's own ``-X importtime`` report."""
+def _loaded_modules(*argv, cwd):
+    """The modules that ``python -m bergeturan ARGV`` imports, read from the
+    interpreter's own ``-X importtime`` report."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "bergeturan", *argv],
                           capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
     names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
              if line.startswith("import time:")}
-    return proc.returncode, {name for name in names if name.split(".")[0] == "bergeturan"}
+    return proc.returncode, names
+
+
+def _loaded_submodules(*argv, cwd):
+    """The package modules among :func:`_loaded_modules`."""
+    code, names = _loaded_modules(*argv, cwd=cwd)
+    return code, {name for name in names if name.split(".")[0] == "bergeturan"}
 
 
 class TestSubcommandImports:
@@ -95,6 +101,19 @@ class TestSubcommandImports:
         assert code == 0
         assert "bergeturan.formulas" in loaded
         assert "bergeturan.search" not in loaded
+
+    def test_only_commands_that_read_an_input_load_hashlib(self, tmp_path):
+        # the manifest digests each input file; OpenSSL's _hashlib takes
+        # milliseconds to load, so commands without an input skip it
+        code, loaded = _loaded_modules("turan", "-n", "4", "-r", "3", "-F", "P2", cwd=tmp_path)
+        assert code == 0
+        assert not loaded & {"hashlib", "_hashlib"}
+        # the control: check digests its host, and the report shows it
+        host = tmp_path / "h.hg"
+        host.write_text("3 5 2\n1 2 3\n3 4 5\n")
+        code, loaded = _loaded_modules("check", str(host), "-F", "P2", cwd=tmp_path)
+        assert code == 1
+        assert {"hashlib", "_hashlib"} <= loaded
 
     def test_lemma_choices_are_the_lemma_ids(self):
         subcommands = next(a for a in build_parser()._actions if a.dest == "subcommand")

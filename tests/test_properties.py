@@ -7,6 +7,7 @@ checks the same inputs.
 import re
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from bergeturan import (
     read_hypergraph,
     write_hypergraph,
 )
+from bergeturan.core import _read_bulk, _read_lines
 from bergeturan.errors import FormatError, InvalidCycleLength, ParseError
 
 PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -91,6 +93,48 @@ def test_read_hypergraph_is_total(text):
         return
     assert isinstance(h, Hypergraph)
     assert read_hypergraph(write_hypergraph(h)) == h
+
+
+@st.composite
+def raw_hg_texts(draw, max_n=7):
+    """.hg text as a person might write it: edges in any order, repeated or
+    written backwards, with leading zeros and comment lines."""
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(r, max_n))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(1, n + 1), r))),
+                          max_size=8))
+    lines = [f"{r} {n} {len(edges)}"]
+    for edge in edges:
+        if draw(st.integers(0, 9)) == 0:
+            edge = edge[::-1]
+        lines.append(" ".join(draw(st.sampled_from(["", "", "", "0"])) + str(v) for v in edge))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("# note")
+    return "\n".join(lines) + "\n"
+
+
+near_hg_texts = st.one_of(
+    st.text(max_size=40),
+    mutated(raw_hg_texts(), "0123456789 \n#\t\r\uff13x"),
+)
+
+
+@settings(PROPERTY, max_examples=500)
+@given(near_hg_texts)
+def test_bulk_reader_agrees_with_the_line_scan(text):
+    # the bulk pass accepts exactly the texts the line scan accepts, with
+    # the same hypergraph, and every rejected text fails at the same line
+    try:
+        expected = _read_lines(text)
+    except FormatError as exc:
+        assert _read_bulk(text) is None
+        with pytest.raises(FormatError) as got:
+            read_hypergraph(text)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+        return
+    bulk = _read_bulk(text)
+    assert bulk == expected
+    assert bulk.duplicates_collapsed == expected.duplicates_collapsed
 
 
 @PROPERTY
