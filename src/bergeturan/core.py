@@ -48,8 +48,10 @@ class Hypergraph:
 
     def edge_vertex_masks(self) -> list[int]:
         """Per-edge bitmask of member vertices (bit v-1 set for vertex v)."""
-        bit = [0, *[1 << i for i in range(self.n)]].__getitem__
-        return [sum(map(bit, e)) for e in self.edges]
+        # vertex v sets bit v, and the sum is shifted down by one; no table
+        # indexed by n, whose bits would cost n**2 / 16 bytes
+        bit_above = (1).__lshift__
+        return [sum(map(bit_above, e)) >> 1 for e in self.edges]
 
     def incidence_masks(self) -> dict[int, int]:
         """Per covered vertex, the bitmask over edge indices (bit j set when
@@ -57,7 +59,8 @@ class Hypergraph:
         from ._engine_py import incidence
 
         covered = [v - 1 for v in self.covered_vertices()]
-        inc = incidence(self.n, self.edge_vertex_masks(), covered)
+        # the builder's table runs to the last covered vertex, not to n
+        inc = incidence(covered[-1] + 1 if covered else 0, self.edge_vertex_masks(), covered)
         return {v + 1: inc[v] for v in covered}
 
 
@@ -352,8 +355,10 @@ def _read_bulk(text):
         return None
     if len(values) != r * m:  # an empty field
         return None
+    if not m:  # with no edges, r is bounded by nothing in the text
+        return _assemble(r, n, [])
     columns = [values[i::r] for i in range(r)]
-    if m and (min(columns[0]) < 1 or max(columns[-1]) > n):
+    if min(columns[0]) < 1 or max(columns[-1]) > n:
         return None
     for low, high in zip(columns, columns[1:]):
         if not all(map(lt, low, high)):

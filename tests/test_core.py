@@ -1,4 +1,8 @@
 import io
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +189,7 @@ READER_TABLE = [
     ("3 5 2\n3 4 5\n1 2 3\n", (((1, 2, 3), (3, 4, 5)), False)),
     ("3 5 3\n1 2 3\n2 3 4\n1 2 3\n", (((1, 2, 3), (2, 3, 4)), True)),
     ("3 5 0\n", ((), False)),
+    ("1000000000 1000000000 0\n", ((), False)),
     ("2 4 2\n1 2\n3 4\n", (((1, 2), (3, 4)), False)),
     ("3 5 1\n01 02 003\n", (((1, 2, 3),), False)),
     ("3 5 1\n1  2 3\n", ("line 2: expected 3 integers", 2)),
@@ -225,3 +230,49 @@ def test_reader_table(text, expected):
         bulk = _read_bulk(text)
         assert bulk == _read_lines(text)
         assert bulk.duplicates_collapsed == expected[1]
+
+
+# hosts whose header names far more vertices than their edges cover
+LARGE_N_HOSTS = [
+    "3 1000000000 0\n",
+    "3 1000000000 1\n1 2 3\n",
+    "3 100000 2\n1 2 3\n99998 99999 100000\n",
+]
+
+_LARGE_N_PROBE = """
+import json, sys
+from bergeturan import find_berge_embedding, parse_pattern, read_hypergraph
+out = []
+for text in json.loads(sys.argv[1]):
+    h = read_hypergraph(text)
+    found = [find_berge_embedding(h, parse_pattern(e)) for e in ("P1", "P2")]
+    out.append([list(map(hex, h.edge_vertex_masks())), sorted(h.incidence_masks().items()),
+                [(res.status.value, res.nodes) for res in found]])
+print(json.dumps(out))
+"""
+
+
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_large_n_hosts_cost_nothing_in_n():
+    # reading, edge masks, incidence and search cost nothing per vertex
+    # beyond the last covered one; the child's address space is capped at
+    # 1 GB, so a table indexed by n fails there at once
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _LARGE_N_PROBE, json.dumps(LARGE_N_HOSTS)],
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        [[], [], [["not-found", 0], ["not-found", 0]]],
+        [["0x7"], [[1, 1], [2, 1], [3, 1]], [["found", 2], ["not-found", 0]]],
+        [["0x7", hex(0b111 << 99997)],
+         [[1, 1], [2, 1], [3, 1], [99998, 2], [99999, 2], [100000, 2]],
+         [["found", 2], ["not-found", 10]]],
+    ]

@@ -206,6 +206,21 @@ def test_lazy_twin_classes_keep_node_counts():
     assert digest.hexdigest() == "f1b2a28d78e1c6270c1db9372a6548cdefc14f2ce65a3640040c8b5d6d598a4b"
 
 
+def test_repeated_edge_hosts_run_no_twin_tests(monkeypatch):
+    # two disjoint complete 3-graphs on 4 vertices, one edge listed twice:
+    # such a host has no twins, so classifying a vertex tests no class;
+    # the answers and node counts are those of the eager classification
+    def no_twin_test(*args):
+        raise AssertionError("twin test on a host that repeats an edge")
+
+    monkeypatch.setattr(_engine_py, "_join_class", no_twin_test)
+    blocks = [sum(1 << v for v in e) for b in (0, 4) for e in combinations(range(b, b + 4), 3)]
+    masks = blocks + blocks[:1]
+    assert solve_raw(8, masks, parse_pattern("C5")) == (_engine_py.NOT_FOUND, None, None, 640)
+    assert solve_raw(8, masks, parse_pattern("2P2")) == (
+        _engine_py.FOUND, [1, 0, 2, 5, 4, 6], [1, 0, 5, 4], 13)
+
+
 # relabelled extremal constructions with 7,084, 12,144 and 14,157 edges
 LARGE_HOSTS = [(44, 3, 15, 3), (64, 3, 15, 3), (60, 4, 13, 2)]
 
