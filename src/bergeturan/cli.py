@@ -373,6 +373,7 @@ def _cmd_turan(ns, run):
         "max_edges": result.max_edges,
         "exact": result.exact,
         "nodes_explored": result.nodes_explored,
+        "pinned_calls": result.pinned_calls,
         "elapsed_s": round(result.elapsed, 6),
         "witness_count": len(result.witnesses),
         "witness_files": witness_files,
@@ -542,7 +543,10 @@ def build_parser():
     sp.add_argument("--witnesses", type=_integer, default=1)
     sp.add_argument("--max-candidates", type=_integer, default=64)
     sp.add_argument("--out-dir", help="directory for witness .hg files")
-    _add_common(sp, budget=True)
+    sp.add_argument("--budget", type=_integer, default=0,
+                    help="tree-node budget (a node may run one pinned kernel check per "
+                         "live candidate); 0 means unlimited (exact)")
+    _add_common(sp)
     sp.set_defaults(func=_cmd_turan)
 
     sp = sub.add_parser("verify-lemmas", help="verify the binomial inequalities exactly")

@@ -9,6 +9,7 @@ share across threads.
 from __future__ import annotations
 
 import io
+import sys
 from dataclasses import dataclass, field
 from operator import lt
 
@@ -130,6 +131,16 @@ def _is_digit(ch: str) -> bool:
     return "0" <= ch <= "9"
 
 
+def _int(digits: str, error, where) -> int:
+    """int() of a run of ASCII digits, raising ``error(message, where)``
+    first where int() would refuse it for its length: more digits than
+    the interpreter's integer string-conversion limit (4300 by default)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < len(digits):
+        raise error(f"integer longer than {limit} digits", where)
+    return int(digits)
+
+
 def _shift(edges, offset):
     return [(u + offset, v + offset) for u, v in edges]
 
@@ -222,7 +233,7 @@ def parse_pattern(expr: str) -> PatternGraph:
             start = i
             while i < len(expr) and _is_digit(expr[i]):
                 i += 1
-            mult = int(expr[start:i])
+            mult = _int(expr[start:i], ParseError, start)
             if mult < 1:
                 raise ParseError("multiplier must be positive", start)
             while i < len(expr) and expr[i].isspace():
@@ -242,7 +253,7 @@ def parse_pattern(expr: str) -> PatternGraph:
         start = i
         while i < len(expr) and _is_digit(expr[i]):
             i += 1
-        value = int(expr[start:i])
+        value = _int(expr[start:i], ParseError, start)
         if value < 1:
             raise ParseError("parameter must be positive", start)
         if letter == "P":
@@ -341,7 +352,10 @@ def _read_bulk(text):
     parts = head.split(" ")
     if len(parts) != 3 or not head.isascii() or not all(map(str.isdigit, parts)):
         return None
-    r, n, m = map(int, parts)
+    try:
+        r, n, m = map(int, parts)
+    except ValueError:  # an integer too long to convert
+        return None
     if r < 2 or n < r or not body.isascii():
         return None
     # the bytes besides digits must be r-1 spaces and a newline per line
@@ -379,7 +393,7 @@ def _read_lines(text) -> Hypergraph:
     parts = head.split(" ")
     if len(parts) != 3 or not head.isascii() or not all(p.isdigit() for p in parts):
         raise FormatError("header must be three integers 'r n m'", head_no)
-    r, n, m = (int(p) for p in parts)
+    r, n, m = (_int(p, FormatError, head_no) for p in parts)
     if len(content) - 1 != m:
         raise FormatError(f"expected {m} edge lines, found {len(content) - 1}", head_no)
     edges = []
@@ -387,7 +401,7 @@ def _read_lines(text) -> Hypergraph:
         fields = line.split(" ")
         if len(fields) != r or not line.isascii() or not all(f.isdigit() for f in fields):
             raise FormatError(f"expected {r} integers", no)
-        vertices = tuple(map(int, fields))
+        vertices = tuple(_int(f, FormatError, no) for f in fields)
         if any(a >= b for a, b in zip(vertices, vertices[1:])):
             raise FormatError("vertices must be strictly ascending", no)
         if vertices[0] < 1 or vertices[-1] > n:

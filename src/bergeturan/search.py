@@ -2,12 +2,15 @@
 
 Freeness of a host from a Berge pattern is downward closed in the edge
 set, so the search walks candidate r-sets in lexicographic order, include
-branch first, keeping the current set free at all times.  Adding an edge
-is checked incrementally: a new Berge copy must use the new hyperedge as
-one of its representatives, so only embeddings pinned through it are
-searched.  The value is label-invariant, so a labelled search suffices;
-the root symmetry rule forces the first included edge to be {1..r},
-which any nonempty free host can be relabelled to satisfy.
+branch first, keeping the current set free at all times.  Each node
+carries its live candidates: the later r-sets that the chosen set can take
+one at a time without a Berge copy.  Including one filters the others
+(forward checking), and a node is bounded by its chosen count plus its
+live count.  A filter check is incremental: a new Berge copy must use the
+new hyperedge as one of its representatives, so only embeddings pinned
+through it are searched.  The value is label-invariant, so a labelled
+search suffices; the root symmetry rule forces the first included edge to
+be {1..r}, which any nonempty free host can be relabelled to satisfy.
 """
 
 from __future__ import annotations
@@ -35,6 +38,13 @@ __getattr__ = _lazy_getattr(__name__, {
 
 @dataclass(frozen=True)
 class SearchOptions:
+    """Options of :func:`exact_turan`.
+
+    ``node_budget`` caps the tree nodes, not the kernel calls: including a
+    candidate runs one pinned check per live candidate after it, so a node
+    can cost many kernel calls (``SearchResult.pinned_calls`` counts
+    them).  0 means unlimited."""
+
     connected_only: bool = False
     node_budget: int = 0
     witness_limit: int = 1
@@ -47,6 +57,7 @@ class SearchResult:
     max_edges: int
     witnesses: tuple[Hypergraph, ...]
     nodes_explored: int
+    pinned_calls: int
     elapsed: float
     exact: bool
 
@@ -62,10 +73,11 @@ def _mask(edge):
     return m
 
 
-def _pinned_copy(n, masks, pattern):
+def _pinned_copy(n, masks, pattern, stats=None):
     """Does some Berge copy in ``masks`` use its last hyperedge?  One pinned
     search per orbit of pattern edges under Aut(F), on the orbit's smallest
-    edge index, in index order, stopping at the first copy.
+    edge index, in index order, stopping at the first copy.  Each search
+    adds one to ``stats.pinned_calls`` where ``stats`` is given.
 
     One query answers for its whole orbit: if a copy (phi, psi) puts
     pattern edge e on hyperedge j and sigma in Aut(F) maps e to e', then
@@ -74,6 +86,8 @@ def _pinned_copy(n, masks, pattern):
     calls (:func:`berge._pattern_edge_orbits`)."""
     new_idx = len(masks) - 1
     for orbit in _pattern_edge_orbits(pattern):
+        if stats is not None:
+            stats.pinned_calls += 1
         status, _, _, _ = solve_raw(n, masks, pattern, pinned=(orbit[0], new_idx))
         if status == FOUND:
             return True
@@ -102,6 +116,36 @@ def _spans_one_component(n, edges):
 
 
 class _Searcher:
+    """The include/exclude tree over the candidates, with forward checking.
+
+    A node holds the chosen set, which is free, and ``alive``: the later
+    candidates j, in index order, for which chosen + j is free.  Its first
+    live candidate is branched on, include first.  Including it filters the
+    rest of ``alive`` by one pinned check each; excluding it keeps them.
+
+    The recorded witnesses are those of the search that tries every later
+    candidate and is bounded by chosen + all remaining candidates:
+
+    * A dead candidate is dead in every superset.  If chosen + j has a
+      Berge copy, so has every superset of it, so j fails its check at
+      every node below; the plain search tries it and backs out, which
+      is a branch with no leaf.
+    * The live candidates keep their lexicographic order and the include
+      branch still comes first, so both searches meet the same leaves in
+      the same order.
+    * A subtree is pruned only when the free sets in it, of at most
+      chosen + live elements, cannot change ``best`` or the witness list:
+      room < best, or room == best with the list full.  ``best`` only
+      grows and a full list stays full until ``best`` grows, so those
+      leaves could not change either later.  The same holds for the
+      ``connected_only`` span check, since no leaf below uses a dead
+      candidate.
+
+    So the sequence of leaves that change ``best`` or the witness list is
+    the same, and so are the value and the witnesses.  ``nodes`` counts
+    the calls of :meth:`dfs`, which the node budget caps.
+    """
+
     def __init__(self, n, r, pattern, opts):
         self.n = n
         self.r = r
@@ -114,6 +158,7 @@ class _Searcher:
         self.best = -1
         self.witness_sets: list[tuple[int, ...]] = []
         self.nodes = 0
+        self.pinned_calls = 0
         self.truncated = False
 
     def record_leaf(self):
@@ -126,34 +171,46 @@ class _Searcher:
             if current not in self.witness_sets:
                 self.witness_sets.append(current)
 
-    def dfs(self, idx):
+    def pruned(self, room):
+        """Can no free set of at most ``room`` edges change the answer?"""
+        return room < self.best or (
+            room == self.best and len(self.witness_sets) >= self.opts.witness_limit)
+
+    def dfs(self, alive):
         self.nodes += 1
         if self.opts.node_budget and self.nodes > self.opts.node_budget:
             raise _Budget
-        remaining = len(self.candidates) - idx
-        room = len(self.chosen) + remaining
-        if room < self.best or (room == self.best and len(self.witness_sets) >= self.opts.witness_limit):
+        if self.pruned(len(self.chosen) + len(alive)):
             return
-        # can the chosen set plus the remaining candidates still cover 1..n
-        # in one component?  At a leaf this checks the chosen set itself.
+        # can the chosen set plus the live candidates still cover 1..n in
+        # one component?  At a leaf this checks the chosen set itself.
         if self.opts.connected_only and not _spans_one_component(
-                self.n, [self.candidates[j] for j in self.chosen] + self.candidates[idx:]):
+                self.n, [self.candidates[j] for j in self.chosen + alive]):
             return
-        if idx == len(self.candidates):
+        if not alive:
             self.record_leaf()
             return
-        self.include(idx)
-        self.dfs(idx + 1)
+        self.include(alive[0], alive[1:])
+        self.dfs(alive[1:])
 
-    def include(self, idx):
-        """Branch on adding candidate ``idx`` to the (free) chosen set,
-        unless that creates a Berge copy."""
-        new_mask = self.cand_masks[idx]
-        if _pinned_copy(self.n, self.chosen_masks + [new_mask], self.pattern):
-            return
+    def include(self, idx, later):
+        """Branch on adding the live candidate ``idx`` to the chosen set,
+        on the candidates of ``later`` that stay live with it.  The filter
+        stops, and the branch is skipped, once the dead ones prune it."""
         self.chosen.append(idx)
-        self.chosen_masks.append(new_mask)
-        self.dfs(idx + 1)
+        self.chosen_masks.append(self.cand_masks[idx])
+        room = len(self.chosen) + len(later)
+        alive = []
+        for j in later:
+            if not _pinned_copy(self.n, self.chosen_masks + [self.cand_masks[j]],
+                                self.pattern, self):
+                alive.append(j)
+                continue
+            room -= 1
+            if self.pruned(room):
+                break
+        else:
+            self.dfs(alive)
         self.chosen.pop()
         self.chosen_masks.pop()
 
@@ -175,7 +232,8 @@ class _Searcher:
                 self.witness_sets = [()]
         try:
             # any nonempty free host relabels so its first edge is {1..r}
-            self.include(0)
+            if not _pinned_copy(self.n, self.cand_masks[:1], self.pattern, self):
+                self.include(0, range(1, len(self.candidates)))
         except _Budget:
             self.truncated = True
         witnesses = tuple(
@@ -191,6 +249,7 @@ class _Searcher:
             max_edges=max(self.best, 0),
             witnesses=witnesses,
             nodes_explored=self.nodes,
+            pinned_calls=self.pinned_calls,
             elapsed=time.perf_counter() - started,
             exact=not self.truncated,
         )

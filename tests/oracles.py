@@ -72,9 +72,11 @@ def naive_contains(h, pattern, pinned=None):
     return place(1)
 
 
-def naive_turan(n, r, pattern):
-    """Maximum free subset size over all 2^C(n,r) subsets of candidate
-    r-sets, by marking every superset of every copy-hosting q-subset.
+def _naive_free_table(n, r, pattern):
+    """The candidate r-sets of 1..n in lexicographic order, and a bool
+    array over all 2^C(n,r) subsets (bit j = candidate j) that is True
+    exactly at the free ones, by marking every superset of every
+    copy-hosting q-subset.
 
     A Berge copy uses exactly q = |pattern.edges| hyperedges, so a subset
     is free exactly when it contains no hosting q-subset.
@@ -102,11 +104,38 @@ def naive_turan(n, r, pattern):
             for i, bit in enumerate(comp_bits):
                 spread |= ((vals >> i) & 1) << bit
             free[bad | spread] = False
-    sizes = np.zeros(total, dtype=np.int8)
-    idx = np.arange(total, dtype=np.int64)
-    for j in range(m):
+    return candidates, free
+
+
+def naive_turan(n, r, pattern):
+    """Maximum free subset size over all 2^C(n,r) subsets of candidate
+    r-sets (:func:`_naive_free_table`)."""
+    import numpy as np
+
+    candidates, free = _naive_free_table(n, r, pattern)
+    sizes = np.zeros(len(free), dtype=np.int8)
+    idx = np.arange(len(free), dtype=np.int64)
+    for j in range(len(candidates)):
         sizes += ((idx >> j) & 1).astype(np.int8)
     return int(sizes[free].max())
+
+
+def naive_turan_witnesses(n, r, pattern, limit):
+    """The first ``limit`` maximum free edge sets that contain {1..r}, in
+    the order of an include-first walk over the lexicographic candidates
+    (the order of ``exact_turan``), or the empty set alone where the
+    maximum is 0."""
+    candidates, free = _naive_free_table(n, r, pattern)
+    masks = free.nonzero()[0].tolist()
+    best = max(bin(mask).count("1") for mask in masks)
+    if best == 0:
+        return [()]
+    m = len(candidates)
+    top = [mask for mask in masks if mask & 1 and bin(mask).count("1") == best]
+    # include first: a set that takes candidate j comes before one that
+    # skips it, among sets that agree on every earlier candidate
+    top.sort(key=lambda mask: [not (mask >> j) & 1 for j in range(m)])
+    return [tuple(candidates[j] for j in range(m) if (mask >> j) & 1) for mask in top[:limit]]
 
 
 def brute_bcn(h, v0):

@@ -174,6 +174,12 @@ class TestContainmentCommands:
         code, _ = run_cli(capsys, "check", str(host_file), "-F", "Z9")
         assert code == 2
 
+    def test_overlong_integer_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "long.hg"
+        path.write_text("3 5 1\n1 2 " + "9" * 5000 + "\n")
+        assert main(["check", str(path), "-F", "P2"]) == 2
+        assert "line 2: integer longer than 4300 digits" in capsys.readouterr().err
+
     def test_crlf_host_reads_as_lf_and_digests_raw_bytes(self, host_file, tmp_path, capsys):
         raw = host_file.read_bytes().replace(b"\n", b"\r\n")
         crlf = tmp_path / "crlf.hg"

@@ -91,6 +91,19 @@ class TestParsePattern:
         with pytest.raises(ParseError):
             parse_pattern("")
 
+    @pytest.mark.parametrize("expr,offset", [
+        ("P" + "9" * 5000, 1),
+        ("9" * 5000 + "P3", 0),
+        ("P3 + C" + "0" * 4301, 6),
+        ("S" + "9" * 4301, 1),
+    ])
+    def test_overlong_integers_carry_offset(self, expr, offset):
+        # int() refuses more than 4300 digits by default
+        with pytest.raises(ParseError) as exc:
+            parse_pattern(expr)
+        assert (str(exc.value), exc.value.offset) == (
+            f"integer longer than 4300 digits (at offset {offset})", offset)
+
     def test_non_ascii_digits_rejected(self):
         # str.isdigit accepts these; int() rejects the superscript and
         # silently converts full-width digits
@@ -212,6 +225,12 @@ READER_TABLE = [
     ("3 2 0\n", ("line 1: need n >= r, got n=2, r=3", 1)),
     ("3 5 1\n1 2 3", ("line 2: missing trailing newline", 2)),
     ("# a\n# b\n", ("line 1: missing header", 1)),
+    # integers longer than int()'s default limit of 4300 digits
+    ("3 5 1\n1 2 " + "9" * 5000 + "\n", ("line 2: integer longer than 4300 digits", 2)),
+    ("3 5 1\n1 2 " + "0" * 4400 + "3\n", ("line 2: integer longer than 4300 digits", 2)),
+    ("3 " + "9" * 5000 + " 0\n", ("line 1: integer longer than 4300 digits", 1)),
+    ("# a\n3 5 " + "1" * 5000 + "\n", ("line 2: integer longer than 4300 digits", 2)),
+    ("3 5 1\n1 2 " + "0" * 4299 + "3\n", (((1, 2, 3),), False)),
 ]
 
 

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergeturan import (
     SearchOptions,
@@ -13,11 +15,45 @@ from bergeturan import (
     is_maximal_free,
     make_hypergraph,
     parse_pattern,
+    search,
 )
 from bergeturan.constructions import extremal_construction
 from bergeturan.core import FormulaParams
 from bergeturan.errors import HostNotFree, ParamsOutOfRange, ScaleGuardExceeded
-from oracles import naive_contains, naive_turan, random_hypergraph
+from oracles import naive_contains, naive_turan, naive_turan_witnesses, random_hypergraph
+
+# (n, r, pattern, connected_only, witness_limit, max_candidates) -> the
+# value and the witness edge lists, as the search without forward checking
+# found them: the instances of the benchmark's turan workload, then two at
+# n = 8
+PINNED_ANSWERS = [
+    ((7, 3, "P4", False, 1, 64), 5, [
+        ((1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6), (1, 2, 7))]),
+    ((8, 3, "P3", False, 1, 64), 4, [
+        ((1, 2, 3), (1, 2, 4), (5, 6, 7), (5, 6, 8))]),
+    ((7, 3, "C3", False, 1, 64), 6, [
+        ((1, 2, 3), (1, 2, 4), (1, 2, 5), (3, 6, 7), (4, 6, 7), (5, 6, 7))]),
+    ((6, 3, "2P2", False, 1, 64), 10, [
+        ((1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5), (1, 4, 5), (2, 3, 4),
+         (2, 3, 5), (2, 4, 5), (3, 4, 5))]),
+    ((6, 3, "P4", True, 1, 64), 4, [
+        ((1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6))]),
+    ((7, 4, "P3", False, 1, 64), 2, [
+        ((1, 2, 3, 4), (1, 2, 3, 5))]),
+    ((6, 3, "C4", False, 2, 64), 4, [
+        ((1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6)),
+        ((1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 6))]),
+    ((6, 3, "P4", False, 3, 64), 4, [
+        ((1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6)),
+        ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)),
+        ((1, 2, 3), (1, 2, 5), (1, 3, 5), (2, 3, 5))]),
+    ((8, 3, "2P2", False, 1, 100), 11, [
+        ((1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5), (1, 4, 5), (2, 3, 4),
+         (2, 3, 5), (2, 4, 5), (3, 4, 5), (6, 7, 8))]),
+    ((8, 3, "C3", False, 1, 100), 8, [
+        ((1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6), (3, 7, 8), (4, 7, 8), (5, 7, 8),
+         (6, 7, 8))]),
+]
 
 
 class TestExactTuran:
@@ -43,6 +79,9 @@ class TestExactTuran:
         res = exact_turan(6, 3, parse_pattern("2P2"), SearchOptions(node_budget=5))
         assert not res.exact
         assert res.max_edges >= 0
+        # the budget counts tree nodes, not the pinned checks they run
+        assert res.nodes_explored == 6
+        assert res.pinned_calls > res.nodes_explored
 
     def test_scale_guard(self):
         with pytest.raises(ScaleGuardExceeded):
@@ -91,6 +130,37 @@ class TestExactTuran:
         with pytest.raises(HostNotFree):
             exact_turan(6, 3, parse_pattern("P2"), SearchOptions(initial_witness=bad))
 
+    @pytest.mark.parametrize("instance,value,witnesses", PINNED_ANSWERS,
+                             ids=["-".join(map(str, row[0])) for row in PINNED_ANSWERS])
+    def test_reproduces_pinned_answers(self, instance, value, witnesses):
+        n, r, expr, connected, limit, cap = instance
+        res = exact_turan(n, r, parse_pattern(expr), SearchOptions(
+            connected_only=connected, witness_limit=limit, max_candidates=cap))
+        assert res.exact
+        assert res.max_edges == value
+        assert [w.edges for w in res.witnesses] == witnesses
+
+    def test_live_candidates_shrink_the_tree(self):
+        # the bound chosen + remaining candidates took 7,057 tree nodes
+        res = exact_turan(7, 3, parse_pattern("P4"))
+        assert (res.max_edges, res.exact, res.nodes_explored) == (5, True, 550)
+
+    def test_pinned_calls_are_counted_and_repeat(self, monkeypatch):
+        calls = []
+        real_raw = search.solve_raw
+
+        def counting_raw(*args, **kwargs):
+            calls.append(kwargs["pinned"])
+            return real_raw(*args, **kwargs)
+
+        monkeypatch.setattr(search, "solve_raw", counting_raw)
+        opts = SearchOptions(witness_limit=2)
+        first = exact_turan(6, 3, parse_pattern("C4"), opts)
+        assert first.pinned_calls == len(calls) > first.nodes_explored
+        second = exact_turan(6, 3, parse_pattern("C4"), opts)
+        assert (second.pinned_calls, second.nodes_explored) == (
+            first.pinned_calls, first.nodes_explored)
+
     def test_connected_variant(self):
         # two disjoint triples are not connected: best connected P2-free
         # host on 6 vertices cannot cover every vertex, so no feasible host
@@ -112,6 +182,19 @@ class TestExactTuran:
                 for cut in range(h.m):
                     sub = make_hypergraph(3, 6, [list(e) for e in h.edges[:cut]])
                     assert find_berge_embedding(sub, pat).status is Status.NOT_FOUND
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.integers(3, 5),
+       st.sampled_from(["P1", "P2", "P3", "P4", "M2", "M3", "S2", "S3", "C3", "C4", "2P2",
+                        "P2+M1"]),
+       st.integers(1, 3))
+def test_matches_naive_witnesses(n, expr, limit):
+    # the value, and the witnesses in the order the search meets them
+    pat = parse_pattern(expr)
+    res = exact_turan(n, 3, pat, SearchOptions(witness_limit=limit))
+    assert res.max_edges == naive_turan(n, 3, pat)
+    assert [w.edges for w in res.witnesses] == naive_turan_witnesses(n, 3, pat, limit)
 
 
 class TestMaximality:
