@@ -20,7 +20,7 @@ Deterministic contract:
 * once both endpoints of a pattern edge are placed, the edge must admit a
   system of distinct representative hyperedges jointly with all other such
   edges; feasibility is maintained with an incremental augmenting-path
-  matching, scanning candidate hyperedges in ascending index order;
+  matching (:func:`augment`, the explicit-stack paragraph below);
 * ``pinned`` (pattern-edge index, host-edge index) restricts that pattern
   edge's representative to exactly that hyperedge, and the positions of
   its two endpoints draw candidates only from the pinned hyperedge (the
@@ -78,6 +78,17 @@ skipped candidate's smaller twin is in the same list.  So every status and
 first embedding stay those of the search without the rule; only the node
 counts of pinned queries fall.
 
+Explicit stacks.  Nothing recurses, so no answer depends on the caller's
+stack.  The search keeps a frame per position up to the current one: its
+iterator over untried candidates, its rows (the hyperedges through each
+placed neighbour), and the log mark and bit of the vertex placed there.
+:func:`augment` keeps its path of pattern edges on a stack and tries each
+edge's candidate hyperedges in ascending index order, each hyperedge at
+most once per call; the search takes a free lowest candidate itself, as
+the call's first step would.  Each matching change is logged as (0,
+pattern edge, old hyperedge) then (1, hyperedge, old owner), and a failed
+placement or a backtrack pops the log back to its mark.
+
 An exhaustive search (budget 0, NOT_FOUND) expands, at every reachable
 placement, one unused vertex of each twin class whatever the candidate
 order, and the swap carries the subtrees of the others onto its subtree,
@@ -100,10 +111,6 @@ INDETERMINATE = 2
 # _BIT_DIGIT[k] maps a byte to b"1" when its bit k is set, else to b"0"
 _BIT_DIGIT = [(b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8)]
 _DIGIT_FLAG = bytes.maketrans(b"01", b"\0\1")
-
-
-class _BudgetHit(Exception):
-    pass
 
 
 def incidence(n, edge_masks, vertices):
@@ -246,7 +253,39 @@ def _candidates(edge_masks, inc, pinned_mask, host_order, unclassified):
     return cands, inside, through
 
 
-def solve(n, edge_masks, pat_edges, order, budget=0, pinned_pe=-1, pinned_he=-1):
+def augment(pe, cand, match_of, owner, log):
+    """Match pattern edge ``pe`` by an augmenting path (see the module
+    docstring); return whether it was, changing nothing when not.
+    ``cand[e]`` is the bitmask of the hyperedges pattern edge e may take,
+    ``match_of[e]`` its hyperedge and ``owner[j]`` hyperedge j's pattern
+    edge, -1 when there is none; each change is appended to ``log``."""
+    visited = 0
+    path = []  # (edge, its bits left, the hyperedge it tries) up to the top
+    remaining = cand[pe]
+    while True:
+        remaining &= ~visited
+        if not remaining:
+            if not path:
+                return False
+            pe, remaining, _ = path.pop()
+            continue
+        low = remaining & -remaining
+        remaining ^= low
+        visited |= low
+        j = low.bit_length() - 1
+        path.append((pe, remaining, j))
+        if owner[j] == -1:
+            for pe, _, j in reversed(path):
+                log.append((0, pe, match_of[pe]))
+                log.append((1, j, owner[j]))
+                match_of[pe] = j
+                owner[j] = pe
+            return True
+        pe = owner[j]
+        remaining = cand[pe]
+
+
+def solve(edge_masks, pat_edges, order, budget=0, pinned_pe=-1, pinned_he=-1):
     """Run the embedding search.
 
     Returns (status, images, assignment, nodes) where images maps pattern
@@ -261,7 +300,7 @@ def solve(n, edge_masks, pat_edges, order, budget=0, pinned_pe=-1, pinned_he=-1)
     if q > m or p > covered.bit_count():
         return (NOT_FOUND, None, None, 0)
     # vertices above the last covered one take no part, so per-vertex
-    # tables need not run to n
+    # tables need not run to it
     n = covered.bit_length()
 
     # covered's binary digits, lowest first, in one pass
@@ -301,48 +340,17 @@ def solve(n, edge_masks, pat_edges, order, budget=0, pinned_pe=-1, pinned_he=-1)
     log = []  # (array_tag, index, old_value); tag 0 = match_of, 1 = owner
     used = 0
     nodes = 0
-    visited = 0
     pinned_bit = (1 << pinned_he) if pinned_he >= 0 else 0
-
-    def augment(pe):
-        nonlocal visited
-        remaining = cand[pe]
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            if visited & low:
-                continue
-            visited |= low
-            j = low.bit_length() - 1
-            if owner[j] == -1 or augment(owner[j]):
-                log.append((0, pe, match_of[pe]))
-                log.append((1, j, owner[j]))
-                match_of[pe] = j
-                owner[j] = pe
-                return True
-        return False
-
-    def rollback(mark):
-        while len(log) > mark:
-            tag, idx, old = log.pop()
-            if tag == 0:
-                match_of[idx] = old
-            else:
-                owner[idx] = old
-
-    def dfs(pos):
-        nonlocal used, nodes, visited
-        if pos == p:
-            return True
-        pv = order[pos]
-        # the hyperedges through each placed neighbour, fixed at this position
-        rows = []
-        for pe, other in incident[pos]:
-            row = inc[images[other]]
-            if pe == pinned_pe:
-                row &= pinned_bit
-            rows.append((pe, row))
-        for v, vbit, guard, earl in pos_cands[pos]:
+    # the frame's vertex bit is 0 while no vertex is placed at its position;
+    # position 0 has no placed neighbour
+    stack = [(iter(pos_cands[0]), (), 0, 0)]
+    while stack:
+        remaining, rows, mark, vbit = stack[-1]
+        if vbit:
+            # back from the next position: take this position's vertex out
+            _rollback(log, mark, match_of, owner)
+            used ^= vbit
+        for v, vbit, guard, earl in remaining:
             if used & guard != earl:
                 continue
             if guard >= unclassified:
@@ -351,37 +359,52 @@ def solve(n, edge_masks, pat_edges, order, budget=0, pinned_pe=-1, pinned_he=-1)
                     continue
             nodes += 1
             if budget and nodes > budget:
-                raise _BudgetHit
+                return (INDETERMINATE, None, None, nodes)
             iv = inc[v]
             for _, row in rows:
                 if not row & iv:
                     break
             else:
-                images[pv] = v
-                used |= vbit
                 mark = len(log)
                 for pe, row in rows:
-                    cand[pe] = row & iv
-                    visited = 0
-                    if not augment(pe):
+                    cand[pe] = row = row & iv
+                    j = (row & -row).bit_length() - 1
+                    if owner[j] == -1:
+                        # the lowest candidate is free: augment's first step
+                        log.append((0, pe, match_of[pe]))
+                        log.append((1, j, -1))
+                        match_of[pe] = j
+                        owner[j] = pe
+                    elif not augment(pe, cand, match_of, owner, log):
                         break
                 else:
-                    if dfs(pos + 1):
-                        return True
-                rollback(mark)
-                images[pv] = -1
-                used ^= vbit
-        return False
-
-    try:
-        found = dfs(0)
-    except _BudgetHit:
-        return (INDETERMINATE, None, None, nodes)
-    finally:
-        # dfs and augment call themselves through their closure cells; empty
-        # the cells so that the search state is freed now rather than left
-        # to the cycle collector, which otherwise runs every few calls
-        dfs = augment = None
-    if found:
-        return (FOUND, list(images), list(match_of), nodes)
+                    pos = len(stack)
+                    images[order[pos - 1]] = v
+                    if pos == p:
+                        return (FOUND, images, match_of, nodes)
+                    used |= vbit
+                    stack[-1] = (remaining, rows, mark, vbit)
+                    # the hyperedges through each placed neighbour, fixed
+                    # at the next position
+                    rows = []
+                    for pe, other in incident[pos]:
+                        row = inc[images[other]]
+                        if pe == pinned_pe:
+                            row &= pinned_bit
+                        rows.append((pe, row))
+                    stack.append((iter(pos_cands[pos]), rows, 0, 0))
+                    break
+                _rollback(log, mark, match_of, owner)
+        else:
+            stack.pop()
     return (NOT_FOUND, None, None, nodes)
+
+
+def _rollback(log, mark, match_of, owner):
+    """Undo the matching changes logged since ``mark``."""
+    while len(log) > mark:
+        tag, idx, old = log.pop()
+        if tag == 0:
+            match_of[idx] = old
+        else:
+            owner[idx] = old

@@ -25,7 +25,6 @@ from .errors import (
     EmptyHypergraph,
     FormatError,
     IndexOutOfRange,
-    ScaleGuardExceeded,
     TooFewEdges,
     V0TooSmall,
     VertexNotInHost,
@@ -312,22 +311,11 @@ def _host_prep(h: Hypergraph):
     return h.edge_vertex_masks()
 
 
-def solve_raw(n, edge_masks, pattern, budget=0, pinned=None):
-    """Low-level search over raw edge masks; used by the exhaustive search.
-
-    The kernel recurses once per placed pattern vertex and once per
-    augmenting step, so a pattern too deep for the interpreter's recursion
-    limit raises ScaleGuardExceeded instead of a bare RecursionError.
-    """
+def solve_raw(edge_masks, pattern, budget=0, pinned=None):
+    """Low-level search over raw edge masks; used by the exhaustive search."""
     edges0, order = _pattern_plan(pattern)
     pinned_pe, pinned_he = pinned if pinned else (-1, -1)
-    try:
-        return _engine_py.solve(n, edge_masks, edges0, order, budget, pinned_pe, pinned_he)
-    except RecursionError:
-        raise ScaleGuardExceeded(
-            f"pattern {pattern.expr} with {pattern.num_vertices} vertices and "
-            f"{pattern.num_edges} edges is too deep for the recursive embedding search"
-        ) from None
+    return _engine_py.solve(edge_masks, edges0, order, budget, pinned_pe, pinned_he)
 
 
 def _result_from_engine(pattern, raw):
@@ -349,7 +337,7 @@ def find_berge_embedding(h: Hypergraph, pattern: PatternGraph, budget: int = 0) 
     absence.  A positive budget caps vertex-assignment attempts and an
     exhausted budget yields an indeterminate status.
     """
-    raw = solve_raw(h.n, _host_prep(h), pattern, budget)
+    raw = solve_raw(_host_prep(h), pattern, budget)
     return _result_from_engine(pattern, raw)
 
 
@@ -395,7 +383,7 @@ def longest_berge_path(h: Hypergraph, budget: int = 0) -> PathSearchResult:
     length = 0
     for ell in range(1, upper + 1):
         pattern = path_pattern(ell)
-        raw = solve_raw(h.n, masks, pattern, budget)
+        raw = solve_raw(masks, pattern, budget)
         total_nodes += raw[3]
         result = _result_from_engine(pattern, raw)
         if result.status is Status.FOUND:
@@ -497,39 +485,27 @@ def berge_star_exists(h: Hypergraph, centre: int, size: int) -> StarResult:
         raise BadParameters(f"need size > r >= 2, got size={size}, r={h.r}")
     if not 1 <= centre <= h.n:
         raise VertexOutOfRange(f"vertex {centre} outside 1..{h.n}")
-    centre_edges = [j for j, e in enumerate(h.edges) if centre in e]
-    degree = len(centre_edges)
+    inc = h.incidence_masks()
+    through = inc.get(centre, 0)
+    degree = through.bit_count()
     threshold = comb(size - 1, h.r - 1)
-    leaves = sorted({v for j in centre_edges for v in h.edges[j] if v != centre})
-    # maximum matching leaf -> hyperedge through the centre (Kuhn, ascending)
-    leaf_to_edges = {y: [j for j in centre_edges if y in h.edges[j]] for y in leaves}
-    matched_edge_of_leaf: dict[int, int] = {}
-    owner: dict[int, int] = {}
-
-    def try_leaf(y, visited):
-        for j in leaf_to_edges[y]:
-            if j in visited:
-                continue
-            visited.add(j)
-            if j not in owner or try_leaf(owner[j], visited):
-                owner[j] = y
-                matched_edge_of_leaf[y] = j
-                return True
-        return False
-
+    leaves = sorted(v for v, mask in inc.items() if mask & through and v != centre)
+    # maximum matching leaf -> hyperedge through the centre, leaves in
+    # ascending order, each by the kernel's augmenting path
+    cand = [inc[y] & through for y in leaves]
+    match_of = [-1] * len(leaves)
+    owner = [-1] * h.m
     matched = 0
-    for y in leaves:
-        if try_leaf(y, set()):
-            matched += 1
-            if matched == size:
-                break
-    exists = matched >= size
+    for i in range(len(leaves)):
+        matched += _engine_py.augment(i, cand, match_of, owner, [])
+        if matched == size:
+            break
+    exists = matched == size
     cert = None
     if exists:
-        chosen = sorted(matched_edge_of_leaf.items())[:size]
-        pattern = star_pattern(size)
+        chosen = [(y, j) for y, j in zip(leaves, match_of) if j >= 0]
         cert = BergeCertificate(
-            pattern=pattern,
+            pattern=star_pattern(size),
             defining_vertices=(centre,) + tuple(y for y, _ in chosen),
             edge_assignment=tuple(j for _, j in chosen),
         )

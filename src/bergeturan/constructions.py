@@ -88,9 +88,9 @@ def extremal_construction(p: FormulaParams) -> tuple[Hypergraph, ConstructionLay
 
     A = {1 .. k*ell'-1}, B = {k*ell' .. n}; when ell is even the special
     pair is the two smallest B vertices.  Requires k*ell'-1 >= r-1 and
-    n >= k*ell'-1+r; the theorem-range hypotheses (k >= 2, r >= 3,
-    ell' >= r, 2*ell' >= r+7) are reported, not enforced, and k = 1 is an
-    explicitly flagged extrapolation.
+    n >= k*ell'-1+r; the theorem-range hypotheses
+    (:attr:`FormulaParams.hypothesis_failures`) are reported, not enforced,
+    and k = 1 is an explicitly flagged extrapolation.
     """
     a_size = p.core_size
     if a_size < p.r - 1:
@@ -120,9 +120,7 @@ def extremal_construction(p: FormulaParams) -> tuple[Hypergraph, ConstructionLay
             "one_outer": len(one_out),
             "special_pair": len(two_out),
         },
-        theorem_hypothesis_holds=(
-            p.k >= 2 and p.r >= 3 and p.ell_prime >= p.r and 2 * p.ell_prime >= p.r + 7
-        ),
+        theorem_hypothesis_holds=not p.hypothesis_failures,
         k1_extrapolation=p.k == 1,
     )
     return h, layout

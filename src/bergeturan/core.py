@@ -299,6 +299,15 @@ class FormulaParams:
     def core_size(self) -> int:
         return self.k * self.ell_prime - 1
 
+    @property
+    def hypothesis_failures(self) -> tuple[str, ...]:
+        """The theorem-range conditions k >= 2, r >= 3, ell' >= r and
+        2*ell' >= r+7 that these parameters miss, in that order."""
+        conditions = (("k >= 2", self.k >= 2), ("r >= 3", self.r >= 3),
+                      ("ell' >= r", self.ell_prime >= self.r),
+                      ("2*ell' >= r+7", 2 * self.ell_prime >= self.r + 7))
+        return tuple(name for name, holds in conditions if not holds)
+
 
 # --- .hg text format -------------------------------------------------------
 #

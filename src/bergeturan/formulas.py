@@ -137,8 +137,9 @@ def berge_kpl_turan(p: FormulaParams) -> KplBergeResult:
         C(k*ell'-1, r-1)*(n-k*ell'+1) + C(k*ell'-1, r) + [ell even]*C(k*ell'-1, r-2)
 
     Always evaluates (it is also the core construction's edge count); the
-    flag records whether k >= 2, r >= 3, ell' >= r and 2*ell' >= r+7 hold,
-    the range in which the formula is the exact Turan number for large n.
+    flag records whether the theorem-range hypotheses of
+    :attr:`FormulaParams.hypothesis_failures` hold, the range in which the
+    formula is the exact Turan number for large n.
     """
     core = p.core_size
     value = (
@@ -146,16 +147,8 @@ def berge_kpl_turan(p: FormulaParams) -> KplBergeResult:
         + comb(core, p.r)
         + p.parity_indicator * comb(core, p.r - 2)
     )
-    failures = []
-    if p.k < 2:
-        failures.append("k >= 2")
-    if p.r < 3:
-        failures.append("r >= 3")
-    if p.ell_prime < p.r:
-        failures.append("ell' >= r")
-    if 2 * p.ell_prime < p.r + 7:
-        failures.append("2*ell' >= r+7")
-    return KplBergeResult(value, not failures, tuple(failures), True)
+    failures = p.hypothesis_failures
+    return KplBergeResult(value, not failures, failures, True)
 
 
 @dataclass(frozen=True)

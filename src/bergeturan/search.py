@@ -18,6 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from itertools import combinations
+from math import comb
 
 from . import _lazy_getattr
 from ._engine_py import FOUND
@@ -73,7 +74,7 @@ def _mask(edge):
     return m
 
 
-def _pinned_copy(n, masks, pattern, stats=None):
+def _pinned_copy(masks, pattern, stats=None):
     """Does some Berge copy in ``masks`` use its last hyperedge?  One pinned
     search per orbit of pattern edges under Aut(F), on the orbit's smallest
     edge index, in index order, stopping at the first copy.  Each search
@@ -88,7 +89,7 @@ def _pinned_copy(n, masks, pattern, stats=None):
     for orbit in _pattern_edge_orbits(pattern):
         if stats is not None:
             stats.pinned_calls += 1
-        status, _, _, _ = solve_raw(n, masks, pattern, pinned=(orbit[0], new_idx))
+        status, _, _, _ = solve_raw(masks, pattern, pinned=(orbit[0], new_idx))
         if status == FOUND:
             return True
     return False
@@ -202,8 +203,7 @@ class _Searcher:
         room = len(self.chosen) + len(later)
         alive = []
         for j in later:
-            if not _pinned_copy(self.n, self.chosen_masks + [self.cand_masks[j]],
-                                self.pattern, self):
+            if not _pinned_copy(self.chosen_masks + [self.cand_masks[j]], self.pattern, self):
                 alive.append(j)
                 continue
             room -= 1
@@ -232,7 +232,7 @@ class _Searcher:
                 self.witness_sets = [()]
         try:
             # any nonempty free host relabels so its first edge is {1..r}
-            if not _pinned_copy(self.n, self.cand_masks[:1], self.pattern, self):
+            if not _pinned_copy(self.cand_masks[:1], self.pattern, self):
                 self.include(0, range(1, len(self.candidates)))
         except _Budget:
             self.truncated = True
@@ -268,9 +268,7 @@ def exact_turan(n: int, r: int, pattern: PatternGraph, opts: SearchOptions | Non
     opts = opts or SearchOptions()
     if opts.witness_limit < 1:
         raise ParamsOutOfRange("witness_limit must be >= 1")
-    total = 1
-    for i in range(r):
-        total = total * (n - i) // (i + 1)
+    total = comb(n, r)
     if total > opts.max_candidates:
         raise ScaleGuardExceeded(
             f"C({n},{r}) = {total} exceeds the configured cap {opts.max_candidates}"
@@ -289,7 +287,7 @@ def is_maximal_free(h: Hypergraph, pattern: PatternGraph) -> bool:
     for e in combinations(range(1, h.n + 1), h.r):
         if e in present:
             continue
-        if not _pinned_copy(h.n, masks + [_mask(e)], pattern):
+        if not _pinned_copy(masks + [_mask(e)], pattern):
             return False
     return True
 

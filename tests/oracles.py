@@ -72,6 +72,21 @@ def naive_contains(h, pattern, pinned=None):
     return place(1)
 
 
+def brute_star(h, centre, size):
+    """Is there a Berge star with ``size`` edges centred at ``centre``: some
+    ``size`` leaves, each given its own hyperedge through the centre and
+    the leaf?  Tries every set of leaves and every choice of hyperedges."""
+    from itertools import product
+
+    through = [set(e) for e in h.edges if centre in e]
+    leaves = sorted({v for e in through for v in e} - {centre})
+    for chosen in combinations(leaves, size):
+        options = [[j for j, e in enumerate(through) if y in e] for y in chosen]
+        if any(len(set(pick)) == size for pick in product(*options)):
+            return True
+    return False
+
+
 def _naive_free_table(n, r, pattern):
     """The candidate r-sets of 1..n in lexicographic order, and a bool
     array over all 2^C(n,r) subsets (bit j = candidate j) that is True

@@ -1,6 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from hashlib import sha256
+from pathlib import Path
 
 import pytest
 
@@ -27,12 +32,24 @@ from bergeturan.errors import (
     FormatError,
     IndexOutOfRange,
     InvalidCycleLength,
-    ScaleGuardExceeded,
     V0TooSmall,
 )
-from oracles import brute_bcn, naive_contains, naive_edge_orbits, random_hypergraph
+from oracles import brute_bcn, brute_star, naive_contains, naive_edge_orbits, random_hypergraph
 
 K4_TRIPLES = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _star_corpus(seed, hosts):
+    """Seeded (host, centre, size) queries: random hosts with r = 2..4,
+    every centre, a size of r+1 to r+3."""
+    rng = random.Random(seed)
+    for _ in range(hosts):
+        r = rng.randint(2, 4)
+        n = rng.randint(r + 2, 10)
+        h = random_hypergraph(rng, n, r, rng.randint(1, 24))
+        for centre in range(1, n + 1):
+            yield h, centre, r + rng.randint(1, 3)
 
 
 class TestFindEmbedding:
@@ -60,20 +77,43 @@ class TestFindEmbedding:
         assert res.certificate is None
         assert res.nodes >= 10
 
-    def test_deep_patterns_raise_the_scale_guard(self, capsys, tmp_path):
-        # the kernel recurses once per pattern vertex: P900 still fits the
-        # interpreter's recursion limit, P1200 is refused with a typed error
+    def test_deep_patterns_answer(self, capsys, tmp_path):
+        # the search keeps its placed positions and augmenting paths on
+        # explicit stacks, so the pattern's length is no depth limit
         h = make_hypergraph(2, 1300, [[v, v + 1] for v in range(1, 1300)])
         res = find_berge_embedding(h, parse_pattern("P900"))
         assert res.status is Status.FOUND and res.nodes == 767_248
         assert verify_certificate(h, res.certificate)
-        with pytest.raises(ScaleGuardExceeded, match="P1200 with 1201 vertices"):
-            find_berge_embedding(h, parse_pattern("P1200"))
+        res = find_berge_embedding(h, parse_pattern("P1200"))
+        assert res.status is Status.FOUND and res.nodes == 842_998
+        assert verify_certificate(h, res.certificate)
         path = tmp_path / "path.hg"
         path.write_text(write_hypergraph(h))
         capsys.readouterr()
-        assert main(["check", str(path), "-F", "P1200"]) == 2
-        assert "P1200 with 1201 vertices" in capsys.readouterr().err
+        assert main(["check", str(path), "-F", "P1200"]) == 1
+        assert "CONTAINS" in capsys.readouterr().out
+
+    def test_deep_answers_do_not_depend_on_the_stack(self):
+        # the answers above, and a star whose augmenting paths run 1,200
+        # edges deep, in a child interpreter that allows 150 frames
+        code = """
+import sys
+from bergeturan import (berge_star_exists, find_berge_embedding, make_hypergraph,
+                        parse_pattern, verify_certificate)
+path = make_hypergraph(2, 1300, [[v, v + 1] for v in range(1, 1300)])
+chain = make_hypergraph(3, 1202, [[1, i + 1, i + 2] for i in range(1, 1201)])
+pattern = parse_pattern("P1200")
+sys.setrecursionlimit(150)
+res = find_berge_embedding(path, pattern)
+star = berge_star_exists(chain, 1, 1200)
+print(res.status.value, res.nodes, verify_certificate(path, res.certificate),
+      star.exists, verify_certificate(chain, star.certificate))
+"""
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["found", "842998", "True", "True", "True"]
 
     def test_pigeonhole_refutations_are_exact(self):
         # too few host vertices or hyperedges: refuted without search
@@ -352,3 +392,32 @@ class TestBergeStar:
                     assert verify_certificate(h, res.certificate)
             engine_found = find_berge_embedding(h, parse_pattern(f"S{size}")).status is Status.FOUND
             assert engine_found == any_centre
+
+    def test_star_agrees_with_brute_force(self):
+        seen = set()
+        for h, centre, size in _star_corpus(31, 150):
+            res = berge_star_exists(h, centre, size)
+            assert res.exists == brute_star(h, centre, size), (h, centre, size)
+            seen.add((h.r, res.exists))
+        assert seen == {(r, exists) for r in (2, 3, 4) for exists in (True, False)}
+
+    def test_star_results_keep_their_digest(self):
+        # sha256 of the whole StarResult, certificates included, over
+        # 4,450 queries (1,560 with a star), recorded by the matching that
+        # recursed once per augmenting step
+        digest = sha256()
+        for h, centre, size in _star_corpus(2026, 600):
+            digest.update(repr(berge_star_exists(h, centre, size)).encode() + b"\n")
+        assert digest.hexdigest() == "90ef982cc57ac118af95321b914b14e0a0124fcf3912d129f666cb43a625499c"
+
+    def test_long_augmenting_paths_answer(self, capsys, tmp_path):
+        # in the chain {1, i+1, i+2}, leaf y first tries the hyperedge of
+        # leaf y-1, so each augmenting path walks back to leaf 2
+        h = make_hypergraph(3, 1202, [[1, i + 1, i + 2] for i in range(1, 1201)])
+        res = berge_star_exists(h, 1, 1200)
+        assert res.exists and verify_certificate(h, res.certificate)
+        path = tmp_path / "chain.hg"
+        path.write_text(write_hypergraph(h))
+        capsys.readouterr()
+        assert main(["star", str(path), "--centre", "1", "--size", "1200"]) == 0
+        assert "exists: True" in capsys.readouterr().out

@@ -121,8 +121,8 @@ def test_short_covered_hosts_stop_at_zero_nodes(monkeypatch):
     calls = []
     real = _engine_py.solve
 
-    def recording(n, edge_masks, *args):
-        out = real(n, edge_masks, *args)
+    def recording(edge_masks, *args):
+        out = real(edge_masks, *args)
         covered = 0
         for em in edge_masks:
             covered |= em
@@ -150,19 +150,19 @@ def test_solve_keeps_its_positional_contract():
     # out[0] (status) and out[3] (nodes)
     params = list(inspect.signature(_engine_py.solve).parameters.values())
     assert [p.name for p in params] == [
-        "n", "edge_masks", "pat_edges", "order", "budget", "pinned_pe", "pinned_he"]
+        "edge_masks", "pat_edges", "order", "budget", "pinned_pe", "pinned_he"]
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
-    assert [p.default for p in params[4:]] == [0, -1, -1]
+    assert [p.default for p in params[3:]] == [0, -1, -1]
     h, _ = extremal_construction(FormulaParams(n=13, r=3, ell=5, k=2))
     edges0, order = _pattern_plan(parse_pattern("2P5"))
     masks = h.edge_vertex_masks()
-    out = _engine_py.solve(h.n, masks, edges0, order)
+    out = _engine_py.solve(masks, edges0, order)
     assert type(out) is tuple and len(out) == 4
     assert out[:3] == (_engine_py.NOT_FOUND, None, None) and out[3] > 0
-    status, images, assignment, nodes = _engine_py.solve(h.n, masks, edges0, order, 10, -1, -1)
+    status, images, assignment, nodes = _engine_py.solve(masks, edges0, order, 10, -1, -1)
     assert (status, images, assignment, nodes) == (_engine_py.INDETERMINATE, None, None, 11)
     status, images, assignment, nodes = _engine_py.solve(
-        h.n, masks, *_pattern_plan(parse_pattern("P5")), 0, 2, 7)
+        masks, *_pattern_plan(parse_pattern("P5")), 0, 2, 7)
     assert status == _engine_py.FOUND and assignment[2] == 7
     assert len(images) == 6 and len(assignment) == 5 and nodes > 0
 
@@ -172,7 +172,7 @@ def test_twin_rule_agrees_with_naive_oracles():
     corpus = _twin_corpus(20261018, 1500)
     seen = set()
     for h, pattern, pinned in corpus:
-        status = solve_raw(h.n, h.edge_vertex_masks(), pattern, pinned=pinned)[0]
+        status = solve_raw(h.edge_vertex_masks(), pattern, pinned=pinned)[0]
         expected = naive_contains(h, pattern, pinned)
         assert (status == _engine_py.FOUND) == expected, (h, pattern.expr, pinned)
         assert status != _engine_py.INDETERMINATE
@@ -188,7 +188,7 @@ def test_twin_rule_keeps_first_certificates():
     digest = hashlib.sha256()
     pinned = 0
     for h, pattern, pin in corpus:
-        out = solve_raw(h.n, h.edge_vertex_masks(), pattern, pinned=pin)
+        out = solve_raw(h.edge_vertex_masks(), pattern, pinned=pin)
         digest.update(repr(out[:3]).encode() + b"\n")
         pinned += pin is not None
     assert pinned >= 1000
@@ -201,7 +201,7 @@ def test_lazy_twin_classes_keep_node_counts():
     # before the search began
     digest = hashlib.sha256()
     for h, pattern, pin in _twin_corpus(7, 2400):
-        out = solve_raw(h.n, h.edge_vertex_masks(), pattern, pinned=pin)
+        out = solve_raw(h.edge_vertex_masks(), pattern, pinned=pin)
         digest.update(repr(out).encode() + b"\n")
     assert digest.hexdigest() == "f1b2a28d78e1c6270c1db9372a6548cdefc14f2ce65a3640040c8b5d6d598a4b"
 
@@ -216,8 +216,8 @@ def test_repeated_edge_hosts_run_no_twin_tests(monkeypatch):
     monkeypatch.setattr(_engine_py, "_join_class", no_twin_test)
     blocks = [sum(1 << v for v in e) for b in (0, 4) for e in combinations(range(b, b + 4), 3)]
     masks = blocks + blocks[:1]
-    assert solve_raw(8, masks, parse_pattern("C5")) == (_engine_py.NOT_FOUND, None, None, 640)
-    assert solve_raw(8, masks, parse_pattern("2P2")) == (
+    assert solve_raw(masks, parse_pattern("C5")) == (_engine_py.NOT_FOUND, None, None, 640)
+    assert solve_raw(masks, parse_pattern("2P2")) == (
         _engine_py.FOUND, [1, 0, 2, 5, 4, 6], [1, 0, 5, 4], 13)
 
 
@@ -241,7 +241,7 @@ def test_large_hosts_keep_answers_and_node_counts():
         for expr in ("P3", "2P2", "C4"):
             pattern = parse_pattern(expr)
             for pinned in (None, (rng.randrange(pattern.num_edges), rng.randrange(h.m))):
-                out = solve_raw(h.n, masks, pattern, pinned=pinned)
+                out = solve_raw(masks, pattern, pinned=pinned)
                 assert out[0] == _engine_py.FOUND
                 digest.update(repr(out).encode() + b"\n")
     assert digest.hexdigest() == "bab0b7572ed4ae077520b1ed69670edd8fc44f03b3e8cc2c4f21a90b5ce9b174"
@@ -258,8 +258,8 @@ def test_solve_leaves_no_reference_cycles():
     gc.disable()
     try:
         for budget, pin in ((0, (-1, -1)), (0, (1, 5)), (3, (-1, -1))):
-            _engine_py.solve(h.n, masks, *plan, budget, *pin)
-        _engine_py.solve(h.n, masks, *_pattern_plan(parse_pattern("2P5")), 0)
+            _engine_py.solve(masks, *plan, budget, *pin)
+        _engine_py.solve(masks, *_pattern_plan(parse_pattern("2P5")), 0)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -309,7 +309,7 @@ def test_pin_rule_starts_inside_the_pinned_hyperedge():
     # candidates complete the copy
     h = make_hypergraph(3, 6, [list(e) for e in combinations(range(1, 7), 3)])
     status, images, assignment, nodes = solve_raw(
-        h.n, h.edge_vertex_masks(), parse_pattern("P1"), pinned=(0, h.m - 1))
+        h.edge_vertex_masks(), parse_pattern("P1"), pinned=(0, h.m - 1))
     assert (status, images, assignment, nodes) == (_engine_py.FOUND, [3, 4], [h.m - 1], 2)
 
 
@@ -328,7 +328,7 @@ def test_pinned_copy_agrees_with_every_pinned_edge():
         expected = any(naive_contains(grown, pattern, (pe, pinned_he))
                        for pe in range(pattern.num_edges))
         masks = h.edge_vertex_masks() + [search._mask(new)]
-        assert search._pinned_copy(h.n, masks, pattern) == expected, (grown, pattern.expr)
+        assert search._pinned_copy(masks, pattern) == expected, (grown, pattern.expr)
         seen.add(expected)
     assert seen == {True, False}
 
