@@ -5,12 +5,24 @@ floating point enters any verification path.  Evaluators outside their
 stated parameter range raise OutsideTheoremRange, except the headline
 disjoint-path formula which always evaluates (it also counts the
 construction's edges) and carries a hypothesis flag instead.
+
+The inequalities I1-I5 are checked in scaled integers.  Each lemma's side
+function returns (lhs_num, rhs_num, den) with lhs = lhs_num/den,
+rhs = rhs_num/den and a den > 0 fixed by the point: 2L for I1, 2 for I2 and
+I3, 1 for I4 and 2l for I5, which clears every division in the statement.
+Multiplying both sides by the same positive den keeps every sign and every
+comparison: lhs > rhs (or >=) exactly when lhs_num > rhs_num (or >=), the
+slack lhs - rhs is exactly (lhs_num - rhs_num)/den, and for I5 the max of
+two values scaled by one positive den is the scaled max.  Two slacks
+d1/den1 and d2/den2 compare as d1*den2 and d2*den1 do, so the minimum slack
+is found without building a Fraction per point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import comb
 
@@ -203,38 +215,33 @@ def conjecture_values(n: int, r: int, ell_list) -> ConjectureReport:
 
 
 def _i1_sides(r, L):
-    lhs = Fraction(comb(2 * L - 1, r - 1))
-    rhs = Fraction(comb(2 * L, r) + 2 * comb(2 * L, r - 1) + comb(2 * L, r - 2), 2 * L)
-    return lhs, rhs
+    lhs = 2 * L * comb(2 * L - 1, r - 1)
+    rhs = comb(2 * L, r) + 2 * comb(2 * L, r - 1) + comb(2 * L, r - 2)
+    return lhs, rhs, 2 * L
 
 
 def _i2_sides(r, k, l):
-    lhs = comb(k * l - 1, r - 1) - Fraction(comb(k * l - 1, r - 2), 2)
-    rhs = Fraction(comb((k - 1) * l, r - 1) + 1)
-    return lhs, rhs
+    lhs = 2 * comb(k * l - 1, r - 1) - comb(k * l - 1, r - 2)
+    rhs = 2 * (comb((k - 1) * l, r - 1) + 1)
+    return lhs, rhs, 2
 
 
 def _i3_sides(r, k, l):
-    lhs = Fraction(sum(comb((k - 1) * l - 1, r - t - 1) for t in range(1, r - 1)), 2) \
-        - l + comb(l - 1, r - 2)
-    return lhs, Fraction(0)
+    lhs = sum(comb((k - 1) * l - 1, r - t - 1) for t in range(1, r - 1)) \
+        - 2 * l + 2 * comb(l - 1, r - 2)
+    return lhs, 0, 2
 
 
 def _i4_sides(r, k, l):
-    lhs = Fraction(comb(k * l - 1, r - 1))
-    rhs = Fraction(comb((k - 1) * l - 1, r - 1) + comb(k * l - 1, r - 2))
-    return lhs, rhs
+    return comb(k * l - 1, r - 1), comb((k - 1) * l - 1, r - 1) + comb(k * l - 1, r - 2), 1
 
 
 def _i5_sides(r, k, l):
     L = (l + 1) // 2
-    cap = Fraction(comb(k * L - 1, r - 1))
-    inner = max(
-        cap - Fraction(comb(k * L - 1, r - 2), 2) + Fraction(1, 2),
-        Fraction(comb(l, r), l) + Fraction(5, 2),
-    )
+    cap = 2 * l * comb(k * L - 1, r - 1)
+    inner = max(cap - l * comb(k * L - 1, r - 2) + l, 2 * comb(l, r) + 5 * l)
     # stated as max{...} < cap, so lhs is the cap and rhs the max
-    return cap, inner
+    return cap, inner, 2 * l
 
 
 @dataclass(frozen=True)
@@ -244,7 +251,7 @@ class Lemma:
     params: tuple[str, ...]
     strict: bool
     hypotheses: object  # callable(point) -> bool
-    sides: object  # callable(point) -> (lhs, rhs); the slack is lhs - rhs
+    sides: object  # callable(point) -> (lhs_num, rhs_num, den), den > 0
 
 
 LEMMAS: dict[str, Lemma] = {
@@ -299,11 +306,20 @@ class LemmaReport:
     violations: tuple[tuple[int, ...], ...]
     margin_min: Fraction | None
     strict: bool
-    rows: tuple[tuple[tuple[int, ...], Fraction, Fraction, Fraction], ...] = field(repr=False)
+    # (lhs_num, rhs_num, den) per grid point, as the lemma's side function
+    # returns them
+    scaled: tuple[tuple[int, int, int], ...] = field(repr=False)
 
     @property
     def holds(self) -> bool:
         return not self.violations
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[int, ...], Fraction, Fraction, Fraction], ...]:
+        """(point, lhs, rhs, slack) per grid point as exact rationals, built
+        on first read."""
+        return tuple((pt, Fraction(lhs, den), Fraction(rhs, den), Fraction(lhs - rhs, den))
+                     for pt, (lhs, rhs, den) in zip(self.grid, self.scaled))
 
 
 def default_grid(lemma_id: str, r_max: int = 8, k_max: int = 6, l_max: int = 30):
@@ -318,10 +334,11 @@ def default_grid(lemma_id: str, r_max: int = 8, k_max: int = 6, l_max: int = 30)
 
 
 def verify_lemma(lemma_id: str, grid=None) -> LemmaReport:
-    """Check one inequality over a grid in exact rational arithmetic.
+    """Check one inequality over a grid in exact integer arithmetic.
 
     Reports every violating parameter tuple and the minimum slack observed;
-    a caller-supplied grid must lie inside the stated hypotheses.
+    a caller-supplied grid must hold points of plain ints (not bools,
+    floats or strings) inside the stated hypotheses.
     """
     if lemma_id not in LEMMAS:
         raise ParamsOutOfRange(f"unknown lemma id {lemma_id!r}; expected one of {sorted(LEMMAS)}")
@@ -329,27 +346,34 @@ def verify_lemma(lemma_id: str, grid=None) -> LemmaReport:
     if grid is None:
         grid = default_grid(lemma_id)
     else:
-        grid = tuple(tuple(pt) for pt in grid)
+        try:
+            grid = tuple(tuple(pt) for pt in grid)
+        except TypeError:
+            msg = f"{lemma_id} grid must be an iterable of point tuples"
+            raise GridOutsideHypotheses(msg) from None
         for pt in grid:
-            if len(pt) != len(lemma.params) or not lemma.hypotheses(*pt):
+            if (len(pt) != len(lemma.params)
+                    or not all(type(x) is int for x in pt)
+                    or not lemma.hypotheses(*pt)):
                 raise GridOutsideHypotheses(f"{lemma_id} hypotheses exclude point {pt}")
-    rows = []
+    sides = lemma.sides
+    scaled = []
     violations = []
-    margin = None
+    best_num, best_den = None, 1
     for pt in grid:
-        lhs, rhs = lemma.sides(*pt)
-        slack = lhs - rhs
-        rows.append((pt, lhs, rhs, slack))
-        failed = slack <= 0 if lemma.strict else slack < 0
-        if failed:
+        lhs, rhs, den = triple = sides(*pt)
+        scaled.append(triple)
+        diff = lhs - rhs
+        if diff <= 0 if lemma.strict else diff < 0:
             violations.append(pt)
-        if margin is None or slack < margin:
-            margin = slack
+        # diff/den < best_num/best_den, both denominators positive
+        if best_num is None or diff * best_den < best_num * den:
+            best_num, best_den = diff, den
     return LemmaReport(
         lemma_id=lemma_id,
         grid=grid,
         violations=tuple(sorted(violations)),
-        margin_min=margin,
+        margin_min=None if best_num is None else Fraction(best_num, best_den),
         strict=lemma.strict,
-        rows=tuple(rows),
+        scaled=tuple(scaled),
     )

@@ -3,11 +3,14 @@
 Nothing here shares code with the package's search machinery: containment
 is decided by enumerating injective vertex maps and trying all edge
 assignments, and small Turan numbers come from sweeping every subset of
-the candidate edge set.
+the candidate edge set.  The inequalities I1-I5 are transcribed from their
+statements in ``fractions.Fraction`` arithmetic.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 
 def naive_contains(h, pattern, pinned=None):
@@ -87,11 +90,22 @@ def brute_star(h, centre, size):
     return False
 
 
+def superset_closure(marks, m):
+    """Close a bool array over all 2^m subsets upwards: afterwards an entry
+    is True exactly when some subset of it was True.  One pass per bit j
+    ORs the half of the table without j into the half with j."""
+    table = marks.copy()
+    for j in range(m):
+        halves = table.reshape(-1, 2, 1 << j)
+        halves[:, 1, :] |= halves[:, 0, :]
+    return table
+
+
 def _naive_free_table(n, r, pattern):
     """The candidate r-sets of 1..n in lexicographic order, and a bool
     array over all 2^C(n,r) subsets (bit j = candidate j) that is True
     exactly at the free ones, by marking every superset of every
-    copy-hosting q-subset.
+    copy-hosting q-subset (:func:`superset_closure`).
 
     A Berge copy uses exactly q = |pattern.edges| hyperedges, so a subset
     is free exactly when it contains no hosting q-subset.
@@ -103,23 +117,13 @@ def _naive_free_table(n, r, pattern):
     candidates = list(combinations(range(1, n + 1), r))
     m = len(candidates)
     q = pattern.num_edges
-    total = 1 << m
-    free = np.ones(total, dtype=bool)
+    bad = np.zeros(1 << m, dtype=bool)
     if q <= m:
-        bad_masks = []
         for combo in combinations(range(m), q):
             sub = Hypergraph(n=n, r=r, edges=tuple(candidates[j] for j in combo))
             if naive_contains(sub, pattern):
-                bad_masks.append(sum(1 << j for j in combo))
-        for bad in bad_masks:
-            comp_bits = [j for j in range(m) if not (bad >> j) & 1]
-            k = len(comp_bits)
-            spread = np.zeros(1 << k, dtype=np.int64)
-            vals = np.arange(1 << k, dtype=np.int64)
-            for i, bit in enumerate(comp_bits):
-                spread |= ((vals >> i) & 1) << bit
-            free[bad | spread] = False
-    return candidates, free
+                bad[sum(1 << j for j in combo)] = True
+    return candidates, ~superset_closure(bad, m)
 
 
 def naive_turan(n, r, pattern):
@@ -238,3 +242,61 @@ def naive_edge_orbits(pattern):
         for e in edges
     }
     return tuple(sorted(orbits))
+
+
+# --- the inequalities I1-I5 as stated, in Fraction arithmetic ---------------
+
+
+def _i1(r, L):
+    lhs = Fraction(comb(2 * L - 1, r - 1))
+    rhs = Fraction(comb(2 * L, r) + 2 * comb(2 * L, r - 1) + comb(2 * L, r - 2), 2 * L)
+    return lhs, rhs
+
+
+def _i2(r, k, l):
+    lhs = comb(k * l - 1, r - 1) - Fraction(comb(k * l - 1, r - 2), 2)
+    rhs = Fraction(comb((k - 1) * l, r - 1) + 1)
+    return lhs, rhs
+
+
+def _i3(r, k, l):
+    lhs = Fraction(sum(comb((k - 1) * l - 1, r - t - 1) for t in range(1, r - 1)), 2) \
+        - l + comb(l - 1, r - 2)
+    return lhs, Fraction(0)
+
+
+def _i4(r, k, l):
+    lhs = Fraction(comb(k * l - 1, r - 1))
+    rhs = Fraction(comb((k - 1) * l - 1, r - 1) + comb(k * l - 1, r - 2))
+    return lhs, rhs
+
+
+def _i5(r, k, l):
+    L = (l + 1) // 2
+    cap = Fraction(comb(k * L - 1, r - 1))
+    inner = max(
+        cap - Fraction(comb(k * L - 1, r - 2), 2) + Fraction(1, 2),
+        Fraction(comb(l, r), l) + Fraction(5, 2),
+    )
+    # stated as max{...} < cap, so lhs is the cap and rhs the max
+    return cap, inner
+
+
+# lemma id -> (sides as (lhs, rhs), strict); I2 alone is stated with >=
+LEMMA_SIDES = {"I1": (_i1, True), "I2": (_i2, False), "I3": (_i3, True),
+               "I4": (_i4, True), "I5": (_i5, True)}
+
+
+def naive_verify(lemma_id, grid):
+    """(rows, violations, margin_min) of one inequality over a grid: rows
+    are (point, lhs, rhs, slack) with slack = lhs - rhs, violations the
+    sorted points where the inequality fails, margin_min the least slack
+    (None on an empty grid)."""
+    sides, strict = LEMMA_SIDES[lemma_id]
+    rows = []
+    for pt in grid:
+        lhs, rhs = sides(*pt)
+        rows.append((tuple(pt), lhs, rhs, lhs - rhs))
+    violations = sorted(pt for pt, _, _, slack in rows if (slack <= 0 if strict else slack < 0))
+    margin = min((slack for *_, slack in rows), default=None)
+    return tuple(rows), tuple(violations), margin

@@ -17,6 +17,8 @@ import jsonschema
 import pytest
 
 from bergeturan.cli import main
+from bergeturan.formulas import default_grid
+from oracles import naive_verify
 
 
 def run_cli(capsys, *argv):
@@ -329,6 +331,20 @@ class TestVerifyLemmas:
                                   "lhs": "10", "rhs": "28/3", "slack": "2/3"}
         assert by_lemma["I2"] == {"lemma": "I2", "r": "3", "k": "2", "l": "3", "L": "",
                                   "lhs": "15/2", "rhs": "4", "slack": "7/2"}
+
+    def test_csv_text_matches_fraction_oracle(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        code, _ = run_cli(capsys, "verify-lemmas", "--csv", str(out))
+        assert code == 0
+        lines = ["lemma,r,k,l,L,lhs,rhs,slack"]
+        for lemma_id in ("I1", "I2", "I3", "I4", "I5"):
+            names = ("r", "L") if lemma_id == "I1" else ("r", "k", "l")
+            rows, _, _ = naive_verify(lemma_id, default_grid(lemma_id))
+            for pt, lhs, rhs, slack in rows:
+                params = dict(zip(names, pt))
+                cells = [params.get(name, "") for name in ("r", "k", "l", "L")]
+                lines.append(",".join(map(str, [lemma_id, *cells, lhs, rhs, slack])))
+        assert out.read_bytes().decode().split("\r\n") == [*lines, ""]
 
     def test_single_lemma(self, capsys):
         code, doc = json_doc(capsys, "verify-lemmas", "--lemma", "I1", "--json")

@@ -1,7 +1,10 @@
+import re
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergeturan import (
     FormulaParams,
@@ -17,6 +20,7 @@ from bergeturan import (
 )
 from bergeturan.errors import GridOutsideHypotheses, OutsideTheoremRange, ParamsOutOfRange
 from bergeturan.formulas import LEMMAS
+from oracles import naive_verify
 
 
 class TestErdosGallai:
@@ -199,6 +203,27 @@ class TestLemmaGrids:
         with pytest.raises(GridOutsideHypotheses):
             verify_lemma("I3", [(3, 2, 5)])
 
+    @pytest.mark.parametrize("lemma_id,pt", [
+        ("I1", (3.0, 3.0)), ("I1", ("3", 3)), ("I1", (3, True)), ("I4", (3, 2, 3.0)),
+        ("I5", (3, 2, 7.5)),
+    ])
+    def test_non_integer_points_raise_typed_error(self, lemma_id, pt):
+        with pytest.raises(GridOutsideHypotheses, match=re.escape(str(pt))):
+            verify_lemma(lemma_id, [(3, 3) if lemma_id == "I1" else (3, 2, 5), pt])
+
+    @pytest.mark.parametrize("grid", [5, [3], [(3, 3), None]])
+    def test_non_sequence_grids_raise_typed_error(self, grid):
+        with pytest.raises(GridOutsideHypotheses):
+            verify_lemma("I1", grid)
+
+    def test_reports_on_one_grid_are_equal(self):
+        a, b = verify_lemma("I3"), verify_lemma("I3")
+        assert a == b
+        # rows are built on read, and are not part of equality
+        assert len(a.rows) == len(a.grid)
+        assert a == b
+        assert verify_lemma("I3", default_grid("I3")[:-1]) != b
+
     def test_default_grid_ranges(self):
         grid = default_grid("I2")
         rs = {pt[0] for pt in grid}
@@ -207,3 +232,39 @@ class TestLemmaGrids:
         assert rs == set(range(3, 9))
         assert ks == set(range(2, 7))
         assert max(ls) == 30
+
+
+class TestLemmaOracle:
+    # the Fraction transcriptions of the statements in tests/oracles.py
+
+    @pytest.mark.parametrize("axes", [(), (12, 10, 60)])
+    @pytest.mark.parametrize("lemma_id", sorted(LEMMAS))
+    def test_grids_match_fraction_oracle(self, lemma_id, axes):
+        grid = default_grid(lemma_id, *axes)
+        rep = verify_lemma(lemma_id, grid if axes else None)
+        rows, violations, margin = naive_verify(lemma_id, grid)
+        assert rep.grid == grid
+        assert rep.rows == rows
+        assert all(type(value) is Fraction for row in rep.rows for value in row[1:])
+        assert rep.violations == violations
+        assert rep.margin_min == margin
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_random_points_match_fraction_oracle(self, data):
+        lemma_id = data.draw(st.sampled_from(sorted(LEMMAS)))
+
+        def point():
+            r = data.draw(st.integers(3, 20))
+            if lemma_id == "I1":
+                return r, data.draw(st.integers(r, 200))
+            k = data.draw(st.integers(3 if lemma_id == "I3" else 2, 12))
+            low = max(5, 2 * r - 1) if lemma_id == "I5" else r
+            return r, k, data.draw(st.integers(low, 200))
+
+        grid = [point() for _ in range(data.draw(st.integers(1, 4)))]
+        rep = verify_lemma(lemma_id, grid)
+        rows, violations, margin = naive_verify(lemma_id, grid)
+        assert rep.rows == rows
+        assert rep.violations == violations
+        assert rep.margin_min == margin

@@ -18,9 +18,15 @@ from bergeturan import (
     search,
 )
 from bergeturan.constructions import extremal_construction
-from bergeturan.core import FormulaParams
+from bergeturan.core import FormulaParams, Hypergraph
 from bergeturan.errors import HostNotFree, ParamsOutOfRange, ScaleGuardExceeded
-from oracles import naive_contains, naive_turan, naive_turan_witnesses, random_hypergraph
+from oracles import (
+    _naive_free_table,
+    naive_contains,
+    naive_turan,
+    naive_turan_witnesses,
+    random_hypergraph,
+)
 
 # (n, r, pattern, connected_only, witness_limit, max_candidates) -> the
 # value and the witness edge lists, as the search without forward checking
@@ -195,6 +201,30 @@ def test_matches_naive_witnesses(n, expr, limit):
     res = exact_turan(n, 3, pat, SearchOptions(witness_limit=limit))
     assert res.max_edges == naive_turan(n, 3, pat)
     assert [w.edges for w in res.witnesses] == naive_turan_witnesses(n, 3, pat, limit)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_naive_free_table_matches_subset_walk(n, r):
+    # the oracle's superset closure against a walk over the q-subsets of
+    # every subset of candidates
+    for expr in ("P2", "M2", "P3", "C3", "2P2"):
+        pat = parse_pattern(expr)
+        candidates, free = _naive_free_table(n, r, pat)
+        m, q = len(candidates), pat.num_edges
+        assert len(free) == 1 << m
+        hosting = {}
+        for mask in range(1 << m):
+            chosen = [j for j in range(m) if mask >> j & 1]
+            want = True
+            for combo in combinations(chosen, q):
+                if combo not in hosting:
+                    sub = Hypergraph(n=n, r=r, edges=tuple(candidates[j] for j in combo))
+                    hosting[combo] = naive_contains(sub, pat)
+                if hosting[combo]:
+                    want = False
+                    break
+            assert bool(free[mask]) is want, (n, r, expr, mask)
 
 
 class TestMaximality:
