@@ -12,13 +12,20 @@ explicit indeterminate status, never as "not found".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import comb
 
 from . import _engine_py
-from .core import Hypergraph, PatternGraph, cycle_pattern, parse_pattern, path_pattern, star_pattern
+from .core import (
+    Hypergraph,
+    PatternGraph,
+    Record,
+    cycle_pattern,
+    parse_pattern,
+    path_pattern,
+    star_pattern,
+)
 from .errors import (
     BadParameters,
     BergeTuranError,
@@ -45,8 +52,7 @@ _STATUS_FROM_ENGINE = {
 }
 
 
-@dataclass(frozen=True)
-class BergeCertificate:
+class BergeCertificate(Record):
     """Witness of a Berge copy: defining vertices and the edge bijection.
 
     ``defining_vertices[i]`` is the host vertex hosting pattern vertex i+1;
@@ -94,8 +100,7 @@ class BergeCertificate:
         return BergeCertificate(pattern, vertices, assignment)
 
 
-@dataclass(frozen=True)
-class EmbeddingResult:
+class EmbeddingResult(Record):
     status: Status
     certificate: BergeCertificate | None
     nodes: int
@@ -105,21 +110,18 @@ class EmbeddingResult:
         return self.status is Status.FOUND
 
 
-@dataclass(frozen=True)
-class PathSearchResult:
+class PathSearchResult(Record):
     length: int
     certificate: BergeCertificate
     exact: bool
     nodes: int
 
 
-@dataclass(frozen=True)
-class GoodOrder:
+class GoodOrder(Record):
     ordering: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class StarResult:
+class StarResult(Record):
     exists: bool
     certificate: BergeCertificate | None
     degree: int

@@ -14,18 +14,16 @@ and it contains no k vertex-disjoint Berge paths of length ell.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .core import FormulaParams, Hypergraph
+from .core import FormulaParams, Hypergraph, Record
 from .errors import BlockTooSmall, DoesNotDivide, FormatError, ParamsOutOfRange
 
 EDGE_CLASSES = ("inside_core", "one_outer", "special_pair")
 
 
-@dataclass(frozen=True)
-class ConstructionLayout:
+class ConstructionLayout(Record):
     """Vertex split and per-class edge counts of the core construction."""
 
     core_A: tuple[int, ...]
@@ -76,8 +74,7 @@ class ConstructionLayout:
         return layout
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     class_results: dict[str, tuple[int, int, bool]]  # name -> (expected, recounted, ok)
     unexpected_edges: int
     passed: bool

@@ -4,13 +4,20 @@ Vertices are the integers 1..n.  A hypergraph is canonical when every edge
 is an ascending vertex tuple and the edge list is sorted lexicographically
 with no duplicates.  All types are immutable after construction and safe to
 share across threads.
+
+Every result type of the package derives from :class:`Record`, an
+immutable record that behaves as a frozen standard-library data class:
+fields from the class annotations, defaults from class attributes,
+``__post_init__``, and ``==``, ``hash`` and ``repr`` over the fields.  It
+generates the same per-class methods, once per class, without importing
+the standard module, which would bring ``inspect``, ``ast``, ``dis`` and
+``tokenize`` into every command-line call.
 """
 
 from __future__ import annotations
 
 import io
 import sys
-from dataclasses import dataclass, field
 from operator import lt
 
 from .errors import (
@@ -23,8 +30,65 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Record:
+    """Base of the immutable result types.
+
+    The fields of a subclass are its own annotations, in order; a class
+    attribute of the same name is the field's default.  Each subclass gets,
+    once at class creation, an ``__init__`` with exactly its fields as
+    parameters (positional or keyword) that calls ``__post_init__`` when
+    the class defines one, and the ``repr``, ``==`` and ``hash`` of a
+    frozen data class: ``==`` holds between instances of the same class
+    with equal compared fields, and ``hash`` is the hash of their tuple.
+    Class keywords leave fields out: ``eq_skip`` of ``==`` and ``hash``,
+    ``repr_skip`` of ``repr``.  Assignment and deletion raise
+    AttributeError; ``functools.cached_property`` still works, because it
+    writes the instance dictionary directly.
+    """
+
+    def __init_subclass__(cls, eq_skip=(), repr_skip=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+        params = ", ".join(f"{name}=_default_{name}" if name in defaults else name
+                           for name in names)
+        compared = [name for name in names if name not in eq_skip]
+        mine = "".join(f"self.{name}, " for name in compared)
+        theirs = "".join(f"other.{name}, " for name in compared)
+        shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names if name not in repr_skip)
+        # object.__setattr__ passes the frozen check and keeps the values
+        # inline; reading self.__dict__ here would materialize the dictionary
+        # and make every later attribute read, ==, and hash slower
+        lines = [
+            f"def __init__(self, {params}):",
+            *(f"    _set(self, {name!r}, {name})" for name in names),
+            *(["    self.__post_init__()"] if hasattr(cls, "__post_init__") else []),
+            "def __repr__(self):",
+            f"    return f'{{self.__class__.__qualname__}}({shown})'",
+            "def __eq__(self, other):",
+            "    if other.__class__ is self.__class__:",
+            f"        return ({mine}) == ({theirs})",
+            "    return NotImplemented",
+            "def __hash__(self):",
+            f"    return hash(({mine}))",
+        ]
+        namespace = {f"_default_{name}": value for name, value in defaults.items()}
+        namespace["_set"] = object.__setattr__
+        exec("\n".join(lines), namespace)
+        for method in ("__init__", "__repr__", "__eq__", "__hash__"):
+            function = namespace[method]
+            function.__module__ = cls.__module__
+            function.__qualname__ = f"{cls.__qualname__}.{method}"
+            setattr(cls, method, function)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Hypergraph(Record, eq_skip=("duplicates_collapsed",)):
     """An r-uniform hypergraph on vertices 1..n with a canonical edge list.
 
     Construct through :func:`make_hypergraph` or :func:`read_hypergraph`;
@@ -34,7 +98,7 @@ class Hypergraph:
     n: int
     r: int
     edges: tuple[tuple[int, ...], ...]
-    duplicates_collapsed: bool = field(default=False, compare=False)
+    duplicates_collapsed: bool = False
 
     @property
     def m(self) -> int:
@@ -106,8 +170,7 @@ def _assemble(r, n, edges) -> Hypergraph:
     )
 
 
-@dataclass(frozen=True)
-class PatternGraph:
+class PatternGraph(Record):
     """A simple graph to be located in Berge form inside a host hypergraph.
 
     Vertices are exactly 1..num_vertices, none isolated.  ``edges`` keeps
@@ -268,8 +331,7 @@ def parse_pattern(expr: str) -> PatternGraph:
     return union_pattern(terms)
 
 
-@dataclass(frozen=True)
-class FormulaParams:
+class FormulaParams(Record):
     """Parameters (n, r, ell, k) of the disjoint-path formulas.
 
     The derived core parameter ell' = floor((ell+1)/2) and the parity

@@ -20,13 +20,12 @@ is found without building a Fraction per point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import comb
 
-from .core import FormulaParams
+from .core import FormulaParams, Record
 from .errors import GridOutsideHypotheses, OutsideTheoremRange, ParamsOutOfRange
 
 
@@ -38,8 +37,7 @@ def erdos_gallai_bound(n: int, ell: int) -> Fraction:
     return Fraction(ell - 1, 2) * n
 
 
-@dataclass(frozen=True)
-class KplGraphResult:
+class KplGraphResult(Record):
     value: int
     threshold_n0: int
     valid: bool
@@ -59,8 +57,7 @@ def kpl_graph_turan(n: int, k: int, ell: int) -> KplGraphResult:
     return KplGraphResult(value=value, threshold_n0=threshold, valid=n >= threshold)
 
 
-@dataclass(frozen=True)
-class PathBoundResult:
+class PathBoundResult(Record):
     value: Fraction
     case: str  # "short-path" (r >= ell > 2) or "long-path" (ell >= r+1 > 3)
 
@@ -81,8 +78,7 @@ def berge_path_bound(n: int, r: int, ell: int) -> PathBoundResult:
     raise OutsideTheoremRange(f"(n={n}, r={r}, ell={ell}) fits neither path-bound case")
 
 
-@dataclass(frozen=True)
-class ConnectedPathResult:
+class ConnectedPathResult(Record):
     value: int
     large_n_required: bool  # exactness is only stated above an unspecified order
 
@@ -100,8 +96,7 @@ def connected_berge_path_turan(n: int, r: int, ell: int) -> ConnectedPathResult:
     return ConnectedPathResult(value=value, large_n_required=True)
 
 
-@dataclass(frozen=True)
-class TwoPathResult:
+class TwoPathResult(Record):
     value: Fraction
     case: str  # "path-plus-edge" (second length 1) or "two-paths"
     binomial_part: int
@@ -135,8 +130,7 @@ def two_path_turan(n: int, r: int, ell1: int, ell2: int) -> TwoPathResult:
     return TwoPathResult(max(Fraction(binom), path_part), case, binom, path_part)
 
 
-@dataclass(frozen=True)
-class KplBergeResult:
+class KplBergeResult(Record):
     value: int
     hypothesis_ok: bool
     hypothesis_failures: tuple[str, ...]
@@ -163,8 +157,7 @@ def berge_kpl_turan(p: FormulaParams) -> KplBergeResult:
     return KplBergeResult(value, not failures, failures, True)
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(Record):
     """Right-hand sides of the concluding conjectures, evaluated exactly as
     printed, with the printed-text quirks surfaced instead of silently
     repaired."""
@@ -244,8 +237,7 @@ def _i5_sides(r, k, l):
     return cap, inner, 2 * l
 
 
-@dataclass(frozen=True)
-class Lemma:
+class Lemma(Record):
     lemma_id: str
     statement: str
     params: tuple[str, ...]
@@ -299,8 +291,7 @@ LEMMAS: dict[str, Lemma] = {
 }
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(Record, repr_skip=("scaled",)):
     lemma_id: str
     grid: tuple[tuple[int, ...], ...]
     violations: tuple[tuple[int, ...], ...]
@@ -308,7 +299,7 @@ class LemmaReport:
     strict: bool
     # (lhs_num, rhs_num, den) per grid point, as the lemma's side function
     # returns them
-    scaled: tuple[tuple[int, int, int], ...] = field(repr=False)
+    scaled: tuple[tuple[int, int, int], ...]
 
     @property
     def holds(self) -> bool:

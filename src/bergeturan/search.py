@@ -16,14 +16,13 @@ be {1..r}, which any nonempty free host can be relabelled to satisfy.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 
 from . import _lazy_getattr
 from ._engine_py import FOUND
 from .berge import Status, _pattern_edge_orbits, find_berge_embedding, solve_raw
-from .core import FormulaParams, Hypergraph, PatternGraph, disjoint_paths_pattern
+from .core import FormulaParams, Hypergraph, PatternGraph, Record, disjoint_paths_pattern
 from .errors import HostNotFree, ParamsOutOfRange, ScaleGuardExceeded
 
 # The functions that ``compare_with_formula`` imports from their defining
@@ -37,8 +36,7 @@ __getattr__ = _lazy_getattr(__name__, {
 })
 
 
-@dataclass(frozen=True)
-class SearchOptions:
+class SearchOptions(Record):
     """Options of :func:`exact_turan`.
 
     ``node_budget`` caps the tree nodes, not the kernel calls: including a
@@ -53,8 +51,7 @@ class SearchOptions:
     initial_witness: Hypergraph | None = None
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     max_edges: int
     witnesses: tuple[Hypergraph, ...]
     nodes_explored: int
@@ -292,8 +289,7 @@ def is_maximal_free(h: Hypergraph, pattern: PatternGraph) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Record):
     n: int
     r: int
     k: int
@@ -328,7 +324,11 @@ def compare_with_formula(n: int, r: int, k: int, ell: int,
         built, _ = extremal_construction(params)
         construction_edges = built.m
         if opts.initial_witness is None and not opts.connected_only:
-            opts = replace(opts, initial_witness=built)
+            opts = SearchOptions(connected_only=opts.connected_only,
+                                 node_budget=opts.node_budget,
+                                 witness_limit=opts.witness_limit,
+                                 max_candidates=opts.max_candidates,
+                                 initial_witness=built)
     except ParamsOutOfRange:
         pass
     pattern = disjoint_paths_pattern(k, ell)

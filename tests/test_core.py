@@ -7,14 +7,18 @@ from pathlib import Path
 import pytest
 
 from bergeturan import (
+    BergeCertificate,
+    EmbeddingResult,
     FormulaParams,
     Hypergraph,
+    PatternGraph,
+    Status,
     make_hypergraph,
     parse_pattern,
     read_hypergraph,
     write_hypergraph,
 )
-from bergeturan.core import _read_bulk, _read_lines
+from bergeturan.core import Record, _read_bulk, _read_lines
 from bergeturan.errors import (
     FormatError,
     InvalidCycleLength,
@@ -145,6 +149,80 @@ class TestFormulaParams:
             FormulaParams(n=0, r=3, ell=5, k=2)
         with pytest.raises(ParamsOutOfRange):
             FormulaParams(n=5, r=1, ell=5, k=2)
+
+
+class TestRecord:
+    """The frozen-record semantics every result type relies on."""
+
+    def test_fields_defaults_and_post_init(self):
+        seen = []
+
+        class Point(Record, eq_skip=("label",), repr_skip=("cache",)):
+            x: int
+            y: int = 0
+            label: str = ""
+            cache: tuple = ()
+
+            def __post_init__(self):
+                seen.append((self.x, self.y))
+
+        point = Point(3, cache=(9,))
+        assert seen == [(3, 0)]
+        assert (point.x, point.y, point.label, point.cache) == (3, 0, "", (9,))
+        assert Point(1) == Point(x=1, y=0)
+        assert repr(Point(1, 2, "a", (9,))) == f"{Point.__qualname__}(x=1, y=2, label='a')"
+        assert Point(1, label="a") == Point(1, label="b")
+        assert hash(Point(1, label="a")) == hash(Point(1, label="b")) == hash((1, 0, ()))
+        assert Point(1, cache=(1,)) != Point(1)
+        assert Point(1) != (1, 0, "", ())
+
+    def test_fields_are_frozen(self):
+        h = make_hypergraph(3, 5, [[1, 2, 3]])
+        with pytest.raises(AttributeError, match="'edges'"):
+            h.edges = ()
+        with pytest.raises(AttributeError):
+            h.extra = 1
+        with pytest.raises(AttributeError):
+            del h.n
+        with pytest.raises(AttributeError):
+            FormulaParams(10, 3, 5).k = 2
+        assert h.edges == ((1, 2, 3),)
+
+    def test_hypergraph_compares_without_the_duplicates_flag(self):
+        fresh = make_hypergraph(3, 5, [[1, 2, 3]])
+        collapsed = make_hypergraph(3, 5, [[1, 2, 3], [3, 2, 1]])
+        assert collapsed.duplicates_collapsed and not fresh.duplicates_collapsed
+        assert fresh == collapsed
+        assert hash(fresh) == hash(collapsed) == hash((5, 3, ((1, 2, 3),)))
+        assert len({fresh, collapsed}) == 1
+        assert fresh != make_hypergraph(3, 6, [[1, 2, 3]])
+        assert repr(collapsed) == "Hypergraph(n=5, r=3, edges=((1, 2, 3),), duplicates_collapsed=True)"
+
+    def test_literal_reprs(self):
+        pattern = parse_pattern("P2")
+        assert repr(pattern) == (
+            "PatternGraph(num_vertices=3, edges=((1, 2), (2, 3)), kind_tag='path', expr='P2')")
+        certificate = BergeCertificate(parse_pattern("P1"), (4, 2), (0,))
+        assert repr(EmbeddingResult(Status.FOUND, certificate, 3)) == (
+            "EmbeddingResult(status=<Status.FOUND: 'found'>, certificate=BergeCertificate("
+            "pattern=PatternGraph(num_vertices=2, edges=((1, 2),), kind_tag='path', expr='P1'), "
+            "defining_vertices=(4, 2), edge_assignment=(0,)), nodes=3)")
+        assert repr(FormulaParams(10, 3, 5)) == "FormulaParams(n=10, r=3, ell=5, k=1)"
+
+    def test_post_init_still_validates(self):
+        with pytest.raises(ParamsOutOfRange):
+            FormulaParams(0, 3, 5)
+
+    @pytest.mark.parametrize("build", [
+        lambda: PatternGraph(3, ((1, 2), (2, 3)), "path"),
+        lambda: PatternGraph(3, ((1, 2), (2, 3)), "path", "P2", "extra"),
+        lambda: FormulaParams(10, 3, 5, ell_prime=3),
+        lambda: Hypergraph(n=5, r=3, edges=(), m=0),
+        lambda: FormulaParams(10, 3, 5, n=10),
+    ])
+    def test_wrong_arity_or_keyword_raises_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
 
 
 class TestHgFormat:

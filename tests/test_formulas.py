@@ -19,8 +19,8 @@ from bergeturan import (
     verify_lemma,
 )
 from bergeturan.errors import GridOutsideHypotheses, OutsideTheoremRange, ParamsOutOfRange
-from bergeturan.formulas import LEMMAS
-from oracles import naive_verify
+from bergeturan.formulas import LEMMAS, _i5_sides
+from oracles import LEMMA_SIDES, naive_verify
 
 
 class TestErdosGallai:
@@ -224,6 +224,15 @@ class TestLemmaGrids:
         assert a == b
         assert verify_lemma("I3", default_grid("I3")[:-1]) != b
 
+    def test_report_repr_omits_scaled_and_rows_build_on_read(self):
+        rep = verify_lemma("I1", [(3, 3)])
+        assert repr(rep) == ("LemmaReport(lemma_id='I1', grid=((3, 3),), violations=(), "
+                             "margin_min=Fraction(2, 3), strict=True)")
+        assert "rows" not in vars(rep)
+        rows = rep.rows
+        assert rows == (((3, 3), Fraction(10), Fraction(28, 3), Fraction(2, 3)),)
+        assert vars(rep)["rows"] is rows and rep.rows is rows
+
     def test_default_grid_ranges(self):
         grid = default_grid("I2")
         rs = {pt[0] for pt in grid}
@@ -236,6 +245,23 @@ class TestLemmaGrids:
 
 class TestLemmaOracle:
     # the Fraction transcriptions of the statements in tests/oracles.py
+
+    @pytest.mark.parametrize("pt,cap,first,second", [
+        # k = 1 lies outside the hypotheses; there the second arm wins
+        ((3, 1, 11), 10, 8, Fraction(35, 2)),
+        ((3, 2, 7), 21, 18, Fraction(15, 2)),
+    ])
+    def test_i5_sides_take_the_max_of_both_printed_arms(self, pt, cap, first, second):
+        r, k, l = pt
+        L = (l + 1) // 2
+        # max{C(kL-1, r-1) - C(kL-1, r-2)/2 + 1/2, C(l, r)/l + 5/2} < C(kL-1, r-1)
+        assert Fraction(comb(k * L - 1, r - 1)) == cap
+        assert comb(k * L - 1, r - 1) - Fraction(comb(k * L - 1, r - 2), 2) + Fraction(1, 2) == first
+        assert Fraction(comb(l, r), l) + Fraction(5, 2) == second
+        lhs, rhs, den = _i5_sides(*pt)
+        assert den > 0
+        assert (Fraction(lhs, den), Fraction(rhs, den)) == (cap, max(first, second))
+        assert (Fraction(lhs, den), Fraction(rhs, den)) == LEMMA_SIDES["I5"][0](*pt)
 
     @pytest.mark.parametrize("axes", [(), (12, 10, 60)])
     @pytest.mark.parametrize("lemma_id", sorted(LEMMAS))

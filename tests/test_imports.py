@@ -61,11 +61,13 @@ class TestLazyPublicApi:
         assert not hasattr(bergeturan, "no_such_name")
 
 
-def _loaded_modules(*argv, cwd):
+def _loaded_modules(*argv, cwd, entry=("-m", "bergeturan")):
     """The modules that ``python -m bergeturan ARGV`` imports, read from the
-    interpreter's own ``-X importtime`` report."""
+    interpreter's own ``-X importtime`` report; ``entry`` replaces
+    ``-m bergeturan``, so ``entry=("-c", "pass")`` gives the modules a bare
+    interpreter loads, site hooks included."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "bergeturan", *argv],
+    proc = subprocess.run([sys.executable, "-X", "importtime", *entry, *argv],
                           capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
     names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
              if line.startswith("import time:")}
@@ -114,6 +116,22 @@ class TestSubcommandImports:
         code, loaded = _loaded_modules("check", str(host), "-F", "P2", cwd=tmp_path)
         assert code == 1
         assert {"hashlib", "_hashlib"} <= loaded
+
+    def test_no_command_loads_dataclasses(self, tmp_path):
+        # the result types are Records: importing dataclasses would bring in
+        # inspect, ast, dis and tokenize, about 14 ms of every call; a
+        # module the bare interpreter already loads costs a command nothing
+        _, bare = _loaded_modules(cwd=tmp_path, entry=("-c", "pass"))
+        host = tmp_path / "h.hg"
+        host.write_text("3 5 2\n1 2 3\n3 4 5\n")
+        for argv, expected in [(("check", str(host), "-F", "P2"), 1),
+                               (("turan", "-n", "4", "-r", "3", "-F", "P2"), 0),
+                               (("construct", "-n", "10", "-r", "3", "-l", "5", "-k", "2",
+                                 "-o", str(tmp_path / "c.hg")), 0)]:
+            code, loaded = _loaded_modules(*argv, cwd=tmp_path)
+            assert code == expected, argv
+            assert "bergeturan.core" in loaded
+            assert "dataclasses" not in loaded - bare, argv
 
     def test_lemma_choices_are_the_lemma_ids(self):
         subcommands = next(a for a in build_parser()._actions if a.dest == "subcommand")

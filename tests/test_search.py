@@ -290,6 +290,29 @@ class TestCompareWithFormula:
         assert rep.construction_edges is None
         assert rep.flag == "construction-absent"
 
+    @pytest.mark.parametrize("connected_only,given", [(False, None), (True, None),
+                                                     (False, ((1, 2, 3),))])
+    def test_construction_seeds_only_a_missing_witness(self, monkeypatch, connected_only, given):
+        calls = []
+        real = search.exact_turan
+
+        def recording(n, r, pattern, opts):
+            calls.append(opts)
+            return real(n, r, pattern, opts)
+
+        monkeypatch.setattr(search, "exact_turan", recording)
+        witness = given and make_hypergraph(3, 7, given)
+        opts = SearchOptions(connected_only=connected_only, node_budget=500, witness_limit=2,
+                             max_candidates=40, initial_witness=witness)
+        compare_with_formula(7, 3, 2, 3, opts)
+        (used,) = calls
+        built, _ = extremal_construction(FormulaParams(n=7, r=3, ell=3, k=2))
+        seeded = not connected_only and given is None
+        assert used.initial_witness == (built if seeded else witness)
+        assert (used.connected_only, used.node_budget, used.witness_limit, used.max_candidates) \
+            == (connected_only, 500, 2, 40)
+        assert opts.initial_witness is witness
+
     def test_csv_row_shape(self):
         rep = compare_with_formula(7, 3, 2, 3)
         row = rep.csv_row()
