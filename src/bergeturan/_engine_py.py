@@ -198,6 +198,34 @@ def _join_class(edge_masks, edge_set, inc, classes, w):
     return 0
 
 
+def twin_classes(n, edge_masks):
+    """The twin classes of the host on vertices 0..n-1, as one vertex
+    bitmask per class, ordered by smallest member.
+
+    All uncovered vertices below n form one class: swapping two of them
+    fixes every hyperedge.  Twins share their degree, so the covered
+    vertices are grouped by it and each joins a class by
+    :func:`_join_class`, in ascending order.  A host whose edge list
+    repeats an edge gets a class of its own for every covered vertex,
+    which is a refinement of its twin classes, as the kernel gets no twins
+    there.
+    """
+    covered = reduce(or_, edge_masks, 0)
+    uncovered = ((1 << n) - 1) & ~covered
+    classes = [uncovered] if uncovered else []
+    vertices = [v for v in range(covered.bit_length()) if covered >> v & 1]
+    edge_set = set(edge_masks)
+    if len(edge_set) < len(edge_masks):
+        classes += [1 << v for v in vertices]
+    else:
+        inc = incidence(covered.bit_length(), edge_masks, vertices)
+        groups = {}  # degree -> [[representative, members], ...]
+        for v in vertices:
+            _join_class(edge_masks, edge_set, inc, groups.setdefault(inc[v].bit_count(), []), v)
+        classes += [members for group in groups.values() for _, members in group]
+    return sorted(classes, key=lambda c: c & -c)
+
+
 def _candidates(edge_masks, inc, pinned_mask, host_order, unclassified):
     """The search's candidate records and the lazy classifier of twins.
 

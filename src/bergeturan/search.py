@@ -11,16 +11,26 @@ new hyperedge as one of its representatives, so only embeddings pinned
 through it are searched.  The value is label-invariant, so a labelled
 search suffices; the root symmetry rule forces the first included edge to
 be {1..r}, which any nonempty free host can be relabelled to satisfy.
+
+Filter checks are answered once per orbit of the chosen set's twin group.
+An automorphism sigma of the chosen set C maps C + j onto C + sigma(j),
+so both have a Berge copy or neither has.  The swaps of twin vertices are
+automorphisms, and the group they generate is the product of the
+symmetric groups on the twin classes (``_engine_py.twin_classes``), so
+the orbit of an r-set under it is fixed by the sizes of its intersections
+with the classes.  Later candidates with equal sizes share one check; the
+live lists, the tree and the answer are those of one check per candidate,
+and only the count of kernel calls falls.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, groupby
 from math import comb
 
 from . import _lazy_getattr
-from ._engine_py import FOUND
+from ._engine_py import FOUND, twin_classes
 from .berge import Status, _pattern_edge_orbits, find_berge_embedding, solve_raw
 from .core import FormulaParams, Hypergraph, PatternGraph, Record, disjoint_paths_pattern
 from .errors import HostNotFree, ParamsOutOfRange, ScaleGuardExceeded
@@ -40,9 +50,9 @@ class SearchOptions(Record):
     """Options of :func:`exact_turan`.
 
     ``node_budget`` caps the tree nodes, not the kernel calls: including a
-    candidate runs one pinned check per live candidate after it, so a node
-    can cost many kernel calls (``SearchResult.pinned_calls`` counts
-    them).  0 means unlimited."""
+    candidate runs one pinned check per twin orbit of the live candidates
+    after it, so a node can cost many kernel calls
+    (``SearchResult.pinned_calls`` counts them).  0 means unlimited."""
 
     connected_only: bool = False
     node_budget: int = 0
@@ -119,7 +129,8 @@ class _Searcher:
     A node holds the chosen set, which is free, and ``alive``: the later
     candidates j, in index order, for which chosen + j is free.  Its first
     live candidate is branched on, include first.  Including it filters the
-    rest of ``alive`` by one pinned check each; excluding it keeps them.
+    rest of ``alive`` by one pinned check per twin orbit (see the module
+    docstring); excluding it keeps them.
 
     The recorded witnesses are those of the search that tries every later
     candidate and is bounded by chosen + all remaining candidates:
@@ -198,9 +209,16 @@ class _Searcher:
         self.chosen.append(idx)
         self.chosen_masks.append(self.cand_masks[idx])
         room = len(self.chosen) + len(later)
+        classes = twin_classes(self.n, self.chosen_masks)
+        answers = {}  # orbit key -> does chosen + j have a Berge copy
         alive = []
         for j in later:
-            if not _pinned_copy(self.chosen_masks + [self.cand_masks[j]], self.pattern, self):
+            mask = self.cand_masks[j]
+            key = tuple((mask & c).bit_count() for c in classes)
+            copy = answers.get(key)
+            if copy is None:
+                copy = answers[key] = _pinned_copy(self.chosen_masks + [mask], self.pattern, self)
+            if not copy:
                 alive.append(j)
                 continue
             room -= 1
@@ -273,18 +291,51 @@ def exact_turan(n: int, r: int, pattern: PatternGraph, opts: SearchOptions | Non
     return _Searcher(n, r, pattern, opts).run()
 
 
+def _orbit_representatives(classes, r):
+    """One r-set per orbit of the product of the symmetric groups on
+    ``classes`` (vertex bitmasks), as a bitmask: for every way of taking
+    c_i vertices from class i with the c_i summing to r, the r-set of the
+    smallest c_i members of each class."""
+    # prefixes[i][c] is the smallest c members of class i, for c <= r
+    prefixes = []
+    for cls in classes:
+        row = [0]
+        while cls and len(row) <= r:
+            low = cls & -cls
+            row.append(row[-1] | low)
+            cls ^= low
+        prefixes.append(row)
+    # a multiset of r class indices says how many vertices each class gives
+    for pick in combinations_with_replacement(range(len(classes)), r):
+        rset = 0
+        for i, run in groupby(pick):
+            c = len(tuple(run))
+            if c >= len(prefixes[i]):
+                break
+            rset |= prefixes[i][c]
+        else:
+            yield rset
+
+
 def is_maximal_free(h: Hypergraph, pattern: PatternGraph) -> bool:
     """Is the (verified free) host saturated: does adding any absent r-set
-    create a Berge copy?"""
+    create a Berge copy?
+
+    One r-set is tried per orbit of the host's twin group.  An
+    automorphism sigma of H maps H onto itself, so an orbit of r-sets is
+    wholly present or wholly absent, and it maps H + e onto H + sigma(e),
+    so one absent r-set answers for its orbit.  The twin group is the
+    product of the symmetric groups on the twin classes
+    (``_engine_py.twin_classes``), so an orbit is fixed by how many
+    vertices it takes from each class (:func:`_orbit_representatives`);
+    the constructions have two or three classes."""
     res = find_berge_embedding(h, pattern, budget=0)
     if res.status is not Status.NOT_FOUND:
         raise HostNotFree("host already contains the pattern")
     masks = h.edge_vertex_masks()
-    present = set(h.edges)
-    for e in combinations(range(1, h.n + 1), h.r):
-        if e in present:
-            continue
-        if not _pinned_copy(masks + [_mask(e)], pattern):
+    present = set(masks)
+    for e in _orbit_representatives(twin_classes(h.n, masks), h.r):
+        if e not in present and not _pinned_copy(masks + [e], pattern):
             return False
     return True
 

@@ -224,6 +224,25 @@ def symmetric_hypergraph(rng: random.Random, n, r):
     return make_hypergraph(r, n, sorted(edges))
 
 
+def naive_twin_classes(n, edges):
+    """Twin classes of a host on vertices 0..n-1 whose edges are vertex
+    collections, repeats allowed: u and w share a class exactly when
+    swapping them maps the multiset of edges onto itself.  Returns one
+    frozenset per class, the classes sorted by smallest member."""
+    from collections import Counter
+
+    multiset = Counter(frozenset(e) for e in edges)
+
+    def swapped(e, u, w):
+        return frozenset(w if v == u else u if v == w else v for v in e)
+
+    def twins(u, w):
+        return Counter(swapped(e, u, w) for e in multiset.elements()) == multiset
+
+    classes = {frozenset(w for w in range(n) if twins(u, w)) for u in range(n)}
+    return sorted(classes, key=min)
+
+
 def naive_edge_orbits(pattern):
     """Orbits of pattern edges under all vertex permutations that map the
     edge set onto itself, as ascending tuples of 0-based edge indices

@@ -23,7 +23,7 @@ from bergeturan.cli import main
 from bergeturan.core import FormulaParams
 from bergeturan.constructions import block_construction, extremal_construction
 from bergeturan.errors import ParamsOutOfRange
-from oracles import naive_contains, random_hypergraph, symmetric_hypergraph
+from oracles import naive_contains, naive_twin_classes, random_hypergraph, symmetric_hypergraph
 
 CORPUS_PATTERNS = [parse_pattern(e) for e in
                    ("P1", "P2", "P3", "P4", "C3", "C4", "S2", "S3", "M2", "2P2", "P2+M1")]
@@ -301,6 +301,44 @@ def test_hypergraph_incidence_masks_agree_with_their_definition():
             for v in e:
                 expected[v] = expected.get(v, 0) | (1 << j)
         assert h.incidence_masks() == expected
+
+
+def test_twin_classes_agree_with_naive_oracle(monkeypatch):
+    # hosts full of twins and random hosts with r in {2, 3, 4}, with up to
+    # two uncovered vertices past the last label, and some listing one edge
+    # twice: those get a class per covered vertex, which refines the twin
+    # classes.  No vertex of degree 0 reaches a twin test.
+    real_join = _engine_py._join_class
+
+    def checked_join(edge_masks, edge_set, inc, classes, w):
+        assert inc[w], w
+        return real_join(edge_masks, edge_set, inc, classes, w)
+
+    monkeypatch.setattr(_engine_py, "_join_class", checked_join)
+    rng = random.Random(13)
+    seen = set()
+    for h, _, _ in _twin_corpus(1313, 500):
+        n = h.n + rng.randint(0, 2)
+        masks = h.edge_vertex_masks()
+        repeated = rng.random() < 0.2
+        if repeated:
+            masks.append(rng.choice(masks))
+        classes = _engine_py.twin_classes(n, masks)
+        got = [frozenset(v for v in range(n) if c >> v & 1) for c in classes]
+        expected = naive_twin_classes(n, [[v for v in range(n) if em >> v & 1] for em in masks])
+        covered = {v for em in masks for v in range(n) if em >> v & 1}
+        uncovered = frozenset(range(n)) - covered
+        if repeated:
+            singletons = [frozenset((v,)) for v in covered]
+            assert got == sorted(singletons + ([uncovered] if uncovered else []), key=min)
+            assert all(any(c <= t for t in expected) for c in got)
+        else:
+            assert got == expected, (h, n)
+        seen.add((h.r, repeated, bool(uncovered), any(len(c - uncovered) > 1 for c in expected)))
+    assert {(r, repeated) for r, repeated, _, _ in seen} == {
+        (r, repeated) for r in (2, 3, 4) for repeated in (False, True)}
+    assert {(bare, twins) for _, _, bare, twins in seen} == {
+        (bare, twins) for bare in (False, True) for twins in (False, True)}
 
 
 def test_pin_rule_starts_inside_the_pinned_hyperedge():

@@ -18,7 +18,7 @@ from bergeturan import (
     search,
 )
 from bergeturan.constructions import extremal_construction
-from bergeturan.core import FormulaParams, Hypergraph
+from bergeturan.core import FormulaParams, Hypergraph, disjoint_paths_pattern
 from bergeturan.errors import HostNotFree, ParamsOutOfRange, ScaleGuardExceeded
 from oracles import (
     _naive_free_table,
@@ -26,6 +26,7 @@ from oracles import (
     naive_turan,
     naive_turan_witnesses,
     random_hypergraph,
+    symmetric_hypergraph,
 )
 
 # (n, r, pattern, connected_only, witness_limit, max_candidates) -> the
@@ -151,6 +152,32 @@ class TestExactTuran:
         res = exact_turan(7, 3, parse_pattern("P4"))
         assert (res.max_edges, res.exact, res.nodes_explored) == (5, True, 550)
 
+    @pytest.mark.parametrize("instance", [row[0] for row in PINNED_ANSWERS],
+                             ids=["-".join(map(str, row[0])) for row in PINNED_ANSWERS])
+    def test_twin_orbits_keep_every_answer(self, monkeypatch, instance):
+        # singleton classes give every later candidate a check of its own,
+        # which is the search with one check per candidate: every field
+        # but the count of checks, and the elapsed time, is the same
+        n, r, expr, connected, limit, cap = instance
+        opts = SearchOptions(connected_only=connected, witness_limit=limit, max_candidates=cap)
+        reduced = exact_turan(n, r, parse_pattern(expr), opts)
+        monkeypatch.setattr(search, "twin_classes", lambda n, masks: [1 << v for v in range(n)])
+        plain = exact_turan(n, r, parse_pattern(expr), opts)
+
+        def answer(res):
+            return res.max_edges, res.witnesses, res.nodes_explored, res.exact
+
+        assert answer(reduced) == answer(plain)
+        assert reduced.pinned_calls < plain.pinned_calls
+
+    @pytest.mark.parametrize("n,r,expr,cap,calls", [
+        (7, 3, "P4", 64, 3644),  # one check per candidate: 6,387
+        (8, 3, "2P2", 100, 12491),  # one check per candidate: 27,763
+    ])
+    def test_twin_orbits_cut_the_pinned_calls(self, n, r, expr, cap, calls):
+        res = exact_turan(n, r, parse_pattern(expr), SearchOptions(max_candidates=cap))
+        assert res.exact and res.pinned_calls == calls
+
     def test_pinned_calls_are_counted_and_repeat(self, monkeypatch):
         calls = []
         real_raw = search.solve_raw
@@ -227,6 +254,51 @@ def test_naive_free_table_matches_subset_walk(n, r):
             assert bool(free[mask]) is want, (n, r, expr, mask)
 
 
+def _saturated_by_every_rset(h, pattern):
+    """The saturation check with one pinned check per absent r-set, in
+    lexicographic order, stopping at the first that creates no copy."""
+    masks = h.edge_vertex_masks()
+    present = set(h.edges)
+    return all(search._pinned_copy(masks + [search._mask(e)], pattern)
+               for e in combinations(range(1, h.n + 1), h.r) if e not in present)
+
+
+# (r, k, ell) -> the largest n compared, at most 20, over the extremal
+# constructions that fit.  A host that is not saturated stops the
+# unreduced loop within 35 checks, but a saturated one costs it a check per
+# absent r-set, so each row stops where the loop stays cheap; 2P6 runs to
+# its first saturated host, n=14 (3 s).  The first saturated hosts of 2P7,
+# 2P8, 3P4 and 3P5, and of 2P6, 3P3 and 3P4 at r=4, cost it 2-60 s, so
+# those rows stop below them, and the r=4 rows of 3P6-3P8 are left out.
+SATURATION_ROWS = {
+    **{(2, 1, ell): 14 for ell in range(3, 9)},
+    **{(2, 2, ell): 16 for ell in range(1, 8)}, (2, 2, 8): 18,
+    **{(2, 3, ell): 18 for ell in range(1, 9)},
+    **{(3, 1, ell): 13 for ell in range(5, 9)},
+    (3, 2, 3): 13, (3, 2, 4): 12, (3, 2, 5): 13, (3, 2, 6): 14, (3, 2, 7): 15, (3, 2, 8): 17,
+    (3, 3, 2): 20, (3, 3, 3): 13, (3, 3, 4): 14, (3, 3, 5): 17,
+    **{(3, 3, ell): 20 for ell in range(6, 9)},
+    (4, 1, 7): 20, (4, 1, 8): 20, (4, 2, 3): 12, (4, 2, 4): 20, (4, 2, 5): 11,
+    (4, 2, 6): 13, (4, 2, 7): 15, (4, 2, 8): 17, (4, 3, 3): 11, (4, 3, 4): 14, (4, 3, 5): 17,
+}
+
+
+def _greedy_free_hosts():
+    """Greedy maximal free 3-graphs on 6 vertices, each then with up to two
+    edges dropped, with their patterns."""
+    rng = random.Random(515151)
+    triples = list(combinations(range(1, 7), 3))
+    for _ in range(12):
+        pat = parse_pattern(rng.choice(["P2", "P3", "M2", "2P2", "P2+M1", "C3"]))
+        edges = []
+        for e in rng.sample(triples, len(triples)):
+            if not naive_contains(make_hypergraph(3, 6, edges + [list(e)]), pat):
+                edges.append(list(e))
+        for drop in range(3):
+            kept = rng.sample(edges, len(edges) - min(drop, len(edges) - 1))
+            yield make_hypergraph(3, 6, kept), pat
+
+
 class TestMaximality:
     def test_complete_host_is_maximal(self):
         h = make_hypergraph(3, 4, [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])
@@ -256,26 +328,62 @@ class TestMaximality:
         assert find_berge_embedding(cut, pattern).status is Status.NOT_FOUND
         assert not is_maximal_free(cut, pattern)
 
+    @pytest.mark.parametrize("r,k,ell", list(SATURATION_ROWS),
+                             ids=[f"r{r}-{k}P{ell}" for r, k, ell in SATURATION_ROWS])
+    def test_orbits_match_every_rset_on_constructions(self, r, k, ell):
+        pattern = disjoint_paths_pattern(k, ell)
+        seen = []
+        for n in range(r, SATURATION_ROWS[r, k, ell] + 1):
+            try:
+                h, _ = extremal_construction(FormulaParams(n=n, r=r, ell=ell, k=k))
+            except ParamsOutOfRange:
+                continue
+            saturated = is_maximal_free(h, pattern)
+            assert saturated == _saturated_by_every_rset(h, pattern), n
+            seen.append(saturated)
+        assert seen
+
     def test_matches_naive_extension(self):
-        # greedy maximal free hosts, then with a few edges dropped
-        rng = random.Random(515151)
-        triples = list(combinations(range(1, 7), 3))
         seen = set()
-        for _ in range(12):
-            pat = parse_pattern(rng.choice(["P2", "P3", "M2", "2P2", "P2+M1", "C3"]))
+        for h, pat in _greedy_free_hosts():
+            naive = all(
+                naive_contains(make_hypergraph(3, 6, list(h.edges) + [e]), pat)
+                for e in combinations(range(1, 7), 3) if e not in h.edges
+            )
+            assert is_maximal_free(h, pat) == naive, (h.edges, pat.expr)
+            seen.add(naive)
+        assert seen == {True, False}
+
+    def test_orbits_match_every_rset_on_the_corpus(self):
+        # the hosts of the tests above, the cut construction among them, and
+        # greedy maximal free subhosts of complete blocks, which keep large
+        # twin classes, then with one edge dropped
+        h13, _ = extremal_construction(FormulaParams(n=13, r=3, ell=5, k=2))
+        corpus = [
+            (make_hypergraph(3, 4, [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]), "P4"),
+            (make_hypergraph(3, 6, [[1, 2, 3], [4, 5, 6]]), "P2"),
+            (make_hypergraph(3, 6, [[1, 2, 3]]), "P2"),
+            (h13, "2P5"),
+            (make_hypergraph(3, 13, [list(e) for e in h13.edges[1:]]), "2P5"),
+        ]
+        corpus = [(h, parse_pattern(expr)) for h, expr in corpus] + list(_greedy_free_hosts())
+        rng = random.Random(717171)
+        for _ in range(40):
+            r = rng.choice((2, 3, 4))
+            h = symmetric_hypergraph(rng, rng.randint(r + 2, 9), r)
+            pat = parse_pattern(rng.choice(["P2", "P3", "M2", "2P2", "C3", "S3"]))
             edges = []
-            for e in rng.sample(triples, len(triples)):
-                if not naive_contains(make_hypergraph(3, 6, edges + [list(e)]), pat):
-                    edges.append(list(e))
-            for drop in range(3):
-                kept = rng.sample(edges, len(edges) - min(drop, len(edges) - 1))
-                h = make_hypergraph(3, 6, kept)
-                naive = all(
-                    naive_contains(make_hypergraph(3, 6, kept + [list(e)]), pat)
-                    for e in triples if list(e) not in kept
-                )
-                assert is_maximal_free(h, pat) == naive, (h.edges, pat.expr)
-                seen.add(naive)
+            for e in h.edges:
+                grown = make_hypergraph(r, h.n, edges + [e])
+                if find_berge_embedding(grown, pat).status is Status.NOT_FOUND:
+                    edges.append(e)
+            corpus.append((make_hypergraph(r, h.n, edges), pat))
+            corpus.append((make_hypergraph(r, h.n, edges[1:] or edges), pat))
+        seen = set()
+        for h, pat in corpus:
+            saturated = is_maximal_free(h, pat)
+            assert saturated == _saturated_by_every_rset(h, pat), (h, pat.expr)
+            seen.add(saturated)
         assert seen == {True, False}
 
 
