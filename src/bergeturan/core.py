@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import sys
+from itertools import chain
 from operator import lt
 
 from .errors import (
@@ -88,6 +89,26 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+# Hosts with at least this many edges are read through their distinct labels
+# and have their edge masks built from one bit per distinct label; smaller
+# hosts take the per-edge routes, which cost less where a label repeats only
+# a few times.  Measured on random canonical hosts with n=12, r=3 and with
+# n=60, r=4 (median of 9 x 200 calls, one core of a 2-core x86 machine): the
+# reader's two routes break even at 16-48 edges, and the mask builder's at
+# 16-32 (n=12) and at about 64 (n=60).  At 64 edges a read takes 73 us
+# against 85 (n=12) and 76 against 105 (n=60), and the masks 36 us against
+# 51 (n=12) and 50-67 against 50-70 (n=60, two runs).
+_LARGE_HOST_EDGES = 64
+
+
+class _VertexBits(dict):
+    """Vertex v to its bit 1 << (v - 1), computed at its first lookup."""
+
+    def __missing__(self, v):
+        bit = self[v] = 1 << (v - 1)
+        return bit
+
+
 class Hypergraph(Record, eq_skip=("duplicates_collapsed",)):
     """An r-uniform hypergraph on vertices 1..n with a canonical edge list.
 
@@ -112,11 +133,20 @@ class Hypergraph(Record, eq_skip=("duplicates_collapsed",)):
         return tuple(sorted(seen))
 
     def edge_vertex_masks(self) -> list[int]:
-        """Per-edge bitmask of member vertices (bit v-1 set for vertex v)."""
-        # vertex v sets bit v, and the sum is shifted down by one; no table
-        # indexed by n, whose bits would cost n**2 / 16 bytes
-        bit_above = (1).__lshift__
-        return [sum(map(bit_above, e)) >> 1 for e in self.edges]
+        """Per-edge bitmask of member vertices (bit v-1 set for vertex v).
+
+        Each call builds a fresh list; the host keeps none.  A host of at
+        least ``_LARGE_HOST_EDGES`` edges computes one bit per distinct
+        label and looks it up once per incidence."""
+        edges = self.edges
+        if len(edges) < _LARGE_HOST_EDGES:
+            # vertex v sets bit v, and the sum is shifted down by one; no
+            # table indexed by n, whose bits would cost n**2 / 16 bytes
+            bit_above = (1).__lshift__
+            return [sum(map(bit_above, e)) >> 1 for e in edges]
+        # the incidences in edge order, regrouped r at a time by zip
+        bit = _VertexBits().__getitem__
+        return list(map(sum, zip(*[map(bit, chain.from_iterable(edges))] * self.r)))
 
     def incidence_masks(self) -> dict[int, int]:
         """Per covered vertex, the bitmask over edge indices (bit j set when
@@ -395,7 +425,9 @@ def read_hypergraph(text) -> Hypergraph:
 
     The edge block is checked in bulk first (:func:`_read_bulk`); a text
     that fails any bulk check is read again line by line
-    (:func:`_read_lines`), which finds and reports the first problem.
+    (:func:`_read_lines`), which finds and reports the first problem.  A
+    bulk read of at least ``_LARGE_HOST_EDGES`` edges parses each distinct
+    label once.  No edge mask is built here.
     """
     if isinstance(text, io.TextIOBase):
         text = text.read()
@@ -410,7 +442,8 @@ def _read_bulk(text):
     """The hypergraph of ``text``, or None where :func:`_read_lines` might
     raise.  Each check runs over the whole edge block at C speed: the lines
     must hold r fields of ASCII digits between single spaces, and the
-    vertex columns must rise strictly within 1..n."""
+    vertex columns must rise strictly within 1..n.  From
+    ``_LARGE_HOST_EDGES`` edges on, int() runs once per distinct label."""
     if not text.endswith("\n"):
         return None
     if "#" in text:
@@ -434,14 +467,19 @@ def _read_bulk(text):
     holes = body.encode().translate(None, _DIGITS)
     if len(holes) != r * m or m and holes != (b" " * (r - 1) + b"\n") * m:
         return None
-    try:
-        values = list(map(int, body.split()))
-    except ValueError:  # an integer too long to convert
-        return None
-    if len(values) != r * m:  # an empty field
+    fields = body.split()
+    if len(fields) != r * m:  # an empty field
         return None
     if not m:  # with no edges, r is bounded by nothing in the text
         return _assemble(r, n, [])
+    try:
+        if m < _LARGE_HOST_EDGES:
+            values = list(map(int, fields))
+        else:
+            distinct = set(fields)
+            values = list(map(dict(zip(distinct, map(int, distinct))).__getitem__, fields))
+    except ValueError:  # an integer too long to convert
+        return None
     columns = [values[i::r] for i in range(r)]
     if min(columns[0]) < 1 or max(columns[-1]) > n:
         return None

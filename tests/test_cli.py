@@ -17,6 +17,7 @@ import jsonschema
 import pytest
 
 from bergeturan.cli import main
+from bergeturan.core import _LARGE_HOST_EDGES
 from bergeturan.formulas import default_grid
 from oracles import naive_verify
 
@@ -181,6 +182,16 @@ class TestContainmentCommands:
         path.write_text("3 5 1\n1 2 " + "9" * 5000 + "\n")
         assert main(["check", str(path), "-F", "P2"]) == 2
         assert "line 2: integer longer than 4300 digits" in capsys.readouterr().err
+
+    def test_overlong_integer_in_a_large_host_exit_two(self, tmp_path, capsys):
+        # enough edges for the reader's distinct-label route
+        m = _LARGE_HOST_EDGES
+        lines = [f"{i} {i + 1} {i + 2}\n" for i in range(1, m + 1)]
+        lines[m // 2] = "1 2 " + "9" * 5000 + "\n"
+        path = tmp_path / "long.hg"
+        path.write_text(f"3 {m + 2} {m}\n" + "".join(lines))
+        assert main(["check", str(path), "-F", "P2"]) == 2
+        assert f"line {m // 2 + 2}: integer longer than 4300 digits" in capsys.readouterr().err
 
     def test_crlf_host_reads_as_lf_and_digests_raw_bytes(self, host_file, tmp_path, capsys):
         raw = host_file.read_bytes().replace(b"\n", b"\r\n")

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,11 +15,14 @@ from bergeturan import (
     Hypergraph,
     PatternGraph,
     Status,
+    block_construction,
+    extremal_construction,
     make_hypergraph,
     parse_pattern,
     read_hypergraph,
     write_hypergraph,
 )
+from bergeturan import core
 from bergeturan.core import Record, _read_bulk, _read_lines
 from bergeturan.errors import (
     FormatError,
@@ -373,3 +378,116 @@ def test_large_n_hosts_cost_nothing_in_n():
          [[1, 1], [2, 1], [3, 1], [99998, 2], [99999, 2], [100000, 2]],
          [["found", 2], ["not-found", 10]]],
     ]
+
+
+# --- edge masks of large hosts ------------------------------------------------
+
+CUT = core._LARGE_HOST_EDGES
+
+
+def _hg_lines(m, n=12, r=3, seed=0):
+    """m distinct random edges of 1..n, sorted, as .hg edge lines."""
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(1, n + 1), r))))
+    return [" ".join(map(str, e)) + "\n" for e in sorted(edges)]
+
+
+def _canonical(m):
+    return f"3 12 {m}\n" + "".join(_hg_lines(m))
+
+
+def _commented(m):
+    lines = _hg_lines(m)
+    return f"# a host\n3 12 {m}\n" + "".join(lines[:5]) + "# more\n" + "".join(lines[5:])
+
+
+def _unsorted(m):
+    # no duplicates, so only the order differs from the canonical edge list
+    return f"3 12 {m}\n" + "".join(reversed(_hg_lines(m)))
+
+
+def _duplicated(m):
+    # m + 1 lines, so the reader's route follows the lines and the mask
+    # builder's the m edges
+    lines = _hg_lines(m)
+    return f"3 12 {m + 1}\n" + "".join(lines[:3] + [lines[2]] + lines[3:])
+
+
+MASK_HOSTS = {
+    "canonical": lambda m: read_hypergraph(_canonical(m)),
+    "canonical-r4": lambda m: read_hypergraph(f"4 12 {m}\n" + "".join(_hg_lines(m, r=4))),
+    "comments": lambda m: read_hypergraph(_commented(m)),
+    "unsorted": lambda m: read_hypergraph(_unsorted(m)),
+    "duplicates": lambda m: read_hypergraph(_duplicated(m)),
+    # the host the line scan builds
+    "line-scan": lambda m: _read_lines(_canonical(m)),
+    "make": lambda m: make_hypergraph(3, 12, [tuple(map(int, line.split()))[::-1]
+                                              for line in _hg_lines(m)]),
+    # 60 and 65 edges
+    "extremal": lambda m: extremal_construction(
+        FormulaParams(n=10, r=3, ell=5 if m < CUT else 6, k=2))[0],
+    # one edge per block of three
+    "block": lambda m: block_construction(3 * m, 3, 3),
+}
+
+
+@pytest.mark.parametrize("kind,m", [(kind, m) for kind in sorted(MASK_HOSTS)
+                                    for m in (CUT - 1, CUT)] + [("canonical", 0)])
+def test_edge_masks_match_naive_on_both_sides_of_the_cut(kind, m):
+    h = MASK_HOSTS[kind](m)
+    assert (h.m < CUT) == (m < CUT)
+    naive = [sum(1 << (v - 1) for v in e) for e in h.edges]
+    twin = Hypergraph(h.n, h.r, h.edges)
+    before = (repr(h), hash(h))
+    first = h.edge_vertex_masks()
+    assert first == naive
+    first.append(0)
+    first[0] = -1
+    assert h.edge_vertex_masks() == naive
+    assert h.edge_vertex_masks() is not h.edge_vertex_masks()
+    assert (repr(h), hash(h)) == before
+    assert h == twin and twin == h and hash(twin) == hash(h)
+    assert read_hypergraph(write_hypergraph(h)) == h
+
+
+@pytest.mark.parametrize("at", [0, CUT // 2, CUT - 1])
+@pytest.mark.parametrize("digits", ["9" * 5000, "0" * 4400 + "3"])
+def test_overlong_label_in_a_large_host_names_its_line(at, digits):
+    lines = _hg_lines(CUT)
+    lines[at] = "1 2 " + digits + "\n"
+    text = f"3 12 {CUT}\n" + "".join(lines)
+    assert _read_bulk(text) is None
+    with pytest.raises(FormatError) as exc:
+        read_hypergraph(text)
+    assert (str(exc.value), exc.value.line) == (
+        f"line {at + 2}: integer longer than 4300 digits", at + 2)
+
+
+_HUGE_LABELS_PROBE = """
+import sys, tracemalloc
+from bergeturan import read_hypergraph
+tracemalloc.start()
+h = read_hypergraph(sys.stdin.read())
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(h.m, peak)
+"""
+
+
+def test_reading_a_large_host_with_huge_labels_builds_no_mask():
+    # each mask of these edges would take about 125 MB, so the child runs
+    # under the 1 GB cap: a reader that built masks fails there, not here
+    top = 10 ** 9
+    text = f"3 {top} {CUT}\n" + "".join(
+        f"{top - 3 * i - 2} {top - 3 * i - 1} {top - 3 * i}\n" for i in reversed(range(CUT)))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _HUGE_LABELS_PROBE], input=text,
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    m, peak = map(int, proc.stdout.split())
+    assert m == CUT and peak < 1 << 20
