@@ -139,16 +139,6 @@ class _Run:
             Path(manifest_path).write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _add_common(sp, budget=False, json_out=True):
-    sp.add_argument("--manifest", help="write the run manifest to this path")
-    if budget:
-        sp.add_argument("--budget", type=_integer, default=0,
-                        help="node budget; 0 means unlimited (exact)")
-    if json_out:
-        sp.add_argument("--json", nargs="?", const="-",
-                        help="machine output; '-' or no value for stdout, else a path")
-
-
 def _cmd_construct(ns, run):
     from .constructions import extremal_construction
     from .formulas import berge_kpl_turan
@@ -453,119 +443,135 @@ def _cmd_audit(ns, run):
     return EXIT_OK if report.passed else EXIT_PROPERTY_FAILS
 
 
-def build_parser():
+_REQUIRED_INT = {"type": _integer, "required": True}
+_HOST = (("host",), {})
+_PATTERN = (("-F", "--pattern"), {"required": True})
+_MANIFEST = (("--manifest",), {"help": "write the run manifest to this path"})
+_JSON = (("--json",), {"nargs": "?", "const": "-",
+                       "help": "machine output; '-' or no value for stdout, else a path"})
+_COMMON = [_MANIFEST, _JSON]
+# the node budget of the kernel searches
+_COMMON_BUDGET = [_MANIFEST,
+                  (("--budget",), {"type": _integer, "default": 0,
+                                   "help": "node budget; 0 means unlimited (exact)"}),
+                  _JSON]
+
+# One row per subcommand, in the order the usage line lists them: its help,
+# its function, and its arguments as (flags, add_argument keywords) in the
+# order its --help lists them.
+_COMMANDS = {
+    "construct": ("build the core extremal construction", _cmd_construct, [
+        (("-n",), _REQUIRED_INT),
+        (("-r",), _REQUIRED_INT),
+        (("-l", "--ell"), _REQUIRED_INT),
+        (("-k",), {"type": _integer, "default": 1}),
+        (("-o", "--output"), {"help": "write .hg here (plus .layout.json sidecar)"}),
+        *_COMMON,
+    ]),
+    "block": ("disjoint complete blocks construction", _cmd_block, [
+        (("-n",), _REQUIRED_INT),
+        (("-l", "--block"), _REQUIRED_INT),
+        (("-r",), _REQUIRED_INT),
+        (("-o", "--output"), {}),
+        *_COMMON,
+    ]),
+    "formula": ("evaluate a closed-form bound exactly", _cmd_formula, [
+        (("--name",), {"required": True,
+                       "choices": ["erdos-gallai", "kpl-graph", "berge-path",
+                                   "connected-berge-path", "two-path", "berge-kpl",
+                                   "conjecture"]}),
+        (("-n",), _REQUIRED_INT),
+        (("-r",), {"type": _integer, "default": 2}),
+        (("-l", "--ell"), {"type": _integer}),
+        (("--ell2",), {"type": _integer, "default": 1}),
+        (("-k",), {"type": _integer, "default": 2}),
+        (("--ells",), {"type": _integer_list,
+                       "help": "comma-separated path lengths for the forest conjecture"}),
+        *_COMMON,
+    ]),
+    "check": ("prove or refute freeness from a Berge pattern", _cmd_check,
+              [_HOST, _PATTERN, *_COMMON_BUDGET]),
+    "find": ("find a Berge copy with a certificate", _cmd_find,
+             [_HOST, _PATTERN, *_COMMON_BUDGET]),
+    "longest-path": ("longest Berge path with witness", _cmd_longest_path,
+                     [_HOST, *_COMMON_BUDGET]),
+    "cycle": ("find a Berge cycle of a given length", _cmd_cycle, [
+        _HOST,
+        (("--length",), _REQUIRED_INT),
+        *_COMMON_BUDGET,
+    ]),
+    "good-order": ("vertex order whose consecutive pairs are good", _cmd_good_order, [
+        _HOST,
+        (("--first",), _REQUIRED_INT),
+        *_COMMON,
+    ]),
+    "bcn": ("Berge-common neighbours of a vertex set", _cmd_bcn, [
+        _HOST,
+        (("--vertices",), {"type": _integer_list, "required": True,
+                           "help": "comma-separated base set"}),
+        *_COMMON,
+    ]),
+    "star": ("Berge star with a given centre", _cmd_star, [
+        _HOST,
+        (("--centre",), _REQUIRED_INT),
+        (("--size",), _REQUIRED_INT),
+        *_COMMON,
+    ]),
+    "turan": ("exact Turan number by branch and bound", _cmd_turan, [
+        (("-n",), _REQUIRED_INT),
+        (("-r",), _REQUIRED_INT),
+        _PATTERN,
+        (("--connected",), {"action": "store_true"}),
+        (("--witnesses",), {"type": _integer, "default": 1}),
+        (("--max-candidates",), {"type": _integer, "default": 64}),
+        (("--out-dir",), {"help": "directory for witness .hg files"}),
+        (("--budget",), {"type": _integer, "default": 0,
+                         "help": "tree-node budget (a node may run one pinned kernel check "
+                                 "per live candidate); 0 means unlimited (exact)"}),
+        *_COMMON,
+    ]),
+    "verify-lemmas": ("verify the binomial inequalities exactly", _cmd_verify_lemmas, [
+        (("--lemma",), {"default": "all", "choices": ["all", *_LEMMA_IDS]}),
+        (("--csv",), {"help": "write one row per grid point here"}),
+        *_COMMON,
+    ]),
+    "audit": ("recount a construction's edge classes", _cmd_audit, [
+        _HOST,
+        (("--layout",), {"help": "layout JSON (default: <host>.layout.json)"}),
+        *_COMMON,
+    ]),
+}
+
+
+def build_parser(command=None):
+    """The argument parser of every subcommand, or of ``command`` alone.
+
+    The parser of one subcommand parses its arguments, and prints its help
+    and errors, as the full parser does: its usage line still lists every
+    subcommand."""
     parser = argparse.ArgumentParser(
         prog="bergeturan",
         description="Turan-type verification and search on Berge hypergraphs",
     )
     parser.add_argument("--version", action="version", version=f"bergeturan {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    sp = sub.add_parser("construct", help="build the core extremal construction")
-    sp.add_argument("-n", type=_integer, required=True)
-    sp.add_argument("-r", type=_integer, required=True)
-    sp.add_argument("-l", "--ell", dest="ell", type=_integer, required=True)
-    sp.add_argument("-k", type=_integer, default=1)
-    sp.add_argument("-o", "--output", help="write .hg here (plus .layout.json sidecar)")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_construct)
-
-    sp = sub.add_parser("block", help="disjoint complete blocks construction")
-    sp.add_argument("-n", type=_integer, required=True)
-    sp.add_argument("-l", "--block", dest="block", type=_integer, required=True)
-    sp.add_argument("-r", type=_integer, required=True)
-    sp.add_argument("-o", "--output")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_block)
-
-    sp = sub.add_parser("formula", help="evaluate a closed-form bound exactly")
-    sp.add_argument("--name", required=True,
-                    choices=["erdos-gallai", "kpl-graph", "berge-path",
-                             "connected-berge-path", "two-path", "berge-kpl", "conjecture"])
-    sp.add_argument("-n", type=_integer, required=True)
-    sp.add_argument("-r", type=_integer, default=2)
-    sp.add_argument("-l", "--ell", dest="ell", type=_integer)
-    sp.add_argument("--ell2", type=_integer, default=1)
-    sp.add_argument("-k", type=_integer, default=2)
-    sp.add_argument("--ells", type=_integer_list,
-                    help="comma-separated path lengths for the forest conjecture")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_formula)
-
-    sp = sub.add_parser("check", help="prove or refute freeness from a Berge pattern")
-    sp.add_argument("host")
-    sp.add_argument("-F", "--pattern", required=True)
-    _add_common(sp, budget=True)
-    sp.set_defaults(func=_cmd_check)
-
-    sp = sub.add_parser("find", help="find a Berge copy with a certificate")
-    sp.add_argument("host")
-    sp.add_argument("-F", "--pattern", required=True)
-    _add_common(sp, budget=True)
-    sp.set_defaults(func=_cmd_find)
-
-    sp = sub.add_parser("longest-path", help="longest Berge path with witness")
-    sp.add_argument("host")
-    _add_common(sp, budget=True)
-    sp.set_defaults(func=_cmd_longest_path)
-
-    sp = sub.add_parser("cycle", help="find a Berge cycle of a given length")
-    sp.add_argument("host")
-    sp.add_argument("--length", type=_integer, required=True)
-    _add_common(sp, budget=True)
-    sp.set_defaults(func=_cmd_cycle)
-
-    sp = sub.add_parser("good-order", help="vertex order whose consecutive pairs are good")
-    sp.add_argument("host")
-    sp.add_argument("--first", type=_integer, required=True)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_good_order)
-
-    sp = sub.add_parser("bcn", help="Berge-common neighbours of a vertex set")
-    sp.add_argument("host")
-    sp.add_argument("--vertices", type=_integer_list, required=True,
-                    help="comma-separated base set")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_bcn)
-
-    sp = sub.add_parser("star", help="Berge star with a given centre")
-    sp.add_argument("host")
-    sp.add_argument("--centre", type=_integer, required=True)
-    sp.add_argument("--size", type=_integer, required=True)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_star)
-
-    sp = sub.add_parser("turan", help="exact Turan number by branch and bound")
-    sp.add_argument("-n", type=_integer, required=True)
-    sp.add_argument("-r", type=_integer, required=True)
-    sp.add_argument("-F", "--pattern", required=True)
-    sp.add_argument("--connected", action="store_true")
-    sp.add_argument("--witnesses", type=_integer, default=1)
-    sp.add_argument("--max-candidates", type=_integer, default=64)
-    sp.add_argument("--out-dir", help="directory for witness .hg files")
-    sp.add_argument("--budget", type=_integer, default=0,
-                    help="tree-node budget (a node may run one pinned kernel check per "
-                         "live candidate); 0 means unlimited (exact)")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_turan)
-
-    sp = sub.add_parser("verify-lemmas", help="verify the binomial inequalities exactly")
-    sp.add_argument("--lemma", default="all", choices=["all", *_LEMMA_IDS])
-    sp.add_argument("--csv", help="write one row per grid point here")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_verify_lemmas)
-
-    sp = sub.add_parser("audit", help="recount a construction's edge classes")
-    sp.add_argument("host")
-    sp.add_argument("--layout", help="layout JSON (default: <host>.layout.json)")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_audit)
-
+    # a metavar also renames the subcommand in the errors on a missing or
+    # unknown one, which only the full parser reports
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name, (help_text, func, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            sp = sub.add_parser(name, help=help_text)
+            for flags, options in arguments:
+                sp.add_argument(*flags, **options)
+            sp.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call runs one subcommand: build only its sub-parser when the first
+    # argument names it
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:

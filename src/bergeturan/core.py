@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import sys
+from functools import lru_cache, wraps
 from itertools import chain
 from operator import lt
 
@@ -298,12 +299,38 @@ def union_pattern(parts: list[PatternGraph]) -> PatternGraph:
     return PatternGraph(offset, tuple(edges), "disjoint-union", expr)
 
 
+def _memoised_on_str(parse):
+    """``parse`` behind a type check and a bounded cache of its results.
+
+    A non-str argument raises TypeError before the cache is consulted, so
+    an unhashable one cannot surface as the cache's own error.  Exceptions
+    are not cached: a bad expression is parsed, and raises, on every call.
+    The wrapper exposes ``parse`` as ``__wrapped__`` and the cache's
+    ``cache_info``."""
+    cached = lru_cache(maxsize=512)(parse)
+
+    @wraps(parse)
+    def checked(expr):
+        if not isinstance(expr, str):
+            raise TypeError(f"pattern expression must be str, not {type(expr).__name__}")
+        return cached(expr)
+
+    checked.cache_info = cached.cache_info
+    return checked
+
+
+@_memoised_on_str
 def parse_pattern(expr: str) -> PatternGraph:
     """Parse a pattern expression: TERM ('+' TERM)*.
 
     TERM is [k]P<l> | C<l> | S<l> | M<k> with positive integers in ASCII
     digits; whitespace is ignored.  Raises ParseError with the byte offset
-    of the problem, or InvalidCycleLength for C<l> with l < 3.
+    of the problem, or InvalidCycleLength for C<l> with l < 3, on every
+    call; a non-str ``expr`` raises TypeError.
+
+    Results are cached per expression string (the 512 most recently used),
+    so every call with an equal string returns the same immutable
+    PatternGraph, as ``re`` returns one compiled pattern.
     """
     terms = []
     i = 0

@@ -16,7 +16,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from bergeturan.cli import main
+from bergeturan import cli
+from bergeturan.cli import build_parser, main
 from bergeturan.core import _LARGE_HOST_EDGES
 from bergeturan.formulas import default_grid
 from oracles import naive_verify
@@ -393,3 +394,66 @@ class TestUsage:
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0
         assert proc.stdout.startswith("bergeturan ")
+
+
+COMMANDS = ["construct", "block", "formula", "check", "find", "longest-path", "cycle",
+            "good-order", "bcn", "star", "turan", "verify-lemmas", "audit"]
+USAGE = ("usage: bergeturan [-h] [--version]\n"
+         "                  {" + ",".join(COMMANDS) + "}\n"
+         "                  ...\n")
+
+
+class TestOneSubParser:
+    """``main`` builds only the sub-parser that the first argument names;
+    what it prints and returns is what the parser of every subcommand gives."""
+
+    @staticmethod
+    def full_parser_outcome(capsys, argv):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = 2 if exc.code not in (0, None) else 0
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["--version"], [], ["frobnicate"], ["--bogus"],
+        ["check", "--version"], ["check", "h.hg", "-F", "P2", "--bogus"],
+        *([command, "--help"] for command in COMMANDS),
+        # a missing required argument: every command but verify-lemmas has one
+        *([command] for command in COMMANDS if command != "verify-lemmas"),
+        *([command, "--bogus"] for command in COMMANDS),
+    ], ids=" ".join)
+    def test_output_and_exit_code_match_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = self.full_parser_outcome(capsys, argv)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
+
+    @pytest.mark.parametrize("argv,error", [
+        (["check", "h.hg", "-F", "P2", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: subcommand"),
+        (["frobnicate"], "argument subcommand: invalid choice: 'frobnicate' (choose from "
+                         + ", ".join(map(repr, COMMANDS)) + ")"),
+    ])
+    def test_top_level_errors(self, capsys, monkeypatch, argv, error):
+        # the usage line lists every subcommand, and the errors name the
+        # subcommand argument as "subcommand"
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == USAGE + f"bergeturan: error: {error}\n"
+
+    def test_main_builds_only_the_named_sub_parser(self, capsys, monkeypatch):
+        built = []
+
+        def recording(command=None):
+            parser = build_parser(command)
+            built.append(sorted(next(a for a in parser._actions
+                                     if a.dest == "subcommand").choices))
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        assert main(["formula", "--name", "erdos-gallai", "-n", "10", "-l", "3"]) == 0
+        assert main(["frobnicate"]) == 2
+        assert built == [["formula"], sorted(COMMANDS)]

@@ -140,6 +140,43 @@ class TestParsePattern:
         touched = {v for e in pat.edges for v in e}
         assert touched == set(range(1, pat.num_vertices + 1))
 
+    def test_equal_strings_share_one_pattern(self):
+        first = parse_pattern("2P5+M2")
+        # built at run time, so not the same string object as the literal
+        again = "".join(["2P5", "+", "M2"])
+        assert parse_pattern(again) is first
+        assert parse_pattern(" 2P5 + M2") == first
+
+    @pytest.mark.parametrize("expr,error,offset", [
+        ("P3++M2", ParseError, 3), ("2C3", ParseError, 1), ("C2", InvalidCycleLength, None),
+    ])
+    def test_errors_are_raised_on_every_call(self, expr, error, offset):
+        raised = []
+        for _ in range(3):
+            with pytest.raises(error) as exc:
+                parse_pattern(expr)
+            raised.append(exc.value)
+        assert len({id(e) for e in raised}) == 3
+        assert {(str(e), getattr(e, "offset", None)) for e in raised} == {
+            (str(raised[0]), offset)}
+
+    @pytest.mark.parametrize("value,name", [
+        (["P", "2"], "list"), (b"P2", "bytes"), (None, "NoneType"), (2, "int"),
+    ])
+    def test_non_str_raises_type_error_before_the_cache(self, value, name):
+        before = parse_pattern.cache_info()
+        with pytest.raises(TypeError, match=f"^pattern expression must be str, not {name}$"):
+            parse_pattern(value)
+        after = parse_pattern.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_cache_is_bounded(self):
+        maxsize = parse_pattern.cache_info().maxsize
+        assert maxsize is not None
+        for length in range(1, maxsize + 50):
+            parse_pattern(f"S{length}")
+        assert parse_pattern.cache_info().currsize == maxsize
+
 
 class TestFormulaParams:
     def test_derived_fields(self):

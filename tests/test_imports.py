@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import bergeturan
-from bergeturan import cli, constructions, formulas, search
+from bergeturan import cli, constructions, core, formulas, search
 from bergeturan.cli import build_parser, main
 from bergeturan.formulas import LEMMAS
 
@@ -172,6 +172,24 @@ class TestLateImports:
         monkeypatch.setattr(source, name, counting)
         assert main(argv) == 0
         assert calls == [name]
+
+    def test_a_wrapper_bound_over_parse_pattern_is_the_one_that_runs(self, monkeypatch, capsys,
+                                                                      tmp_path):
+        # the tracer re-binds parse_pattern on core and on cli with setattr
+        calls = []
+        real = core.parse_pattern
+
+        def counting(expr):
+            calls.append(expr)
+            return real(expr)
+
+        for module in (core, cli):
+            monkeypatch.setattr(module, "parse_pattern", counting)
+        host = tmp_path / "h.hg"
+        host.write_text("3 4 1\n1 2 3\n")
+        assert main(["check", str(host), "-F", "P1"]) == 1
+        assert core.parse_pattern("P1") is real("P1")
+        assert calls == ["P1", "P1"]
 
     def test_audit_calls_the_defining_module(self, monkeypatch, capsys, tmp_path):
         host = str(tmp_path / "h.hg")

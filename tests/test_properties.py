@@ -69,6 +69,24 @@ def test_parse_pattern_is_total(text):
     assert parse_pattern(pattern.expr) == pattern
 
 
+@PROPERTY
+@given(pattern_texts)
+def test_cached_parse_matches_a_fresh_parse(text):
+    def outcome(parse):
+        try:
+            pattern = parse(text)
+        except (ParseError, InvalidCycleLength) as exc:
+            return type(exc), str(exc), getattr(exc, "offset", None)
+        return pattern, repr(pattern)
+
+    cached = outcome(parse_pattern)
+    assert outcome(parse_pattern.__wrapped__) == cached
+    again = outcome(parse_pattern)
+    assert again == cached
+    if isinstance(cached[0], PatternGraph):
+        assert again[0] is cached[0]
+
+
 @st.composite
 def hypergraphs(draw, max_n=7):
     r = draw(st.integers(2, 4))
