@@ -27,44 +27,21 @@ Deterministic contract:
   pin rule below);
 * the first embedding reached in this order is returned.
 
-Twin rule.  Host vertices u and v are twins when swapping them maps the
-set of hyperedges onto itself and, when a hyperedge is pinned, u and v are
-both inside it or both outside it (the swap then lies in the pinned edge's
-stabiliser).  The transpositions that are automorphisms of a structure
-form an equivalence relation, so twins fall into classes.  At every
-position the search skips candidate v while a twin u < v is unused.  This
-is exact: an embedding that extends the current placement with v maps
-under the swap of u and v to one that extends the same placement with u,
-because neither vertex is used yet, the swap fixes every earlier image and
-the pinned hyperedge, and it carries hyperedges to hyperedges.  So v's
-subtree holds an embedding only if u's does, and u's subtree is searched
-first.  Every status and the first embedding (images and assignment) are
-those of the search without the rule; only node counts fall.  Twins are
-looked for among covered vertices of equal degree and equal pinned-edge
-membership; a host whose edge list repeats an edge gets no twins.
-
-Lazy twin classes.  The classes are found only as far as the search
-reaches.  Covered vertices are grouped by degree and pinned-edge
-membership, which twins share.  The smallest vertex of a group has no
-smaller twin.  Any other vertex is classified when it first passes the
-used-vertex filter: the members of its group are classified in ascending
-order up to it, each joining the class of the representative it is a twin
-of, if any, else starting its own.  A member's class depends only on
-the smaller members of its group, and twins form classes, so every vertex
-gets the earlier twins that classifying all vertices before the search
-gives it: its smaller twins.  The filter reads them before the candidate
-counts as a node, so every status, first embedding and node count is that
-of the eager classification; a search that stops early skips the tests of
-the vertices it never reached.
-
-Set-up cost.  A call's set-up is linear in the edge masks and in the
-per-vertex incidence masks, n x m bits in all (see :func:`incidence`),
-where n runs only to the last covered vertex: a few passes over the edge
-list and O(n) operations on m-bit integers.  The first twin test builds a
-set of the edge masks; each test then costs one pass over an m-bit mask
-and a set lookup per hyperedge through one vertex of the pair but not the
-other.  On a host that repeats an edge, classifying a vertex only records
-that it has no earlier twins.
+Twin rule.  Twins, and why they form classes, are defined in
+:mod:`bergeturan.symmetry`.  Skipping candidate v while a twin u < v is
+unused is exact: an embedding that extends the current placement with v
+maps under the swap of u and v to one that extends the same placement
+with u, because neither vertex is used yet, the swap fixes every earlier
+image and the pinned hyperedge, and it carries hyperedges to hyperedges.
+So v's subtree holds an embedding only if u's does, and u's subtree is
+searched first.  Every status and the first embedding (images and
+assignment) are those of the search without the rule; only node counts
+fall.  A candidate is classified lazily (``symmetry._candidates``) when it
+first passes the used-vertex filter, before it counts as a node, so node
+counts are those of classifying every vertex first.  Set-up is linear in
+the edge masks and in the per-vertex incidence masks
+(``symmetry.incidence``), n x m bits in all, where n runs only to the
+last covered vertex.
 
 Pin rule.  Under a pin, the positions of both endpoints of the pinned
 pattern edge take their candidates from a list holding only the vertices
@@ -98,187 +75,14 @@ plan, not on the vertex labels.
 Vertices and indices are 0-based here; wrappers translate.
 """
 
-import sys
-from array import array
 from functools import reduce
-from itertools import compress, repeat
-from operator import add, or_
+from operator import or_
+
+from .symmetry import _candidates, incidence
 
 NOT_FOUND = 0
 FOUND = 1
 INDETERMINATE = 2
-
-# _BIT_DIGIT[k] maps a byte to b"1" when its bit k is set, else to b"0"
-_BIT_DIGIT = [(b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8)]
-_DIGIT_FLAG = bytes.maketrans(b"01", b"\0\1")
-
-
-def incidence(n, edge_masks, vertices):
-    """Per vertex, the bitmask of the edges through it (bit j for edge j),
-    computed for ``vertices`` and 0 for every other vertex below n.
-
-    Large hosts go through a byte transpose: the edge masks are packed into
-    a matrix of one row of little-endian bytes per edge, last edge first,
-    so the bit of vertex v down the rows, read as a string of binary
-    digits, is v's mask.  Each vertex costs one strided slice, one
-    ``translate`` and one ``int(..., 2)``, all linear in m, where setting
-    bit j of a growing integer per incidence is quadratic.  On hosts of
-    6-16 vertices and 4-32 edges (CPython 3.11, one Xeon core) the
-    transpose takes about 0.7 us per vertex and the per-bit loop about
-    0.2 us per incidence, so the loop is kept up to four incidences per
-    vertex.  Up to 64 vertices, ``array("Q")`` packs the rows about 2.5
-    times faster than ``int.to_bytes`` per edge (0.6 against 1.5 ms at
-    m = 14,157).  The choices change no result.
-    """
-    inc = [0] * n
-    m = len(edge_masks)
-    if m and m * edge_masks[0].bit_count() > 4 * len(vertices):
-        if n <= 64:
-            words = array("Q", edge_masks)
-            words.reverse()
-            if sys.byteorder == "big":
-                words.byteswap()
-            rows, width = words.tobytes(), 8
-        else:
-            width = (n + 7) >> 3
-            rows = b"".join(map(int.to_bytes, reversed(edge_masks), repeat(width), repeat("little")))
-        for v in vertices:
-            inc[v] = int(rows[v >> 3::width].translate(_BIT_DIGIT[v & 7]), 2)
-    else:
-        for j, em in enumerate(edge_masks):
-            bit = 1 << j
-            while em:
-                low = em & -em
-                inc[low.bit_length() - 1] |= bit
-                em ^= low
-    return inc
-
-
-def _swap_is_automorphism(edge_masks, edge_set, inc, u, w):
-    """Whether swapping vertices u and w, of equal degree, maps the
-    hyperedges of a host without repeated edges onto themselves.
-
-    It does when it maps each hyperedge through w but not u onto a
-    hyperedge: at equal degrees those images are then all the hyperedges
-    through u but not w.  The first few are checked one at a time, walking
-    the set bits of their index mask, which settles most pairs that are not
-    twins.  A step of that walk costs O(m), so the rest are picked out with
-    ``compress`` over 0/1 flags and checked in one pass at C speed.
-    """
-    only_w = inc[w] & ~inc[u]
-    shift = (1 << u) - (1 << w)
-    for _ in range(8):
-        if not only_w:
-            return True
-        low = only_w & -only_w
-        only_w ^= low
-        if edge_masks[low.bit_length() - 1] + shift not in edge_set:
-            return False
-    flags = format(only_w, "0%db" % len(edge_masks)).encode().translate(_DIGIT_FLAG)
-    return edge_set.issuperset(map(add, compress(reversed(edge_masks), flags), repeat(shift)))
-
-
-def _join_class(edge_masks, edge_set, inc, classes, w):
-    """Put w in the first of ``classes`` whose representative is its twin,
-    or in a new class of its own, and return w's earlier twins.  A class
-    is [representative, bitmask of its members so far]."""
-    wbit = 1 << w
-    # the swap must map w's first hyperedge onto a hyperedge, which settles
-    # most pairs that are not twins
-    first = edge_masks[(inc[w] & -inc[w]).bit_length() - 1]
-    for cls in classes:
-        u = cls[0]
-        if not first >> u & 1 and first - wbit + (1 << u) not in edge_set:
-            continue
-        if _swap_is_automorphism(edge_masks, edge_set, inc, u, w):
-            earlier = cls[1]
-            cls[1] |= wbit
-            return earlier
-    classes.append([w, wbit])
-    return 0
-
-
-def twin_classes(n, edge_masks):
-    """The twin classes of the host on vertices 0..n-1, as one vertex
-    bitmask per class, ordered by smallest member.
-
-    All uncovered vertices below n form one class: swapping two of them
-    fixes every hyperedge.  Twins share their degree, so the covered
-    vertices are grouped by it and each joins a class by
-    :func:`_join_class`, in ascending order.  A host whose edge list
-    repeats an edge gets a class of its own for every covered vertex,
-    which is a refinement of its twin classes, as the kernel gets no twins
-    there.
-    """
-    covered = reduce(or_, edge_masks, 0)
-    uncovered = ((1 << n) - 1) & ~covered
-    classes = [uncovered] if uncovered else []
-    vertices = [v for v in range(covered.bit_length()) if covered >> v & 1]
-    edge_set = set(edge_masks)
-    if len(edge_set) < len(edge_masks):
-        classes += [1 << v for v in vertices]
-    else:
-        inc = incidence(covered.bit_length(), edge_masks, vertices)
-        groups = {}  # degree -> [[representative, members], ...]
-        for v in vertices:
-            _join_class(edge_masks, edge_set, inc, groups.setdefault(inc[v].bit_count(), []), v)
-        classes += [members for group in groups.values() for _, members in group]
-    return sorted(classes, key=lambda c: c & -c)
-
-
-def _candidates(edge_masks, inc, pinned_mask, host_order, unclassified):
-    """The search's candidate records and the lazy classifier of twins.
-
-    Returns (cands, inside, through).  ``cands`` holds a record (v, 1 << v,
-    guard, earlier twins) per covered vertex and ``inside`` the records of
-    the pinned hyperedge's vertices, both ascending in v.  Twins agree on
-    degree and pinned-edge membership, so the covered vertices are grouped
-    by the two.  The smallest vertex of a group has no earlier twin; the
-    record of every other vertex starts with no earlier twins and bit
-    ``unclassified`` set in its guard.  ``through(v)`` classifies the
-    members of v's group in ascending order up to v, replaces their records
-    in both lists and returns v's earlier twins: a member joins the class
-    of the representative it is a twin of, if any, else starts its own.  A
-    host whose edge list repeats an edge gets no twins.
-    """
-    cands = []
-    inside = []
-    groups = {}  # (degree, pinned membership) -> [pending members, classes, next pending]
-    for v in host_order:
-        vbit = 1 << v
-        key = inc[v].bit_count() << 1 | pinned_mask >> v & 1
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [[], [[v, vbit]], 0]
-            record = (v, vbit, vbit, 0)
-        else:
-            group[0].append((v, len(cands), len(inside) if pinned_mask & vbit else -1))
-            record = (v, vbit, vbit | unclassified, 0)
-        cands.append(record)
-        if pinned_mask & vbit:
-            inside.append(record)
-    edge_set = None
-    simple = True
-
-    def through(v):
-        nonlocal edge_set, simple
-        if edge_set is None:
-            edge_set = set(edge_masks)
-            simple = len(edge_set) == len(edge_masks)
-        group = groups[inc[v].bit_count() << 1 | pinned_mask >> v & 1]
-        pending, classes = group[0], group[1]
-        while True:
-            w, i, j = pending[group[2]]
-            group[2] += 1
-            wbit = 1 << w
-            earlier = _join_class(edge_masks, edge_set, inc, classes, w) if simple else 0
-            cands[i] = record = (w, wbit, earlier | wbit, earlier)
-            if j >= 0:
-                inside[j] = record
-            if w == v:
-                return earlier
-
-    return cands, inside, through
 
 
 def augment(pe, cand, match_of, owner, log):

@@ -152,7 +152,7 @@ class Hypergraph(Record, eq_skip=("duplicates_collapsed",)):
     def incidence_masks(self) -> dict[int, int]:
         """Per covered vertex, the bitmask over edge indices (bit j set when
         v is in edge j)."""
-        from ._engine_py import incidence
+        from .symmetry import incidence
 
         covered = [v - 1 for v in self.covered_vertices()]
         # the builder's table runs to the last covered vertex, not to n

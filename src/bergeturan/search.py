@@ -12,28 +12,24 @@ through it are searched.  The value is label-invariant, so a labelled
 search suffices; the root symmetry rule forces the first included edge to
 be {1..r}, which any nonempty free host can be relabelled to satisfy.
 
-Filter checks are answered once per orbit of the chosen set's twin group.
-An automorphism sigma of the chosen set C maps C + j onto C + sigma(j),
-so both have a Berge copy or neither has.  The swaps of twin vertices are
-automorphisms, and the group they generate is the product of the
-symmetric groups on the twin classes (``_engine_py.twin_classes``), so
-the orbit of an r-set under it is fixed by the sizes of its intersections
-with the classes.  Later candidates with equal sizes share one check; the
-live lists, the tree and the answer are those of one check per candidate,
-and only the count of kernel calls falls.
+Filter checks are answered once per orbit of the chosen set's twin group
+(:mod:`bergeturan.symmetry`): later candidates with one orbit key share
+one check.  The live lists, the tree and the answer are those of one
+check per candidate, and only the count of kernel calls falls.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import combinations, combinations_with_replacement, groupby
+from itertools import combinations
 from math import comb
 
 from . import _lazy_getattr
-from ._engine_py import FOUND, twin_classes
-from .berge import Status, _pattern_edge_orbits, find_berge_embedding, solve_raw
+from ._engine_py import FOUND
+from .berge import Status, find_berge_embedding, solve_raw
 from .core import FormulaParams, Hypergraph, PatternGraph, Record, disjoint_paths_pattern
 from .errors import HostNotFree, ParamsOutOfRange, ScaleGuardExceeded
+from .symmetry import _orbit_key, _orbit_representatives, _pattern_edge_orbits, twin_classes
 
 # The functions that ``compare_with_formula`` imports from their defining
 # module when it runs.  They resolve on this module too, as they did when
@@ -74,24 +70,12 @@ class _Budget(Exception):
     pass
 
 
-def _mask(edge):
-    m = 0
-    for v in edge:
-        m |= 1 << (v - 1)
-    return m
-
-
 def _pinned_copy(masks, pattern, stats=None):
     """Does some Berge copy in ``masks`` use its last hyperedge?  One pinned
-    search per orbit of pattern edges under Aut(F), on the orbit's smallest
-    edge index, in index order, stopping at the first copy.  Each search
-    adds one to ``stats.pinned_calls`` where ``stats`` is given.
-
-    One query answers for its whole orbit: if a copy (phi, psi) puts
-    pattern edge e on hyperedge j and sigma in Aut(F) maps e to e', then
-    (phi o sigma^-1, psi o sigma^-1) is a copy that puts e' on j.  So the
-    answer is that of one query per pattern edge, with at most as many
-    calls (:func:`berge._pattern_edge_orbits`)."""
+    search per orbit of pattern edges under Aut(F), which answers for its
+    orbit (:mod:`bergeturan.symmetry`), on the orbit's smallest edge index,
+    in index order, stopping at the first copy.  Each search adds one to
+    ``stats.pinned_calls`` where ``stats`` is given."""
     new_idx = len(masks) - 1
     for orbit in _pattern_edge_orbits(pattern):
         if stats is not None:
@@ -102,25 +86,18 @@ def _pinned_copy(masks, pattern, stats=None):
     return False
 
 
-def _spans_one_component(n, edges):
-    """Do the edges cover 1..n and join it into one component?"""
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    covered = set()
-    for e in edges:
-        covered.update(e)
-        root = find(e[0])
-        for v in e[1:]:
-            parent[find(v)] = root
-    if len(covered) != n:
-        return False
-    return len({find(v) for v in covered}) == 1
+def _spans_one_component(n, masks):
+    """Do the edges, as vertex bitmasks, cover 1..n and join it into one
+    component?  The first edge's component grows until no edge meets it
+    and leaves it."""
+    component = masks[0] if masks else 0
+    grown = -1
+    while grown != component:
+        grown = component
+        for mask in masks:
+            if mask & component:
+                component |= mask
+    return component == (1 << n) - 1
 
 
 class _Searcher:
@@ -160,8 +137,8 @@ class _Searcher:
         self.r = r
         self.pattern = pattern
         self.opts = opts
-        self.candidates = list(combinations(range(1, n + 1), r))
-        self.cand_masks = [_mask(e) for e in self.candidates]
+        self.candidates = tuple(combinations(range(1, n + 1), r))
+        self.cand_masks = Hypergraph(n=n, r=r, edges=self.candidates).edge_vertex_masks()
         self.chosen: list[int] = []
         self.chosen_masks: list[int] = []
         self.best = -1
@@ -194,7 +171,7 @@ class _Searcher:
         # can the chosen set plus the live candidates still cover 1..n in
         # one component?  At a leaf this checks the chosen set itself.
         if self.opts.connected_only and not _spans_one_component(
-                self.n, [self.candidates[j] for j in self.chosen + alive]):
+                self.n, self.chosen_masks + [self.cand_masks[j] for j in alive]):
             return
         if not alive:
             self.record_leaf()
@@ -214,7 +191,7 @@ class _Searcher:
         alive = []
         for j in later:
             mask = self.cand_masks[j]
-            key = tuple((mask & c).bit_count() for c in classes)
+            key = _orbit_key(classes, mask)
             copy = answers.get(key)
             if copy is None:
                 copy = answers[key] = _pinned_copy(self.chosen_masks + [mask], self.pattern, self)
@@ -291,44 +268,15 @@ def exact_turan(n: int, r: int, pattern: PatternGraph, opts: SearchOptions | Non
     return _Searcher(n, r, pattern, opts).run()
 
 
-def _orbit_representatives(classes, r):
-    """One r-set per orbit of the product of the symmetric groups on
-    ``classes`` (vertex bitmasks), as a bitmask: for every way of taking
-    c_i vertices from class i with the c_i summing to r, the r-set of the
-    smallest c_i members of each class."""
-    # prefixes[i][c] is the smallest c members of class i, for c <= r
-    prefixes = []
-    for cls in classes:
-        row = [0]
-        while cls and len(row) <= r:
-            low = cls & -cls
-            row.append(row[-1] | low)
-            cls ^= low
-        prefixes.append(row)
-    # a multiset of r class indices says how many vertices each class gives
-    for pick in combinations_with_replacement(range(len(classes)), r):
-        rset = 0
-        for i, run in groupby(pick):
-            c = len(tuple(run))
-            if c >= len(prefixes[i]):
-                break
-            rset |= prefixes[i][c]
-        else:
-            yield rset
-
-
 def is_maximal_free(h: Hypergraph, pattern: PatternGraph) -> bool:
     """Is the (verified free) host saturated: does adding any absent r-set
     create a Berge copy?
 
-    One r-set is tried per orbit of the host's twin group.  An
-    automorphism sigma of H maps H onto itself, so an orbit of r-sets is
-    wholly present or wholly absent, and it maps H + e onto H + sigma(e),
-    so one absent r-set answers for its orbit.  The twin group is the
-    product of the symmetric groups on the twin classes
-    (``_engine_py.twin_classes``), so an orbit is fixed by how many
-    vertices it takes from each class (:func:`_orbit_representatives`);
-    the constructions have two or three classes."""
+    One r-set is tried per orbit of the host's twin group
+    (:mod:`bergeturan.symmetry`).  An automorphism maps H onto itself, so
+    an orbit of r-sets is wholly present or wholly absent, and one absent
+    r-set answers for its orbit.  The constructions have two or three twin
+    classes."""
     res = find_berge_embedding(h, pattern, budget=0)
     if res.status is not Status.NOT_FOUND:
         raise HostNotFree("host already contains the pattern")

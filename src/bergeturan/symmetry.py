@@ -1,0 +1,391 @@
+"""Symmetry of hosts and patterns: twin classes of host vertices, orbits of
+r-sets under the twin group, and orbits of pattern edges under Aut(F).
+
+Twins.  Host vertices u and w are twins when swapping them maps the set of
+hyperedges onto itself and, when a hyperedge is pinned, u and w are both
+inside it or both outside it (the swap then lies in the pinned edge's
+stabiliser).  The automorphisms that fix the pinned edge form a group, and
+the transpositions in a group form an equivalence relation on the
+vertices: (u u) is the identity, (u w) = (w u), and if (u v) and (v w)
+are in it, so is (u w) = (u v)(v w)(u v).  So twins fall into classes.
+Uncovered vertices are twins of each other, since their swap fixes every
+hyperedge.  The twin test (:func:`_swap_is_automorphism`) compares
+hyperedges as a set, so a host whose edge list repeats an edge gets no
+twins: each covered vertex is a class of its own, which refines its twin
+classes.  Everything below holds for any such refinement, where it costs
+only more checks.
+
+Orbits of r-sets.  The transpositions inside a class generate the
+symmetric group on it, and transpositions of different classes commute, so
+the swaps of twins generate the product G of the symmetric groups on the
+classes C_1..C_k.  Two r-sets S and T share an orbit of G exactly when
+|S & C_i| = |T & C_i| for every i.  Every element of G maps each class
+onto itself, so it keeps the sizes.  Where the sizes agree, a bijection of
+S & C_i onto T & C_i extends to a permutation of C_i for each i, and the
+product of these maps S onto T.  So the sizes are the orbit's key
+(:func:`_orbit_key`), and taking the c_i smallest members of each class,
+for every (c_1..c_k) with c_i <= |C_i| summing to r, gives one r-set per
+orbit (:func:`_orbit_representatives`).  An automorphism sigma of a host H
+maps H + e onto H + sigma(e), so both have a Berge copy or neither has:
+one r-set answers for its orbit.
+
+Orbits of pattern edges.  If a Berge copy (phi, psi) puts pattern edge e
+on hyperedge j and sigma in Aut(F) maps e to e', then (phi o sigma^-1,
+psi o sigma^-1) is a copy that puts e' on j.  So a search pinned at one
+edge answers for its orbit under Aut(F) (:func:`_pattern_edge_orbits`).
+
+This module imports no other module of the package; the kernel, ``core``
+and ``search`` import it.  Vertices and indices are 0-based here.
+"""
+
+import sys
+from array import array
+from functools import lru_cache, reduce
+from itertools import combinations_with_replacement, compress, groupby, islice, repeat
+from operator import add, or_
+
+# _BIT_DIGIT[k] maps a byte to b"1" when its bit k is set, else to b"0"
+_BIT_DIGIT = [(b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8)]
+_DIGIT_FLAG = bytes.maketrans(b"01", b"\0\1")
+
+
+def incidence(n, edge_masks, vertices):
+    """Per vertex, the bitmask of the edges through it (bit j for edge j),
+    computed for ``vertices`` and 0 for every other vertex below n.
+
+    Large hosts go through a byte transpose: the edge masks are packed into
+    a matrix of one row of little-endian bytes per edge, last edge first,
+    so the bit of vertex v down the rows, read as a string of binary
+    digits, is v's mask.  Each vertex costs one strided slice, one
+    ``translate`` and one ``int(..., 2)``, all linear in m, where setting
+    bit j of a growing integer per incidence is quadratic.  On hosts of
+    6-16 vertices and 4-32 edges (CPython 3.11, one Xeon core) the
+    transpose takes about 0.7 us per vertex and the per-bit loop about
+    0.2 us per incidence, so the loop is kept up to four incidences per
+    vertex.  Up to 64 vertices, ``array("Q")`` packs the rows about 2.5
+    times faster than ``int.to_bytes`` per edge (0.6 against 1.5 ms at
+    m = 14,157).  The choices change no result.
+    """
+    inc = [0] * n
+    m = len(edge_masks)
+    if m and m * edge_masks[0].bit_count() > 4 * len(vertices):
+        if n <= 64:
+            words = array("Q", edge_masks)
+            words.reverse()
+            if sys.byteorder == "big":
+                words.byteswap()
+            rows, width = words.tobytes(), 8
+        else:
+            width = (n + 7) >> 3
+            rows = b"".join(map(int.to_bytes, reversed(edge_masks), repeat(width), repeat("little")))
+        for v in vertices:
+            inc[v] = int(rows[v >> 3::width].translate(_BIT_DIGIT[v & 7]), 2)
+    else:
+        for j, em in enumerate(edge_masks):
+            bit = 1 << j
+            while em:
+                low = em & -em
+                inc[low.bit_length() - 1] |= bit
+                em ^= low
+    return inc
+
+
+def _swap_is_automorphism(edge_masks, edge_set, inc, u, w):
+    """Whether swapping vertices u and w, of equal degree, maps the
+    hyperedges of a host without repeated edges onto themselves.
+
+    It does when it maps each hyperedge through w but not u onto a
+    hyperedge: at equal degrees those images are then all the hyperedges
+    through u but not w.  The first few are checked one at a time, walking
+    the set bits of their index mask, which settles most pairs that are not
+    twins.  A step of that walk costs O(m), so the rest are picked out with
+    ``compress`` over 0/1 flags and checked in one pass at C speed.
+    """
+    only_w = inc[w] & ~inc[u]
+    shift = (1 << u) - (1 << w)
+    for _ in range(8):
+        if not only_w:
+            return True
+        low = only_w & -only_w
+        only_w ^= low
+        if edge_masks[low.bit_length() - 1] + shift not in edge_set:
+            return False
+    flags = format(only_w, "0%db" % len(edge_masks)).encode().translate(_DIGIT_FLAG)
+    return edge_set.issuperset(map(add, compress(reversed(edge_masks), flags), repeat(shift)))
+
+
+def _join_class(edge_masks, edge_set, inc, classes, w):
+    """Put w in the first of ``classes`` whose representative is its twin,
+    or in a new class of its own, and return w's earlier twins.  A class
+    is [representative, bitmask of its members so far]."""
+    wbit = 1 << w
+    # the swap must map w's first hyperedge onto a hyperedge, which settles
+    # most pairs that are not twins
+    first = edge_masks[(inc[w] & -inc[w]).bit_length() - 1]
+    for cls in classes:
+        u = cls[0]
+        if not first >> u & 1 and first - wbit + (1 << u) not in edge_set:
+            continue
+        if _swap_is_automorphism(edge_masks, edge_set, inc, u, w):
+            earlier = cls[1]
+            cls[1] |= wbit
+            return earlier
+    classes.append([w, wbit])
+    return 0
+
+
+def _candidates(edge_masks, inc, pinned_mask, vertices, unclassified):
+    """The kernel's candidate records and the lazy classifier of twins.
+
+    Returns (cands, inside, through).  ``cands`` holds a record (v, 1 << v,
+    guard, earlier twins) per vertex of ``vertices``, the covered vertices
+    in ascending order, and ``inside`` the records of the pinned
+    hyperedge's vertices.  The vertices are grouped by degree and
+    pinned-edge membership, which twins share.  The smallest vertex of a
+    group has no earlier twin; the record of every other vertex starts
+    with no earlier twins and bit ``unclassified`` set in its guard.
+    ``through(v)`` classifies the members of v's group in ascending order
+    up to v (:func:`_join_class`), replaces their records in both lists
+    and returns v's earlier twins.
+
+    A member's class depends only on the smaller members of its group, and
+    twins form classes, so every vertex gets the earlier twins that
+    classifying all vertices at once gives it: its smaller twins.  A
+    caller that stops early skips the tests of the vertices it never
+    reached.  The first call builds a set of the edge masks; each test
+    then costs one pass over an m-bit mask and a set lookup per hyperedge
+    through one vertex of the pair but not the other.
+    """
+    cands = []
+    inside = []
+    groups = {}  # (degree, pinned membership) -> [pending members, classes, next pending]
+    for v in vertices:
+        vbit = 1 << v
+        key = inc[v].bit_count() << 1 | pinned_mask >> v & 1
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [[], [[v, vbit]], 0]
+            record = (v, vbit, vbit, 0)
+        else:
+            group[0].append((v, len(cands), len(inside) if pinned_mask & vbit else -1))
+            record = (v, vbit, vbit | unclassified, 0)
+        cands.append(record)
+        if pinned_mask & vbit:
+            inside.append(record)
+    edge_set = None
+    simple = True
+
+    def through(v):
+        nonlocal edge_set, simple
+        if edge_set is None:
+            edge_set = set(edge_masks)
+            simple = len(edge_set) == len(edge_masks)
+        group = groups[inc[v].bit_count() << 1 | pinned_mask >> v & 1]
+        pending, classes = group[0], group[1]
+        while True:
+            w, i, j = pending[group[2]]
+            group[2] += 1
+            wbit = 1 << w
+            earlier = _join_class(edge_masks, edge_set, inc, classes, w) if simple else 0
+            cands[i] = record = (w, wbit, earlier | wbit, earlier)
+            if j >= 0:
+                inside[j] = record
+            if w == v:
+                return earlier
+
+    return cands, inside, through
+
+
+def twin_classes(n, edge_masks):
+    """The twin classes of the host on vertices 0..n-1, as vertex bitmasks
+    ordered by smallest member: the uncovered vertices, and the classes of
+    the covered ones read off the unpinned classifier's records."""
+    covered = reduce(or_, edge_masks, 0)
+    width = covered.bit_length()
+    vertices = [v for v in range(width) if covered >> v & 1]
+    cands, _, through = _candidates(edge_masks, incidence(width, edge_masks, vertices), 0,
+                                    vertices, 1 << width)
+    classes = {}  # smallest member -> the class
+    for v, vbit, guard, earlier in cands:
+        if guard >> width:
+            earlier = through(v)
+        first = earlier & -earlier or vbit
+        classes[first] = classes.get(first, 0) | vbit
+    uncovered = ((1 << n) - 1) & ~covered
+    if uncovered:
+        classes[uncovered & -uncovered] = uncovered
+    return [classes[first] for first in sorted(classes)]
+
+
+def _orbit_key(classes, rset):
+    """The sizes of the r-set's intersections with the twin classes, all
+    vertex bitmasks: equal exactly for r-sets in one orbit."""
+    return tuple((rset & c).bit_count() for c in classes)
+
+
+def _orbit_representatives(classes, r):
+    """One r-set per orbit of the product of the symmetric groups on
+    ``classes`` (vertex bitmasks), as a bitmask: for every way of taking
+    c_i vertices from class i with the c_i summing to r, the r-set of the
+    smallest c_i members of each class."""
+    # prefixes[i][c] is the smallest c members of class i, for c <= r
+    prefixes = []
+    for cls in classes:
+        row = [0]
+        for v in islice(_bits(cls), r):
+            row.append(row[-1] | 1 << v)
+        prefixes.append(row)
+    # a multiset of r class indices says how many vertices each class gives
+    for pick in combinations_with_replacement(range(len(classes)), r):
+        rset = 0
+        for i, run in groupby(pick):
+            c = len(tuple(run))
+            if c >= len(prefixes[i]):
+                break
+            rset |= prefixes[i][c]
+        else:
+            yield rset
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _automorphism(adj, colour, seed):
+    """A vertex permutation that preserves adjacency, maps every vertex to
+    one of its colour and extends the (vertex, image) pairs of ``seed``, or
+    None when there is none.
+
+    Backtracks in breadth-first order from the seed's vertices: a vertex
+    with a placed neighbour w takes its image among the neighbours of w's
+    image, the first vertex of a new component any unused vertex.  A
+    candidate image must have v's colour, and the placed neighbours of v
+    must map onto exactly the neighbours of the image that are images
+    already; when every vertex is placed the map is an automorphism.
+    """
+    p = len(adj)
+    order = [v for v, _ in seed]
+    parent = [-1] * p
+    seen = 0
+    for v in order:
+        seen |= 1 << v
+    head = 0
+    while len(order) < p:
+        if head == len(order):
+            v = next(v for v in range(p) if not seen >> v & 1)
+            seen |= 1 << v
+            order.append(v)
+        v = order[head]
+        head += 1
+        for w in _bits(adj[v] & ~seen):
+            seen |= 1 << w
+            parent[w] = v
+            order.append(w)
+    fixed = dict(seed)
+    image = [-1] * p
+    placed = used = 0
+
+    def choices(i):
+        v = order[i]
+        if v in fixed:
+            return iter((fixed[v],))
+        if parent[v] >= 0:
+            return _bits(adj[image[parent[v]]] & ~used)
+        return (w for w in range(p) if not used >> w & 1)
+
+    pending = [choices(0)]
+    while pending:
+        v = order[len(pending) - 1]
+        if image[v] >= 0:
+            used ^= 1 << image[v]
+            placed ^= 1 << v
+            image[v] = -1
+        for w in pending[-1]:
+            if used >> w & 1 or colour[w] != colour[v]:
+                continue
+            nbrs = adj[v] & placed
+            if (adj[w] & used).bit_count() == nbrs.bit_count() and all(
+                    adj[w] >> image[x] & 1 for x in _bits(nbrs)):
+                break
+        else:
+            pending.pop()
+            continue
+        image[v] = w
+        used |= 1 << w
+        placed |= 1 << v
+        if len(pending) == p:
+            return image
+        pending.append(choices(len(pending)))
+    return None
+
+
+@lru_cache(maxsize=512)
+def _pattern_edge_orbits(pattern):
+    """The orbits of a ``PatternGraph``'s edges under its automorphism
+    group Aut(F): tuples of 0-based edge indices, each ascending, ordered
+    by their smallest index (the orbit's representative).
+
+    Vertices are first coloured by colour refinement (iterated degree),
+    which every automorphism preserves, so edges whose endpoint colours
+    differ lie in different orbits.  Edges are then taken in index order.
+    An edge is tried against each earlier representative of its colours,
+    looking for an automorphism that maps the representative onto it
+    (:func:`_automorphism`, either orientation); the first one found merges
+    the two orbits, and with them every edge with its image under that
+    automorphism.  An edge that no automorphism reaches from an earlier
+    representative becomes one.  So two edges share an orbit only through
+    explicit automorphisms, and the exhaustive search makes the
+    representatives pairwise inequivalent.  kP_l has ceil(l/2) orbits.
+    """
+    p = pattern.num_vertices
+    edges0 = [(u - 1, v - 1) for u, v in pattern.edges]
+    adj = [0] * p
+    for a, b in edges0:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    colour = [0] * p
+    classes = 1
+    while True:
+        sigs = [(colour[v], tuple(sorted(colour[w] for w in _bits(adj[v])))) for v in range(p)]
+        ids = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        colour = [ids[sig] for sig in sigs]
+        if len(ids) == classes:
+            break
+        classes = len(ids)
+
+    def key(e):
+        return tuple(sorted((colour[e[0]], colour[e[1]])))
+
+    index = {frozenset(e): i for i, e in enumerate(edges0)}
+    root = list(range(len(edges0)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    reps = []
+    for j, (a, b) in enumerate(edges0):
+        if find(j) != j:
+            continue
+        for i in reps:
+            if key(edges0[i]) != key((a, b)):
+                continue
+            c, d = edges0[i]
+            sigma = _automorphism(adj, colour, ((c, a), (d, b))) or \
+                _automorphism(adj, colour, ((c, b), (d, a)))
+            if sigma is not None:
+                for k, (x, y) in enumerate(edges0):
+                    s, t = find(k), find(index[frozenset((sigma[x], sigma[y]))])
+                    root[max(s, t)] = min(s, t)
+                break
+        else:
+            reps.append(j)
+    orbits = {}
+    for k in range(len(edges0)):
+        orbits.setdefault(find(k), []).append(k)
+    return tuple(tuple(orbits[i]) for i in sorted(orbits))

@@ -22,7 +22,6 @@ from bergeturan import (
     parse_pattern,
     verify_certificate,
 )
-from bergeturan.berge import _pattern_edge_orbits
 from bergeturan.cli import main
 from bergeturan.core import FormulaParams, write_hypergraph
 from bergeturan.constructions import extremal_construction
@@ -34,6 +33,7 @@ from bergeturan.errors import (
     InvalidCycleLength,
     V0TooSmall,
 )
+from bergeturan.symmetry import _pattern_edge_orbits
 from oracles import brute_bcn, brute_star, naive_contains, naive_edge_orbits, random_hypergraph
 
 K4_TRIPLES = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]

@@ -403,7 +403,7 @@ def test_large_n_hosts_cost_nothing_in_n():
     # 1 GB, so a table indexed by n fails there at once
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", _LARGE_N_PROBE, json.dumps(LARGE_N_HOSTS)],
+        [sys.executable, "-B", "-c", _LARGE_N_PROBE, json.dumps(LARGE_N_HOSTS)],
         capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
         env={"PYTHONPATH": str(src)},
     )

@@ -17,12 +17,14 @@ from bergeturan import (
     make_hypergraph,
     parse_pattern,
     search,
+    symmetry,
 )
-from bergeturan.berge import _pattern_edge_orbits, _pattern_plan, solve_raw
+from bergeturan.berge import _pattern_plan, solve_raw
 from bergeturan.cli import main
 from bergeturan.core import FormulaParams
 from bergeturan.constructions import block_construction, extremal_construction
 from bergeturan.errors import ParamsOutOfRange
+from bergeturan.symmetry import _pattern_edge_orbits
 from oracles import naive_contains, naive_twin_classes, random_hypergraph, symmetric_hypergraph
 
 CORPUS_PATTERNS = [parse_pattern(e) for e in
@@ -213,7 +215,7 @@ def test_repeated_edge_hosts_run_no_twin_tests(monkeypatch):
     def no_twin_test(*args):
         raise AssertionError("twin test on a host that repeats an edge")
 
-    monkeypatch.setattr(_engine_py, "_join_class", no_twin_test)
+    monkeypatch.setattr(symmetry, "_join_class", no_twin_test)
     blocks = [sum(1 << v for v in e) for b in (0, 4) for e in combinations(range(b, b + 4), 3)]
     masks = blocks + blocks[:1]
     assert solve_raw(masks, parse_pattern("C5")) == (_engine_py.NOT_FOUND, None, None, 640)
@@ -286,7 +288,7 @@ def test_incidence_agrees_with_its_definition():
         m = rng.randint(1, 60)
         masks = [sum(1 << v for v in rng.sample(pool, r)) for _ in range(m)]
         covered = [v for v in range(n) if any(em >> v & 1 for em in masks)]
-        assert _engine_py.incidence(n, masks, covered) == _incidence_by_definition(n, masks)
+        assert symmetry.incidence(n, masks, covered) == _incidence_by_definition(n, masks)
         switched.add((m * r > 4 * len(covered), n > 64))
     assert switched == {(False, False), (False, True), (True, False), (True, True)}
 
@@ -308,13 +310,13 @@ def test_twin_classes_agree_with_naive_oracle(monkeypatch):
     # two uncovered vertices past the last label, and some listing one edge
     # twice: those get a class per covered vertex, which refines the twin
     # classes.  No vertex of degree 0 reaches a twin test.
-    real_join = _engine_py._join_class
+    real_join = symmetry._join_class
 
     def checked_join(edge_masks, edge_set, inc, classes, w):
         assert inc[w], w
         return real_join(edge_masks, edge_set, inc, classes, w)
 
-    monkeypatch.setattr(_engine_py, "_join_class", checked_join)
+    monkeypatch.setattr(symmetry, "_join_class", checked_join)
     rng = random.Random(13)
     seen = set()
     for h, _, _ in _twin_corpus(1313, 500):
@@ -323,7 +325,7 @@ def test_twin_classes_agree_with_naive_oracle(monkeypatch):
         repeated = rng.random() < 0.2
         if repeated:
             masks.append(rng.choice(masks))
-        classes = _engine_py.twin_classes(n, masks)
+        classes = symmetry.twin_classes(n, masks)
         got = [frozenset(v for v in range(n) if c >> v & 1) for c in classes]
         expected = naive_twin_classes(n, [[v for v in range(n) if em >> v & 1] for em in masks])
         covered = {v for em in masks for v in range(n) if em >> v & 1}
@@ -365,7 +367,7 @@ def test_pinned_copy_agrees_with_every_pinned_edge():
         pinned_he = grown.edges.index(new)
         expected = any(naive_contains(grown, pattern, (pe, pinned_he))
                        for pe in range(pattern.num_edges))
-        masks = h.edge_vertex_masks() + [search._mask(new)]
+        masks = h.edge_vertex_masks() + [sum(1 << (v - 1) for v in new)]
         assert search._pinned_copy(masks, pattern) == expected, (grown, pattern.expr)
         seen.add(expected)
     assert seen == {True, False}

@@ -88,7 +88,14 @@ class TestSubcommandImports:
         assert code == 1  # P2 is there: the command ran to its answer
         assert loaded == {"bergeturan", "bergeturan.cli", "bergeturan.core",
                           "bergeturan.errors", "bergeturan.berge", "bergeturan._engine_py",
-                          "bergeturan.engine"}
+                          "bergeturan.engine", "bergeturan.symmetry"}
+
+    def test_symmetry_loads_no_other_package_module(self, tmp_path):
+        # the kernel, core and search import symmetry, never the reverse
+        code, loaded = _loaded_modules(cwd=tmp_path, entry=("-c", "import bergeturan.symmetry"))
+        assert code == 0
+        assert {name for name in loaded if name.split(".")[0] == "bergeturan"} == {
+            "bergeturan", "bergeturan.symmetry"}
 
     def test_turan_loads_search_but_no_formulas(self, tmp_path):
         code, loaded = _loaded_submodules("turan", "-n", "4", "-r", "3", "-F", "P2",

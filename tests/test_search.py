@@ -205,6 +205,24 @@ class TestExactTuran:
         assert conn4.max_edges == 4
         assert len(conn4.witnesses[0].covered_vertices()) == 4
 
+    def test_span_check_matches_a_graph_search(self):
+        # edge lists in random order, so that an edge can meet the component
+        # only after a later edge has joined it
+        rng = random.Random(31)
+        seen = set()
+        for _ in range(2000):
+            n = rng.randint(2, 9)
+            r = rng.randint(2, min(3, n))
+            edges = [rng.sample(range(1, n + 1), r) for _ in range(rng.randint(1, 8))]
+            reached = set(edges[0])
+            while any(reached & set(e) and not reached >= set(e) for e in edges):
+                reached.update(*(e for e in edges if reached & set(e)))
+            expected = reached == set(range(1, n + 1))
+            masks = [sum(1 << (v - 1) for v in e) for e in edges]
+            assert search._spans_one_component(n, masks) is expected, (n, edges)
+            seen.add(expected)
+        assert seen == {True, False}
+
     def test_freeness_downward_closed_on_chains(self):
         rng = random.Random(424242)
         pat = parse_pattern("P3")
@@ -259,7 +277,7 @@ def _saturated_by_every_rset(h, pattern):
     lexicographic order, stopping at the first that creates no copy."""
     masks = h.edge_vertex_masks()
     present = set(h.edges)
-    return all(search._pinned_copy(masks + [search._mask(e)], pattern)
+    return all(search._pinned_copy(masks + [sum(1 << (v - 1) for v in e)], pattern)
                for e in combinations(range(1, h.n + 1), h.r) if e not in present)
 
 
