@@ -3,7 +3,8 @@
 Builds the extremal configurations, decides Berge-subhypergraph containment
 with certificates, evaluates the exact Turan formulas, verifies the
 supporting binomial inequalities in exact rational arithmetic, and computes
-exact Turan numbers for small instances by exhaustive branch and bound.
+exact Turan numbers for small instances: the value by listing the free
+hosts level by level up to isomorphism, the witnesses by branch and bound.
 
 The public names below are resolved on first use (PEP 562): importing the
 package loads none of its submodules, so a CLI subcommand pays only for the

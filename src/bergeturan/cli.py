@@ -362,6 +362,7 @@ def _cmd_turan(ns, run):
         "connected_only": ns.connected,
         "max_edges": result.max_edges,
         "exact": result.exact,
+        "answered_by": result.answered_by,
         "nodes_explored": result.nodes_explored,
         "pinned_calls": result.pinned_calls,
         "elapsed_s": round(result.elapsed, 6),
@@ -517,7 +518,8 @@ _COMMANDS = {
         (("--size",), _REQUIRED_INT),
         *_COMMON,
     ]),
-    "turan": ("exact Turan number by branch and bound", _cmd_turan, [
+    "turan": ("exact Turan number by levels up to isomorphism, witnesses by branch and bound",
+              _cmd_turan, [
         (("-n",), _REQUIRED_INT),
         (("-r",), _REQUIRED_INT),
         _PATTERN,
@@ -526,8 +528,9 @@ _COMMANDS = {
         (("--max-candidates",), {"type": _integer, "default": 64}),
         (("--out-dir",), {"help": "directory for witness .hg files"}),
         (("--budget",), {"type": _integer, "default": 0,
-                         "help": "tree-node budget (a node may run one pinned kernel check "
-                                 "per live candidate); 0 means unlimited (exact)"}),
+                         "help": "budget on listed classes plus tree nodes (each may run "
+                                 "many pinned kernel checks); 0 means unlimited (exact); a "
+                                 "truncated run is inexact, with free witnesses"}),
         *_COMMON,
     ]),
     "verify-lemmas": ("verify the binomial inequalities exactly", _cmd_verify_lemmas, [

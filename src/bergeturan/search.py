@@ -1,16 +1,43 @@
-"""Exact Turan numbers for small instances by branch and bound.
+"""Exact Turan numbers for small instances: the value by listing the free
+hosts level by level up to isomorphism, the witnesses by branch and bound
+with the value known.
 
-Freeness of a host from a Berge pattern is downward closed in the edge
-set, so the search walks candidate r-sets in lexicographic order, include
-branch first, keeping the current set free at all times.  Each node
-carries its live candidates: the later r-sets that the chosen set can take
-one at a time without a Berge copy.  Including one filters the others
-(forward checking), and a node is bounded by its chosen count plus its
-live count.  A filter check is incremental: a new Berge copy must use the
-new hyperedge as one of its representatives, so only embeddings pinned
+Complete host.  One kernel call asks whether the complete r-graph on 1..n
+is free.  If it is, the value is C(n, r) and that host is the only witness.
+
+Levels.  Level k holds one host per isomorphism class of free hosts with k
+edges.  Level 0 is the empty host.  For each class R of level k, one absent
+r-set e is taken per orbit of R's twin group (:mod:`bergeturan.symmetry`),
+R + e is kept when no Berge copy uses e (R is free, so a copy of R + e must
+use it), and the kept hosts are reduced to one per class by their canonical
+form (:func:`bergeturan.symmetry.canonical_form`).  This lists every class
+of free hosts with k + 1 edges.  Freeness is downward closed in the edge
+set, so deleting an edge f from a free host H with k + 1 edges leaves a
+free host isomorphic to some listed R, by a map sigma; then sigma(H) is
+R + sigma(f), and sigma(f) is absent from R.  A twin swap is an
+automorphism of R, so it maps R + sigma(f) onto R + e for the orbit's
+listed representative e, and H is isomorphic to a kept host.  The value is
+the last nonempty level; under ``connected_only`` it is the last level
+holding a class that covers 1..n in one component, since a disconnected
+free host can grow into a connected one and every class is listed.
+Classes are listed in a fixed order, so the counts repeat.  Once a level
+passes ``_LEVEL_CAP`` classes (weak patterns, whose free hosts are many),
+the instance goes to the branch and bound alone, which then proves the
+value as well.
+
+Branch and bound.  The search walks candidate r-sets in lexicographic
+order, include branch first, keeping the current set free at all times.
+Each node carries its live candidates: the later r-sets that the chosen set
+can take one at a time without a Berge copy.  Including one filters the
+others (forward checking), and a node is bounded by its chosen count plus
+its live count.  A filter check is incremental: a new Berge copy must use
+the new hyperedge as one of its representatives, so only embeddings pinned
 through it are searched.  The value is label-invariant, so a labelled
 search suffices; the root symmetry rule forces the first included edge to
 be {1..r}, which any nonempty free host can be relabelled to satisfy.
+With the value known, a subtree is also pruned once the witness list is
+full, and it returns the witnesses of the search that does not know it
+(see :class:`_Searcher`).
 
 Filter checks are answered once per orbit of the chosen set's twin group
 (:mod:`bergeturan.symmetry`): later candidates with one orbit key share
@@ -29,7 +56,13 @@ from ._engine_py import FOUND
 from .berge import Status, find_berge_embedding, solve_raw
 from .core import FormulaParams, Hypergraph, PatternGraph, Record, disjoint_paths_pattern
 from .errors import HostNotFree, ParamsOutOfRange, ScaleGuardExceeded
-from .symmetry import _orbit_key, _orbit_representatives, _pattern_edge_orbits, twin_classes
+from .symmetry import (
+    _orbit_key,
+    _orbit_representatives,
+    _pattern_edge_orbits,
+    canonical_form,
+    twin_classes,
+)
 
 # The functions that ``compare_with_formula`` imports from their defining
 # module when it runs.  They resolve on this module too, as they did when
@@ -45,10 +78,13 @@ __getattr__ = _lazy_getattr(__name__, {
 class SearchOptions(Record):
     """Options of :func:`exact_turan`.
 
-    ``node_budget`` caps the tree nodes, not the kernel calls: including a
-    candidate runs one pinned check per twin orbit of the live candidates
-    after it, so a node can cost many kernel calls
-    (``SearchResult.pinned_calls`` counts them).  0 means unlimited."""
+    ``node_budget`` caps ``SearchResult.nodes_explored``: the classes the
+    level search lists plus the nodes of the branch-and-bound tree, not the
+    kernel calls, since listing a class or including a candidate can run
+    many pinned checks (``SearchResult.pinned_calls`` counts them).  0
+    means unlimited.  A truncated result is inexact, and its witnesses are
+    free.  ``initial_witness`` is a free host that seeds the lower bound;
+    when its size is the value, it is the first witness."""
 
     connected_only: bool = False
     node_budget: int = 0
@@ -58,12 +94,24 @@ class SearchOptions(Record):
 
 
 class SearchResult(Record):
+    """``answered_by`` names the search that proved ``max_edges``:
+    ``"complete-host"``, ``"levels"`` or ``"branch-and-bound"``."""
+
     max_edges: int
     witnesses: tuple[Hypergraph, ...]
     nodes_explored: int
     pinned_calls: int
     elapsed: float
     exact: bool
+    answered_by: str
+
+
+# A level that passes this many classes hands the instance to the branch
+# and bound.  The largest levels of the instances measured whose listing
+# ends are 168 classes (8 3 C5, 2 s) and 91 (11 2 P4); weak patterns, such
+# as 2P3 at n = 8..10, 3P2 at n = 9 and 2P4 at n = 8, pass the cap at their
+# fifth level, after about 0.3 s.
+_LEVEL_CAP = 200
 
 
 class _Budget(Exception):
@@ -101,13 +149,14 @@ def _spans_one_component(n, masks):
 
 
 class _Searcher:
-    """The include/exclude tree over the candidates, with forward checking.
+    """The level search, and the include/exclude tree over the candidates
+    with forward checking.
 
-    A node holds the chosen set, which is free, and ``alive``: the later
-    candidates j, in index order, for which chosen + j is free.  Its first
-    live candidate is branched on, include first.  Including it filters the
-    rest of ``alive`` by one pinned check per twin orbit (see the module
-    docstring); excluding it keeps them.
+    A tree node holds the chosen set, which is free, and ``alive``: the
+    later candidates j, in index order, for which chosen + j is free.  Its
+    first live candidate is branched on, include first.  Including it
+    filters the rest of ``alive`` by one pinned check per twin orbit (see
+    the module docstring); excluding it keeps them.
 
     The recorded witnesses are those of the search that tries every later
     candidate and is bounded by chosen + all remaining candidates:
@@ -126,10 +175,16 @@ class _Searcher:
       leaves could not change either later.  The same holds for the
       ``connected_only`` span check, since no leaf below uses a dead
       candidate.
+    * With the value proven (``proven``), ``best`` starts at the value
+      and never grows, and the witnesses are the first free sets of that
+      size that the plain search meets, less any equal to the seed.  So a
+      full list stops the search, at any room, and the leaves that join
+      the list are the same.
 
     So the sequence of leaves that change ``best`` or the witness list is
     the same, and so are the value and the witnesses.  ``nodes`` counts
-    the calls of :meth:`dfs`, which the node budget caps.
+    the listed classes and the calls of :meth:`dfs`, which the node budget
+    caps.
     """
 
     def __init__(self, n, r, pattern, opts):
@@ -138,14 +193,24 @@ class _Searcher:
         self.pattern = pattern
         self.opts = opts
         self.candidates = tuple(combinations(range(1, n + 1), r))
-        self.cand_masks = Hypergraph(n=n, r=r, edges=self.candidates).edge_vertex_masks()
+        self.complete = Hypergraph(n=n, r=r, edges=self.candidates)
+        self.cand_masks = self.complete.edge_vertex_masks()
         self.chosen: list[int] = []
         self.chosen_masks: list[int] = []
         self.best = -1
         self.witness_sets: list[tuple[int, ...]] = []
+        self.proven = False
+        # the first listed free set of the deepest level that counts, as
+        # candidate indices: the value once the listing ends
+        self.lower: tuple[int, ...] | None = None
         self.nodes = 0
         self.pinned_calls = 0
         self.truncated = False
+
+    def count_node(self):
+        self.nodes += 1
+        if self.opts.node_budget and self.nodes > self.opts.node_budget:
+            raise _Budget
 
     def record_leaf(self):
         size = len(self.chosen)
@@ -159,13 +224,11 @@ class _Searcher:
 
     def pruned(self, room):
         """Can no free set of at most ``room`` edges change the answer?"""
-        return room < self.best or (
-            room == self.best and len(self.witness_sets) >= self.opts.witness_limit)
+        full = len(self.witness_sets) >= self.opts.witness_limit
+        return room < self.best or full and (self.proven or room == self.best)
 
     def dfs(self, alive):
-        self.nodes += 1
-        if self.opts.node_budget and self.nodes > self.opts.node_budget:
-            raise _Budget
+        self.count_node()
         if self.pruned(len(self.chosen) + len(alive)):
             return
         # can the chosen set plus the live candidates still cover 1..n in
@@ -206,28 +269,106 @@ class _Searcher:
         self.chosen.pop()
         self.chosen_masks.pop()
 
-    def run(self):
-        started = time.perf_counter()
-        opts = self.opts
-        if opts.initial_witness is not None:
-            w = opts.initial_witness
+    def list_levels(self):
+        """List the free hosts level by level, one per isomorphism class
+        (see the module docstring), keeping ``lower`` up to date.  Returns
+        False as soon as a level passes ``_LEVEL_CAP`` classes."""
+        n, connected = self.n, self.opts.connected_only
+        index = {mask: j for j, mask in enumerate(self.cand_masks)}
+        self.count_node()
+        if not connected:
+            self.lower = ()
+        level = [()]
+        while level:
+            grown = {}  # canonical form -> None, in the order first listed
+            for host in level:
+                masks = list(host)
+                present = set(host)
+                for e in _orbit_representatives(twin_classes(n, masks), self.r):
+                    if e in present:
+                        continue
+                    masks.append(e)
+                    if not _pinned_copy(masks, self.pattern, self):
+                        form, _ = canonical_form(n, masks)
+                        if form not in grown:
+                            self.count_node()
+                            grown[form] = None
+                            if len(grown) > _LEVEL_CAP:
+                                return False
+                            if len(form) > len(self.lower or ()) and (
+                                    not connected or _spans_one_component(n, form)):
+                                self.lower = tuple(sorted(index[mask] for mask in form))
+                    masks.pop()
+            level = list(grown)
+        return True
+
+    def start(self):
+        """Take ``best`` and the witness list from the seed, if any, or
+        from the empty host, which is free (and feasible unless
+        connectivity is required)."""
+        w = self.opts.initial_witness
+        if w is not None:
             if w.n != self.n or w.r != self.r:
                 raise ParamsOutOfRange("initial witness has mismatched n or r")
             if find_berge_embedding(w, self.pattern, budget=0).status is not Status.NOT_FOUND:
                 raise HostNotFree("initial witness contains the forbidden pattern")
             self.best = w.m
             self.witness_sets = [tuple(self.candidates.index(e) for e in w.edges)]
-        if self.best < 0:
-            # the empty host is always free; feasible unless connectivity is required
-            self.best = 0 if not opts.connected_only else -1
-            if self.best == 0:
-                self.witness_sets = [()]
+        elif not self.opts.connected_only:
+            self.best = 0
+            self.witness_sets = [()]
+
+    def prove(self):
+        """Take the value from ``lower``: from here the tree only lists
+        witnesses of it."""
+        self.proven = True
+        value = len(self.lower) if self.lower is not None else -1
+        if value > self.best:
+            self.best = value
+            self.witness_sets = []
+
+    def branch(self):
+        """Run the tree from its root, unless the value is proven and no
+        leaf can join the witness list."""
+        if self.proven and (self.best <= 0 or self.pruned(self.best)):
+            return
+        # any nonempty free host relabels so its first edge is {1..r}
+        if not _pinned_copy(self.cand_masks[:1], self.pattern, self):
+            self.include(0, range(1, len(self.candidates)))
+
+    def run(self, prove=True):
+        """The value and its witnesses.  The complete host, then the level
+        search, proves the value where it can, and the tree lists the
+        witnesses; otherwise, or without ``prove``, the tree alone
+        answers.  Past the node budget the result keeps the best free set
+        found, the deepest listed class among them."""
+        started = time.perf_counter()
+        answered_by = "branch-and-bound"
+        self.start()
         try:
-            # any nonempty free host relabels so its first edge is {1..r}
-            if not _pinned_copy(self.cand_masks[:1], self.pattern, self):
-                self.include(0, range(1, len(self.candidates)))
+            if prove and find_berge_embedding(self.complete, self.pattern,
+                                              budget=0).status is Status.NOT_FOUND:
+                # the tree's first leaf, and the only free set of its size
+                answered_by = "complete-host"
+                if not self.opts.connected_only or _spans_one_component(self.n, self.cand_masks):
+                    self.lower = tuple(range(len(self.candidates)))
+                self.prove()
+                self.chosen = list(self.lower or ())
+                if self.lower:
+                    self.record_leaf()
+            else:
+                if prove:
+                    answered_by = "levels"
+                    if self.list_levels():
+                        self.prove()
+                    else:
+                        answered_by = "branch-and-bound"
+                self.branch()
         except _Budget:
             self.truncated = True
+            if self.lower is not None and (len(self.lower) > self.best or not self.witness_sets):
+                self.best = len(self.lower)
+                self.witness_sets = [self.lower]
         witnesses = tuple(
             Hypergraph(n=self.n, r=self.r, edges=tuple(self.candidates[j] for j in s))
             for s in self.witness_sets
@@ -244,12 +385,15 @@ class _Searcher:
             pinned_calls=self.pinned_calls,
             elapsed=time.perf_counter() - started,
             exact=not self.truncated,
+            answered_by=answered_by,
         )
 
 
 def exact_turan(n: int, r: int, pattern: PatternGraph, opts: SearchOptions | None = None) -> SearchResult:
     """Maximum edge count of an r-graph on n labelled vertices with no
-    Berge copy of ``pattern``, with extremal witnesses.
+    Berge copy of ``pattern``, with extremal witnesses: the first
+    ``witness_limit`` free sets of that size in the order of the include-
+    first lexicographic search (see the module docstring).
 
     With ``connected_only`` the maximum runs over connected hosts covering
     all n vertices.  A node budget returns the best value found so far with

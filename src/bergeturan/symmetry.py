@@ -1,5 +1,6 @@
 """Symmetry of hosts and patterns: twin classes of host vertices, orbits of
-r-sets under the twin group, and orbits of pattern edges under Aut(F).
+r-sets under the twin group, orbits of pattern edges under Aut(F), and a
+canonical form of a host.
 
 Twins.  Host vertices u and w are twins when swapping them maps the set of
 hyperedges onto itself and, when a hyperedge is pinned, u and w are both
@@ -33,6 +34,12 @@ Orbits of pattern edges.  If a Berge copy (phi, psi) puts pattern edge e
 on hyperedge j and sigma in Aut(F) maps e to e', then (phi o sigma^-1,
 psi o sigma^-1) is a copy that puts e' on j.  So a search pinned at one
 edge answers for its orbit under Aut(F) (:func:`_pattern_edge_orbits`).
+
+Canonical form.  Colour refinement on the vertex-hyperedge incidence,
+individualisation of one vertex per twin class of the first non-singleton
+cell, and the least relabelled edge tuple over the leaves give one form per
+isomorphism class (:func:`canonical_form`).  The level search of
+``search`` keeps one free host per form.
 
 This module imports no other module of the package; the kernel, ``core``
 and ``search`` import it.  Vertices and indices are 0-based here.
@@ -252,6 +259,98 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _refine(colour, edges, through):
+    """The coarsest refinement of ``colour`` (one int per vertex) in which
+    vertices of one colour meet equally many hyperedges of each colour, a
+    hyperedge's colour being the sorted colours of its vertices.  Each
+    round gives a vertex the rank of its sorted signature (its colour, then
+    the sorted colours of the hyperedges through it), so the order of the
+    old colours is kept and the result depends only on the colouring, not
+    on the labels."""
+    classes = len(set(colour))
+    while True:
+        edge_colours = [tuple(sorted([colour[v] for v in e])) for e in edges]
+        sigs = [(colour[v], sorted([edge_colours[j] for j in through[v]]))
+                for v in range(len(colour))]
+        ranked = sorted(range(len(sigs)), key=sigs.__getitem__)
+        colour = [0] * len(sigs)
+        rank = 0
+        for prev, v in zip(ranked, ranked[1:]):
+            if sigs[v] != sigs[prev]:
+                rank += 1
+            colour[v] = rank
+        if rank + 1 == classes:
+            return colour
+        classes = rank + 1
+
+
+def _leaves(n, edge_masks):
+    """The discrete colourings of the individualisation-refinement tree of
+    the host on vertices 0..n-1, each a list that gives every vertex its
+    own colour in 0..n-1.
+
+    The root is the refined colouring with every vertex alike.  A node that
+    is not discrete individualises, one child each, the vertices of its
+    first non-singleton cell (the one of least colour), but only one
+    member of each twin class there, the smallest (:func:`twin_classes`):
+    the swap of two twins u and w maps the host onto itself and fixes every
+    vertex individualised above, none of which is in the cell, so it maps
+    the subtree of u onto that of w, and both yield the same relabelled
+    hosts.  Individualising v gives it a colour of its own just below its
+    cell, then refines (:func:`_refine`)."""
+    edges = [tuple(_bits(mask)) for mask in edge_masks]
+    through = [[] for _ in range(n)]
+    for j, e in enumerate(edges):
+        for v in e:
+            through[v].append(j)
+    twin = [0] * n
+    for i, cls in enumerate(twin_classes(n, edge_masks)):
+        for v in _bits(cls):
+            twin[v] = i
+    pending = [_refine([0] * n, edges, through)]
+    while pending:
+        colour = pending.pop()
+        size = [0] * n
+        for c in colour:
+            size[c] += 1
+        cell = next((c for c in range(n) if size[c] > 1), None)
+        if cell is None:
+            yield colour
+            continue
+        seen = set()
+        for v in range(n):
+            if colour[v] == cell and twin[v] not in seen:
+                seen.add(twin[v])
+                split = [2 * c + (u != v) for u, c in enumerate(colour)]
+                pending.append(_refine(split, edges, through))
+
+
+def canonical_form(n, edge_masks):
+    """The canonical form of the host on vertices 0..n-1 with the given
+    hyperedges (vertex bitmasks, no edge repeated), and a labelling that
+    produces it: ``(form, labelling)``, where ``labelling[v]`` is the new
+    label of vertex v and ``form`` is the ascending tuple of the relabelled
+    hyperedge masks.  Two hosts get one form exactly when they are
+    isomorphic.
+
+    The form is the least relabelled tuple over the leaves of the
+    individualisation-refinement tree (:func:`_leaves`; McKay and Piperno,
+    *Practical graph isomorphism, II*, 2014).  Refinement and the choice of
+    the cell to split depend on no label, so relabelling the host by sigma
+    relabels every node of the tree by sigma, and the set of relabelled
+    hosts at the leaves, hence its least member, is the same; where only
+    one twin per class is individualised, the skipped subtrees yield the
+    same hosts as the kept one.  Every leaf labelling relabels the host
+    isomorphically, so isomorphic hosts are also the only ones that share
+    a form."""
+    best = labelling = None
+    for colour in _leaves(n, edge_masks):
+        form = tuple(sorted([sum([1 << colour[v] for v in _bits(mask)]) for mask in edge_masks]))
+        if best is None or form < best:
+            best, labelling = form, tuple(colour)
+    return best, labelling
 
 
 def _automorphism(adj, colour, seed):

@@ -253,6 +253,7 @@ class TestTuranCommand:
         assert code == 0
         validate(doc, "turan")
         assert doc["max_edges"] == 2
+        assert doc["answered_by"] == "levels"
         assert doc["witness_files"]
         first = (out_dir / "witness_0.hg").read_text()
         assert first.startswith("3 6 2")
@@ -263,7 +264,9 @@ class TestTuranCommand:
         code, doc = json_doc(capsys, "turan", "-n", "6", "-r", "3", "-F", "2P2",
                              "--budget", "5", "--json")
         assert code == 3
+        validate(doc, "turan")
         assert not doc["exact"]
+        assert doc["nodes_explored"] == 6
 
     def test_connected_flag(self, capsys):
         code, doc = json_doc(capsys, "turan", "-n", "4", "-r", "3", "-F", "P4",

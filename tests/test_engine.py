@@ -112,9 +112,10 @@ def test_every_search_calls_the_kernel_by_module_name(monkeypatch):
 
     calls.clear()
     result = exact_turan(5, 3, parse_pattern("P3"), SearchOptions(witness_limit=2))
-    # pinned checks during the search plus one freeness re-check per witness
+    # one freeness check of the complete host, the pinned checks during the
+    # search, and one freeness re-check per witness
     assert len(result.witnesses) == 2 and all(pinned)
-    assert len(calls) == len(pinned) + len(result.witnesses)
+    assert len(calls) == 1 + len(pinned) + len(result.witnesses)
 
 
 def test_short_covered_hosts_stop_at_zero_nodes(monkeypatch):

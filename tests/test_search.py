@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from bergeturan import (
     SearchOptions,
+    SearchResult,
     Status,
     block_construction,
     compare_with_formula,
@@ -83,12 +85,41 @@ class TestExactTuran:
             assert find_berge_embedding(w, parse_pattern("P2")).status is Status.NOT_FOUND
 
     def test_budget_truncation_keeps_lower_bound(self):
-        res = exact_turan(6, 3, parse_pattern("2P2"), SearchOptions(node_budget=5))
-        assert not res.exact
-        assert res.max_edges >= 0
-        # the budget counts tree nodes, not the pinned checks they run
-        assert res.nodes_explored == 6
-        assert res.pinned_calls > res.nodes_explored
+        # the budget counts listed classes and tree nodes, not the pinned
+        # checks they run: the level search stops at its sixth class, one
+        # pinned check per class so far
+        pat = parse_pattern("2P2")
+        res = exact_turan(6, 3, pat, SearchOptions(node_budget=5))
+        assert (res.exact, res.answered_by) == (False, "levels")
+        assert (res.nodes_explored, res.pinned_calls) == (6, 5)
+        assert [w.edges for w in res.witnesses] == [((1, 2, 3), (4, 5, 6))]
+        # the branch and bound alone stops at its sixth tree node
+        tree = search._Searcher(6, 3, pat, SearchOptions(node_budget=5)).run(prove=False)
+        assert (tree.exact, tree.answered_by) == (False, "branch-and-bound")
+        assert tree.max_edges >= 0
+        assert tree.nodes_explored == 6
+        assert tree.pinned_calls > tree.nodes_explored
+
+    def test_every_budget_gives_free_witnesses(self):
+        # 21 listed classes prove the value 5, and 9 tree nodes find the
+        # first witness; below 30 nodes the result is inexact, with free
+        # witnesses of the size it reports
+        pat = parse_pattern("P4")
+        full = exact_turan(7, 3, pat)
+        assert (full.nodes_explored, full.answered_by) == (30, "levels")
+        sizes = []
+        for budget in range(1, 32):
+            res = exact_turan(7, 3, pat, SearchOptions(node_budget=budget))
+            assert res.exact is (budget >= 30)
+            assert res.nodes_explored == min(budget + 1, 30)
+            assert res.witnesses
+            for w in res.witnesses:
+                assert w.m == res.max_edges
+                assert find_berge_embedding(w, pat).status is Status.NOT_FOUND
+            sizes.append(res.max_edges)
+        assert sizes == sorted(sizes) and sizes[-1] == full.max_edges
+        assert res == SearchResult(full.max_edges, full.witnesses, 30, full.pinned_calls,
+                                   res.elapsed, True, "levels")
 
     def test_scale_guard(self):
         with pytest.raises(ScaleGuardExceeded):
@@ -137,6 +168,17 @@ class TestExactTuran:
         with pytest.raises(HostNotFree):
             exact_turan(6, 3, parse_pattern("P2"), SearchOptions(initial_witness=bad))
 
+    def test_warm_start_of_the_value_stays_first(self):
+        # a seed as large as the value leads the witness list, and the
+        # witnesses after it are those of the branch and bound
+        seed = make_hypergraph(3, 7, [[1, 3, 4], [2, 3, 4], [3, 4, 5], [3, 4, 6], [3, 4, 7]])
+        opts = SearchOptions(witness_limit=3, initial_witness=seed)
+        res = exact_turan(7, 3, parse_pattern("P4"), opts)
+        tree = search._Searcher(7, 3, parse_pattern("P4"), opts).run(prove=False)
+        assert (res.max_edges, res.answered_by) == (5, "levels")
+        assert res.witnesses[0] == seed
+        assert res.witnesses == tree.witnesses and len(res.witnesses) == 3
+
     @pytest.mark.parametrize("instance,value,witnesses", PINNED_ANSWERS,
                              ids=["-".join(map(str, row[0])) for row in PINNED_ANSWERS])
     def test_reproduces_pinned_answers(self, instance, value, witnesses):
@@ -149,8 +191,13 @@ class TestExactTuran:
 
     def test_live_candidates_shrink_the_tree(self):
         # the bound chosen + remaining candidates took 7,057 tree nodes
-        res = exact_turan(7, 3, parse_pattern("P4"))
-        assert (res.max_edges, res.exact, res.nodes_explored) == (5, True, 550)
+        pat = parse_pattern("P4")
+        tree = search._Searcher(7, 3, pat, SearchOptions()).run(prove=False)
+        assert (tree.max_edges, tree.exact, tree.nodes_explored) == (5, True, 550)
+        # the level search lists 21 classes, and the tree that knows the
+        # value takes 9 nodes to its first witness
+        res = exact_turan(7, 3, pat)
+        assert (res.max_edges, res.exact, res.nodes_explored) == (5, True, 30)
 
     @pytest.mark.parametrize("instance", [row[0] for row in PINNED_ANSWERS],
                              ids=["-".join(map(str, row[0])) for row in PINNED_ANSWERS])
@@ -170,13 +217,78 @@ class TestExactTuran:
         assert answer(reduced) == answer(plain)
         assert reduced.pinned_calls < plain.pinned_calls
 
-    @pytest.mark.parametrize("n,r,expr,cap,calls", [
-        (7, 3, "P4", 64, 3644),  # one check per candidate: 6,387
-        (8, 3, "2P2", 100, 12491),  # one check per candidate: 27,763
+    @pytest.mark.parametrize("n,r,expr,cap,tree_calls,calls", [
+        (7, 3, "P4", 64, 3644, 283),  # one check per candidate: 6,387 in the tree
+        (8, 3, "2P2", 100, 12491, 979),  # one check per candidate: 27,763 in the tree
     ])
-    def test_twin_orbits_cut_the_pinned_calls(self, n, r, expr, cap, calls):
-        res = exact_turan(n, r, parse_pattern(expr), SearchOptions(max_candidates=cap))
+    def test_twin_orbits_cut_the_pinned_calls(self, n, r, expr, cap, tree_calls, calls):
+        opts = SearchOptions(max_candidates=cap)
+        tree = search._Searcher(n, r, parse_pattern(expr), opts).run(prove=False)
+        assert tree.exact and tree.pinned_calls == tree_calls
+        res = exact_turan(n, r, parse_pattern(expr), opts)
         assert res.exact and res.pinned_calls == calls
+
+    @pytest.mark.parametrize("n,r,expr,cap,value,witness", [
+        (10, 3, "2P2", 120, 11, ((1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5), (1, 4, 5),
+                                 (2, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5), (6, 7, 8))),
+        (10, 3, "P4", 120, 8, tuple((1, 2, v) for v in range(3, 11))),
+        (8, 3, "C4", 64, 6, tuple((1, 2, v) for v in range(3, 9))),
+    ])
+    def test_levels_prove_values_out_of_the_trees_reach(self, n, r, expr, cap, value, witness):
+        # the witnesses are those the branch and bound found, in 79,942,
+        # 132,825 and 45,874 tree nodes (20 s, 54 s and 11 s on one core)
+        res = exact_turan(n, r, parse_pattern(expr), SearchOptions(max_candidates=cap))
+        assert (res.max_edges, res.exact, res.answered_by) == (value, True, "levels")
+        assert [w.edges for w in res.witnesses] == [witness]
+
+    def test_values_obey_the_averaging_bound(self):
+        # deleting a vertex keeps a host free, and each edge misses n - r
+        # of the n vertices: ex(n) <= floor(n * ex(n - 1) / (n - r))
+        # (Katona, Nemetz and Simonovits, 1964)
+        for expr in ("P3", "P4", "C3", "2P2"):
+            pat = parse_pattern(expr)
+            values = {n: exact_turan(n, 3, pat, SearchOptions(max_candidates=84)).max_edges
+                      for n in range(4, 10)}
+            for n in range(5, 10):
+                assert values[n] <= n * values[n - 1] // (n - 3), (expr, n, values)
+
+    @pytest.mark.parametrize("n,r,expr", [(7, 3, "2P3"), (8, 3, "3P2")])
+    def test_a_free_complete_host_answers_alone(self, n, r, expr):
+        # the pattern has more vertices than the host: the complete host is
+        # the tree's first leaf and the only free host of its size
+        pat = parse_pattern(expr)
+        res = exact_turan(n, r, pat, SearchOptions(witness_limit=2))
+        tree = search._Searcher(n, r, pat, SearchOptions(witness_limit=2)).run(prove=False)
+        assert (res.max_edges, res.exact, res.answered_by) == (comb(n, r), True, "complete-host")
+        assert (res.nodes_explored, res.pinned_calls) == (0, 0)
+        assert res.witnesses == tree.witnesses == (make_hypergraph(r, n, combinations(range(1, n + 1), r)),)
+
+    def test_levels_past_the_cap_hand_over_to_the_tree(self):
+        # 8 3 2P3 lists 1 + 1 + 3 + 11 + 52 classes, then its fifth level
+        # passes 200 classes at the 269th listed class; the branch and
+        # bound then runs unchanged on the rest of the budget
+        pat = parse_pattern("2P3")
+        res = exact_turan(8, 3, pat, SearchOptions(node_budget=400))
+        tree = search._Searcher(8, 3, pat, SearchOptions(node_budget=131)).run(prove=False)
+        assert (res.exact, res.answered_by) == (False, "branch-and-bound")
+        assert res.nodes_explored == tree.nodes_explored + 269
+        assert res.max_edges == tree.max_edges == 16
+        assert res.witnesses == tree.witnesses
+
+    @pytest.mark.parametrize("instance", [row[0] for row in PINNED_ANSWERS[:8]],
+                             ids=["-".join(map(str, row[0])) for row in PINNED_ANSWERS[:8]])
+    def test_a_low_cap_gives_the_same_answers(self, monkeypatch, instance):
+        # past the cap the branch and bound proves the value itself, on the
+        # instances of the benchmark
+        n, r, expr, connected, limit, cap = instance
+        opts = SearchOptions(connected_only=connected, witness_limit=limit, max_candidates=cap)
+        monkeypatch.setattr(search, "_LEVEL_CAP", 2)
+        capped = exact_turan(n, r, parse_pattern(expr), opts)
+        tree = search._Searcher(n, r, parse_pattern(expr), opts).run(prove=False)
+        assert capped.answered_by == "branch-and-bound"
+        assert (capped.max_edges, capped.witnesses, capped.exact) == (
+            tree.max_edges, tree.witnesses, tree.exact)
+        assert capped.nodes_explored > tree.nodes_explored
 
     def test_pinned_calls_are_counted_and_repeat(self, monkeypatch):
         calls = []

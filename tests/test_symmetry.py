@@ -1,10 +1,10 @@
-"""The orbit helpers of ``bergeturan.symmetry`` against a brute force over
-every permutation that maps each class onto itself."""
+"""The orbit helpers and the canonical form of ``bergeturan.symmetry``
+against brute force over permutations."""
 
 import random
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
-from bergeturan.symmetry import _orbit_key, _orbit_representatives
+from bergeturan.symmetry import _leaves, _orbit_key, _orbit_representatives, canonical_form
 
 
 def _class_preserving_orbits(n, classes, r):
@@ -44,3 +44,126 @@ def test_orbit_helpers_match_every_class_preserving_permutation():
         assert len(set().union(*keys)) == len(orbits)
         seen.add((len(classes) > 1, len(orbits) > 1, len(orbits) < len(set().union(*orbits))))
     assert seen >= {(True, True, True), (False, False, True)}
+
+
+def _relabel(masks, sigma):
+    """The vertex bitmasks ``masks`` with vertex v renamed sigma[v]."""
+    return [sum(1 << sigma[v] for v in range(len(sigma)) if mask >> v & 1) for mask in masks]
+
+
+def _random_host(rng, n, r, most):
+    rsets = [sum(1 << v for v in s) for s in combinations(range(n), r)]
+    return rng.sample(rsets, rng.randint(0, min(most, len(rsets))))
+
+
+def _masks(*edges):
+    return [sum(1 << v for v in e) for e in edges]
+
+
+def test_refinement_and_twins_keep_the_tree_small():
+    # leaves of the individualisation-refinement tree: refinement splits
+    # the tight path into its two ends' orbits, and twins leave one choice
+    # per triangle; without refinement the tight path alone would give
+    # thousands of leaves.  The 6-cycle has no twins, so its 12
+    # automorphisms give 12 leaves.
+    hosts = [
+        (8, _masks((0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (5, 6, 7)), 2),
+        (6, _masks((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)), 2),
+        (6, _masks((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)), 12),
+        (9, _masks((0, 1, 2), (3, 4, 5), (6, 7, 8)), 6),
+        (10, [], 1),
+    ]
+    for n, masks, leaves in hosts:
+        assert len(list(islice(_leaves(n, masks), 1000))) == leaves, masks
+
+
+def _cycles(*lengths):
+    """Disjoint cycles of the given lengths, as a graph's edge masks:
+    2-regular, so refinement leaves every vertex in one cell."""
+    masks, first = [], 0
+    for length in lengths:
+        masks += _masks(*((first + i, first + (i + 1) % length) for i in range(length)))
+        first += length
+    return first, masks
+
+
+# hosts whose vertices refinement cannot tell apart, although they lie in
+# different orbits: the tree must branch on one vertex per twin class
+REGULAR_HOSTS = [_cycles(4, 3, 3), _cycles(4, 6), _cycles(3, 7), _cycles(5, 5), _cycles(3, 3, 4),
+                 _cycles(4, 5), _cycles(3, 6)]
+
+
+def test_canonical_form_is_invariant_and_produced_by_its_labelling():
+    rng = random.Random(11)
+    seen = set()
+    for i in range(300 + 4 * len(REGULAR_HOSTS)):
+        r = rng.choice((2, 3, 4))
+        n = rng.randint(r, 10)
+        masks = _random_host(rng, n, r, 24)
+        if i >= 300:
+            n, masks = REGULAR_HOSTS[i % len(REGULAR_HOSTS)]
+        # refinement and twins keep the tree small: no random host comes
+        # near 1,000 leaves, where 10 vertices could give 10! without them
+        assert len(list(islice(_leaves(n, masks), 1000))) < 1000, masks
+        form, labelling = canonical_form(n, masks)
+        assert sorted(labelling) == list(range(n))
+        assert tuple(sorted(_relabel(masks, labelling))) == form
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        moved, moved_labelling = canonical_form(n, _relabel(masks, sigma))
+        assert moved == form, (n, masks, sigma)
+        seen.add(labelling != moved_labelling)
+    assert seen == {True, False}
+
+
+def _switch(rng, masks):
+    """Move a vertex x from one hyperedge to another and a vertex y back,
+    which keeps every degree; None when the pair of edges allows no move."""
+    i, j = rng.sample(range(len(masks)), 2)
+    xs, ys = masks[i] & ~masks[j], masks[j] & ~masks[i]
+    if not xs or not ys:
+        return None
+    x = rng.choice([1 << v for v in range(xs.bit_length()) if xs >> v & 1])
+    y = rng.choice([1 << v for v in range(ys.bit_length()) if ys >> v & 1])
+    out = list(masks)
+    out[i], out[j] = masks[i] ^ x ^ y, masks[j] ^ x ^ y
+    return out if len(set(out)) == len(out) else None
+
+
+def _isomorphic(n, a, b):
+    target = sorted(b)
+    return any(sorted(_relabel(a, sigma)) == target for sigma in permutations(range(n)))
+
+
+def test_canonical_form_separates_exactly_the_isomorphism_classes():
+    # pairs with equal degree sequences, drawn as a host and a relabelled
+    # copy of it with up to two degree-keeping switches, against a search
+    # over every permutation
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(160):
+        r = rng.choice((2, 3, 4))
+        n = rng.randint(r + 1, 7 if r < 4 else 6)
+        a = _random_host(rng, n, r, 8)
+        if len(a) < 2:
+            continue
+        b = a
+        for _ in range(rng.randint(0, 2)):
+            b = _switch(rng, b) or b
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        b = _relabel(b, sigma)
+        same = _isomorphic(n, a, b)
+        assert (canonical_form(n, a)[0] == canonical_form(n, b)[0]) is same, (n, a, b)
+        seen.add(same)
+    assert seen == {True, False}
+
+
+def test_canonical_form_lists_the_isomorphism_classes():
+    # every host on 5 vertices: 34 classes of graphs and, by complement on
+    # the 3-sets, of 3-graphs; 11 graphs on 4 vertices
+    for n, r, classes in ((4, 2, 11), (5, 2, 34), (5, 3, 34)):
+        rsets = [sum(1 << v for v in s) for s in combinations(range(n), r)]
+        forms = {canonical_form(n, [e for j, e in enumerate(rsets) if pick >> j & 1])[0]
+                 for pick in range(1 << len(rsets))}
+        assert len(forms) == classes
