@@ -353,8 +353,8 @@ class _Searcher:
                 if not self.opts.connected_only or _spans_one_component(self.n, self.cand_masks):
                     self.lower = tuple(range(len(self.candidates)))
                 self.prove()
-                self.chosen = list(self.lower or ())
                 if self.lower:
+                    self.chosen = list(self.lower)
                     self.record_leaf()
             else:
                 if prove:

@@ -220,7 +220,7 @@ class TestExactTuran:
     @pytest.mark.parametrize("n,r,expr,cap,tree_calls,calls", [
         (7, 3, "P4", 64, 3644, 283),  # one check per candidate: 6,387 in the tree
         (8, 3, "2P2", 100, 12491, 979),  # one check per candidate: 27,763 in the tree
-    ])
+    ], ids=["7-3-P4-64-3644", "8-3-2P2-100-12491"])
     def test_twin_orbits_cut_the_pinned_calls(self, n, r, expr, cap, tree_calls, calls):
         opts = SearchOptions(max_candidates=cap)
         tree = search._Searcher(n, r, parse_pattern(expr), opts).run(prove=False)
