@@ -39,9 +39,13 @@ assignment) are those of the search without the rule; only node counts
 fall.  A candidate is classified lazily (``symmetry._candidates``) when it
 first passes the used-vertex filter, before it counts as a node, so node
 counts are those of classifying every vertex first.  Set-up is linear in
-the edge masks and in the per-vertex incidence masks
-(``symmetry.incidence``), n x m bits in all, where n runs only to the
-last covered vertex.
+the edge masks: it packs them into a byte matrix of n x m bits, where n
+runs only to the last covered vertex, and takes each covered vertex's
+degree from it (``symmetry.incidence``).  On hosts of fewer than
+``symmetry._LARGE_HOST_EDGES`` edges it also converts every vertex's
+incidence mask; on larger ones a mask is converted when the search or a
+twin test first reads it, so a query that stops after a few nodes
+converts few of them.
 
 Pin rule.  Under a pin, the positions of both endpoints of the pinned
 pattern edge take their candidates from a list holding only the vertices
@@ -139,7 +143,7 @@ def solve(edge_masks, pat_edges, order, budget=0, pinned_pe=-1, pinned_he=-1):
     host_order = [v for v, digit in enumerate(bin(covered)[:1:-1]) if digit == "1"]
     # the hyperedges through each vertex as a bitmask; a pair's shared
     # edges are inc[a] & inc[b]
-    inc = incidence(n, edge_masks, host_order)
+    inc, degree = incidence(n, edge_masks, host_order)
     pinned_mask = edge_masks[pinned_he] if pinned_he >= 0 else 0
     pos_of = [-1] * p
     for i, pv in enumerate(order):
@@ -157,8 +161,8 @@ def solve(edge_masks, pat_edges, order, budget=0, pinned_pe=-1, pinned_he=-1):
     # has bit n set, so that it passes the used-vertex filter alone and is
     # then sent to be classified
     unclassified = 1 << n
-    cands, inside, twins_through = _candidates(edge_masks, inc, pinned_mask, host_order,
-                                               unclassified)
+    cands, inside, twins_through = _candidates(edge_masks, inc, degree, pinned_mask,
+                                               host_order, unclassified)
     pos_cands = [cands] * p
     if pinned_pe >= 0:
         # the pin rule: both endpoints of the pinned edge lie in its hyperedge

@@ -30,6 +30,7 @@ from .errors import (
     ParseError,
     VertexOutOfRange,
 )
+from .symmetry import _LARGE_HOST_EDGES, incidence
 
 
 class Record:
@@ -90,18 +91,6 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-# Hosts with at least this many edges are read through their distinct labels
-# and have their edge masks built from one bit per distinct label; smaller
-# hosts take the per-edge routes, which cost less where a label repeats only
-# a few times.  Measured on random canonical hosts with n=12, r=3 and with
-# n=60, r=4 (median of 9 x 200 calls, one core of a 2-core x86 machine): the
-# reader's two routes break even at 16-48 edges, and the mask builder's at
-# 16-32 (n=12) and at about 64 (n=60).  At 64 edges a read takes 73 us
-# against 85 (n=12) and 76 against 105 (n=60), and the masks 36 us against
-# 51 (n=12) and 50-67 against 50-70 (n=60, two runs).
-_LARGE_HOST_EDGES = 64
-
-
 class _VertexBits(dict):
     """Vertex v to its bit 1 << (v - 1), computed at its first lookup."""
 
@@ -152,11 +141,9 @@ class Hypergraph(Record, eq_skip=("duplicates_collapsed",)):
     def incidence_masks(self) -> dict[int, int]:
         """Per covered vertex, the bitmask over edge indices (bit j set when
         v is in edge j)."""
-        from .symmetry import incidence
-
         covered = [v - 1 for v in self.covered_vertices()]
         # the builder's table runs to the last covered vertex, not to n
-        inc = incidence(covered[-1] + 1 if covered else 0, self.edge_vertex_masks(), covered)
+        inc, _ = incidence(covered[-1] + 1 if covered else 0, self.edge_vertex_masks(), covered)
         return {v + 1: inc[v] for v in covered}
 
 
@@ -453,8 +440,9 @@ def read_hypergraph(text) -> Hypergraph:
     The edge block is checked in bulk first (:func:`_read_bulk`); a text
     that fails any bulk check is read again line by line
     (:func:`_read_lines`), which finds and reports the first problem.  A
-    bulk read of at least ``_LARGE_HOST_EDGES`` edges parses each distinct
-    label once.  No edge mask is built here.
+    bulk read of at least ``_LARGE_HOST_EDGES`` edges parses all its labels
+    in one ``json.loads`` pass, and imports ``json`` when it first does.
+    No edge mask is built here.
     """
     if isinstance(text, io.TextIOBase):
         text = text.read()
@@ -469,8 +457,18 @@ def _read_bulk(text):
     """The hypergraph of ``text``, or None where :func:`_read_lines` might
     raise.  Each check runs over the whole edge block at C speed: the lines
     must hold r fields of ASCII digits between single spaces, and the
-    vertex columns must rise strictly within 1..n.  From
-    ``_LARGE_HOST_EDGES`` edges on, int() runs once per distinct label."""
+    vertex columns must rise strictly within 1..n.
+
+    From ``_LARGE_HOST_EDGES`` edges on, the edge block becomes one JSON
+    array, its spaces and newlines turned into commas, and ``json.loads``
+    parses every label in one pass at C speed.  JSON refuses a label with
+    a leading zero, such as 007, which the line scan reads as 7, so a block
+    with a label that starts with 0 takes the per-field int() of smaller
+    hosts.  Either route rejects an empty field and, as the line scan does,
+    a label longer than the interpreter's integer string-conversion limit
+    (``json.loads`` raises ValueError for it too; were it to accept one,
+    the label would still exceed n, whose digits are within the limit, and
+    fail the range check)."""
     if not text.endswith("\n"):
         return None
     if "#" in text:
@@ -494,18 +492,18 @@ def _read_bulk(text):
     holes = body.encode().translate(None, _DIGITS)
     if len(holes) != r * m or m and holes != (b" " * (r - 1) + b"\n") * m:
         return None
-    fields = body.split()
-    if len(fields) != r * m:  # an empty field
-        return None
     if not m:  # with no edges, r is bounded by nothing in the text
         return _assemble(r, n, [])
     try:
-        if m < _LARGE_HOST_EDGES:
-            values = list(map(int, fields))
+        if m < _LARGE_HOST_EDGES or body[0] == "0" or " 0" in body or "\n0" in body:
+            values = list(map(int, body.split()))
         else:
-            distinct = set(fields)
-            values = list(map(dict(zip(distinct, map(int, distinct))).__getitem__, fields))
-    except ValueError:  # an integer too long to convert
+            import json  # only large reads need it
+
+            values = json.loads("[" + body[:-1].replace(" ", ",").replace("\n", ",") + "]")
+    except ValueError:  # an empty field (JSON) or an integer too long to convert
+        return None
+    if len(values) != r * m:  # an empty field (split)
         return None
     columns = [values[i::r] for i in range(r)]
     if min(columns[0]) < 1 or max(columns[-1]) > n:

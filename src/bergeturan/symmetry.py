@@ -51,29 +51,79 @@ from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, compress, groupby, islice, repeat
 from operator import add, or_
 
-# _BIT_DIGIT[k] maps a byte to b"1" when its bit k is set, else to b"0"
+# Hosts with at least this many edges take the large-host routes, here and
+# in ``core``: labels parsed in one ``json.loads`` pass, edge masks built
+# from one bit per distinct label, incidence rows converted at their first
+# read, and twin tests with a dict for membership and no per-bit walk.
+# Smaller hosts keep the per-item routes: there a label repeats only a few
+# times, a search reads most rows, and a read imports no ``json``.  Medians
+# of 9 runs on random canonical hosts (n=12, r=3; n=30, r=3; n=60, r=4),
+# one core of a 2-core x86 machine, CPython 3.11.  At 64 edges the masks
+# took 36 us against 51 per edge (n=12) and 50-67 against 50-70 (n=60).
+# Parsing the labels took, by JSON, by int() per distinct label (the route
+# JSON replaced) and by int() per field: 29, 30 and 47 us at n=12, m=64;
+# 50, 49 and 86 at m=128; 81, 75 and 143 at m=220 (dense n=12 hosts, which
+# no workload reads, are up to 7% slower by JSON); 25, 32 and 45 at n=30,
+# m=64; 28, 46 and 48 at n=60, m=64; 1.2, 1.3 and 2.0 ms at m=3000; and
+# 1.9, 2.1 and 3.6 ms and 5.5, 8.2 and 10.4 ms on the 7,084- and
+# 14,157-edge constructions.  JSON and int() per field meet at about 8
+# edges.  On those constructions ``dict.fromkeys`` builds the membership
+# table in 0.8-1.9 ms against 1.0-2.1 ms for ``set``, whose linear probing
+# suffers from masks that share their low bits; below 64 edges ``set``
+# builds in about half the time.
+_LARGE_HOST_EDGES = 64
+
+# _BIT_DIGIT[k] maps a byte to b"1" when its bit k is set, else to b"0";
+# _NO_BIT[k] lists the bytes whose bit k is clear
 _BIT_DIGIT = [(b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8)]
 _DIGIT_FLAG = bytes.maketrans(b"01", b"\0\1")
+_NO_BIT = [bytes(compress(range(256), digits.translate(bytes.maketrans(b"01", b"\1\0"))))
+           for digits in _BIT_DIGIT]
+
+
+class _LazyRows(dict):
+    """Vertex v to its incidence row, converted from v's byte column of the
+    packed edge matrix at its first lookup (see :func:`incidence`)."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def __missing__(self, v):
+        row = self[v] = int(self.columns[v >> 3].translate(_BIT_DIGIT[v & 7]), 2)
+        return row
 
 
 def incidence(n, edge_masks, vertices):
-    """Per vertex, the bitmask of the edges through it (bit j for edge j),
-    computed for ``vertices`` and 0 for every other vertex below n.
+    """The incidence rows and degrees of a host: ``(rows, degree)``, where
+    ``rows[v]`` is the bitmask of the edges through vertex v (bit j for
+    edge j) and ``degree[v]`` its number of bits, for every vertex v below
+    n.  ``vertices`` lists the covered vertices; every other vertex has row
+    and degree 0.
 
-    Large hosts go through a byte transpose: the edge masks are packed into
+    Dense hosts go through a byte transpose: the edge masks are packed into
     a matrix of one row of little-endian bytes per edge, last edge first,
-    so the bit of vertex v down the rows, read as a string of binary
-    digits, is v's mask.  Each vertex costs one strided slice, one
-    ``translate`` and one ``int(..., 2)``, all linear in m, where setting
+    and cut into its byte columns, so the bit of vertex v down its column,
+    read as a string of binary digits, is v's row.  Each vertex costs one
+    ``translate`` and one ``int(..., 2)``, both linear in m, where setting
     bit j of a growing integer per incidence is quadratic.  On hosts of
     6-16 vertices and 4-32 edges (CPython 3.11, one Xeon core) the
     transpose takes about 0.7 us per vertex and the per-bit loop about
     0.2 us per incidence, so the loop is kept up to four incidences per
-    vertex.  Up to 64 vertices, ``array("Q")`` packs the rows about 2.5
+    vertex.  Up to 64 vertices, ``array("Q")`` packs the matrix about 2.5
     times faster than ``int.to_bytes`` per edge (0.6 against 1.5 ms at
-    m = 14,157).  The choices change no result.
+    m = 14,157).
+
+    From ``_LARGE_HOST_EDGES`` edges on, the transposed rows are lazy: the
+    degrees are counted from the columns with ``translate``, which deletes
+    the bytes without v's bit, and a row is converted with ``int(..., 2)``
+    only when it is first read, so a search that reads few rows skips most
+    conversions.  Only the columns, m bytes per byte of vertex labels, stay
+    alive with the rows.  At m = 14,157 and n = 60 the degrees cost 0.7 ms,
+    where converting every row costs 3.4 ms more.  The choices change no
+    result.
     """
-    inc = [0] * n
     m = len(edge_masks)
     if m and m * edge_masks[0].bit_count() > 4 * len(vertices):
         if n <= 64:
@@ -81,20 +131,29 @@ def incidence(n, edge_masks, vertices):
             words.reverse()
             if sys.byteorder == "big":
                 words.byteswap()
-            rows, width = words.tobytes(), 8
+            matrix, width = words.tobytes(), 8
         else:
             width = (n + 7) >> 3
-            rows = b"".join(map(int.to_bytes, reversed(edge_masks), repeat(width), repeat("little")))
+            matrix = b"".join(map(int.to_bytes, reversed(edge_masks), repeat(width),
+                                  repeat("little")))
+        columns = [matrix[c::width] for c in range((n + 7) >> 3)]
+        if m >= _LARGE_HOST_EDGES:
+            degree = [0] * n
+            for v in vertices:
+                degree[v] = len(columns[v >> 3].translate(None, _NO_BIT[v & 7]))
+            return _LazyRows(columns), degree
+        inc = [0] * n
         for v in vertices:
-            inc[v] = int(rows[v >> 3::width].translate(_BIT_DIGIT[v & 7]), 2)
+            inc[v] = int(columns[v >> 3].translate(_BIT_DIGIT[v & 7]), 2)
     else:
+        inc = [0] * n
         for j, em in enumerate(edge_masks):
             bit = 1 << j
             while em:
                 low = em & -em
                 inc[low.bit_length() - 1] |= bit
                 em ^= low
-    return inc
+    return inc, list(map(int.bit_count, inc))
 
 
 def _swap_is_automorphism(edge_masks, edge_set, inc, u, w):
@@ -103,22 +162,28 @@ def _swap_is_automorphism(edge_masks, edge_set, inc, u, w):
 
     It does when it maps each hyperedge through w but not u onto a
     hyperedge: at equal degrees those images are then all the hyperedges
-    through u but not w.  The first few are checked one at a time, walking
-    the set bits of their index mask, which settles most pairs that are not
-    twins.  A step of that walk costs O(m), so the rest are picked out with
-    ``compress`` over 0/1 flags and checked in one pass at C speed.
+    through u but not w.  On hosts of fewer than ``_LARGE_HOST_EDGES``
+    edges the first few are checked one at a time, walking the set bits of
+    their index mask, which settles most pairs that are not twins.  A step
+    of that walk costs O(m), and on large hosts nearly every pair tested is
+    a twin pair (the class's first-hyperedge check in :func:`_join_class`
+    settles the others), so there the walk is skipped.  The rest are
+    picked out with ``compress`` over 0/1 flags and looked up in one pass
+    at C speed that stops at the first missing image.
     """
     only_w = inc[w] & ~inc[u]
     shift = (1 << u) - (1 << w)
-    for _ in range(8):
-        if not only_w:
-            return True
-        low = only_w & -only_w
-        only_w ^= low
-        if edge_masks[low.bit_length() - 1] + shift not in edge_set:
-            return False
+    if len(edge_masks) < _LARGE_HOST_EDGES:
+        for _ in range(8):
+            if not only_w:
+                return True
+            low = only_w & -only_w
+            only_w ^= low
+            if edge_masks[low.bit_length() - 1] + shift not in edge_set:
+                return False
     flags = format(only_w, "0%db" % len(edge_masks)).encode().translate(_DIGIT_FLAG)
-    return edge_set.issuperset(map(add, compress(reversed(edge_masks), flags), repeat(shift)))
+    return all(map(edge_set.__contains__,
+                   map(add, compress(reversed(edge_masks), flags), repeat(shift))))
 
 
 def _join_class(edge_masks, edge_set, inc, classes, w):
@@ -141,13 +206,14 @@ def _join_class(edge_masks, edge_set, inc, classes, w):
     return 0
 
 
-def _candidates(edge_masks, inc, pinned_mask, vertices, unclassified):
+def _candidates(edge_masks, inc, degree, pinned_mask, vertices, unclassified):
     """The kernel's candidate records and the lazy classifier of twins.
 
     Returns (cands, inside, through).  ``cands`` holds a record (v, 1 << v,
     guard, earlier twins) per vertex of ``vertices``, the covered vertices
     in ascending order, and ``inside`` the records of the pinned
-    hyperedge's vertices.  The vertices are grouped by degree and
+    hyperedge's vertices.  The vertices are grouped by degree (``degree``
+    of :func:`incidence`, so grouping reads no row of ``inc``) and
     pinned-edge membership, which twins share.  The smallest vertex of a
     group has no earlier twin; the record of every other vertex starts
     with no earlier twins and bit ``unclassified`` set in its guard.
@@ -159,16 +225,17 @@ def _candidates(edge_masks, inc, pinned_mask, vertices, unclassified):
     twins form classes, so every vertex gets the earlier twins that
     classifying all vertices at once gives it: its smaller twins.  A
     caller that stops early skips the tests of the vertices it never
-    reached.  The first call builds a set of the edge masks; each test
-    then costs one pass over an m-bit mask and a set lookup per hyperedge
-    through one vertex of the pair but not the other.
+    reached.  The first call builds a membership table of the edge masks,
+    a set or, from ``_LARGE_HOST_EDGES`` edges on, a dict; each test then
+    costs one pass over an m-bit mask and a lookup per hyperedge through
+    one vertex of the pair but not the other.
     """
     cands = []
     inside = []
     groups = {}  # (degree, pinned membership) -> [pending members, classes, next pending]
     for v in vertices:
         vbit = 1 << v
-        key = inc[v].bit_count() << 1 | pinned_mask >> v & 1
+        key = degree[v] << 1 | pinned_mask >> v & 1
         group = groups.get(key)
         if group is None:
             groups[key] = [[], [[v, vbit]], 0]
@@ -185,9 +252,9 @@ def _candidates(edge_masks, inc, pinned_mask, vertices, unclassified):
     def through(v):
         nonlocal edge_set, simple
         if edge_set is None:
-            edge_set = set(edge_masks)
+            edge_set = (set if len(edge_masks) < _LARGE_HOST_EDGES else dict.fromkeys)(edge_masks)
             simple = len(edge_set) == len(edge_masks)
-        group = groups[inc[v].bit_count() << 1 | pinned_mask >> v & 1]
+        group = groups[degree[v] << 1 | pinned_mask >> v & 1]
         pending, classes = group[0], group[1]
         while True:
             w, i, j = pending[group[2]]
@@ -210,7 +277,7 @@ def twin_classes(n, edge_masks):
     covered = reduce(or_, edge_masks, 0)
     width = covered.bit_length()
     vertices = [v for v in range(width) if covered >> v & 1]
-    cands, _, through = _candidates(edge_masks, incidence(width, edge_masks, vertices), 0,
+    cands, _, through = _candidates(edge_masks, *incidence(width, edge_masks, vertices), 0,
                                     vertices, 1 << width)
     classes = {}  # smallest member -> the class
     for v, vbit, guard, earlier in cands:

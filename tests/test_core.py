@@ -502,6 +502,41 @@ def test_overlong_label_in_a_large_host_names_its_line(at, digits):
         f"line {at + 2}: integer longer than 4300 digits", at + 2)
 
 
+@pytest.mark.parametrize("at,field", [(0, 0), (CUT // 2, 0), (CUT // 2, 1), (CUT - 1, 2)])
+def test_leading_zero_label_in_a_large_host_is_read_in_bulk(at, field):
+    # JSON refuses 007, so the bulk reader parses a block with a label that
+    # starts with 0 per field, as the line scan does: at the start of the
+    # block, of a line and inside a line
+    lines = _hg_lines(CUT)
+    fields = lines[at].split()
+    fields[field] = "00" + fields[field]
+    lines[at] = " ".join(fields) + "\n"
+    text = f"3 12 {CUT}\n" + "".join(lines)
+    bulk = _read_bulk(text)
+    assert bulk is not None
+    assert bulk == _read_lines(text) == read_hypergraph(_canonical(CUT))
+
+
+@pytest.mark.parametrize("zero", [False, True])
+@pytest.mark.parametrize("at", [0, CUT // 2, CUT - 1])
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+def test_empty_field_in_a_large_host_names_its_line(where, at, zero):
+    # the line keeps two spaces and a newline, so only the parse of the
+    # labels finds the missing one: JSON, or int() per field where another
+    # line has a leading zero
+    lines = _hg_lines(CUT)
+    a, b, c = lines[at].split()
+    lines[at] = {"start": f" {b} {c}\n", "middle": f"{a}  {c}\n", "end": f"{a} {b} \n"}[where]
+    if zero:
+        other = (at + 1) % CUT
+        lines[other] = "0" + lines[other]
+    text = f"3 12 {CUT}\n" + "".join(lines)
+    assert _read_bulk(text) is None
+    with pytest.raises(FormatError) as exc:
+        read_hypergraph(text)
+    assert (str(exc.value), exc.value.line) == (f"line {at + 2}: expected 3 integers", at + 2)
+
+
 _HUGE_LABELS_PROBE = """
 import sys, tracemalloc
 from bergeturan import read_hypergraph

@@ -228,6 +228,13 @@ def test_repeated_edge_hosts_run_no_twin_tests(monkeypatch):
 LARGE_HOSTS = [(44, 3, 15, 3), (64, 3, 15, 3), (60, 4, 13, 2)]
 
 
+def _relabelled_construction(params, rng):
+    g, _ = extremal_construction(FormulaParams(*params))
+    labels = list(range(1, g.n + 1))
+    rng.shuffle(labels)
+    return make_hypergraph(g.r, g.n, [[labels[v - 1] for v in e] for e in g.edges])
+
+
 def test_large_hosts_keep_answers_and_node_counts():
     # sha256 of (status, images, assignment, nodes) for P3, 2P2 and C4,
     # unpinned and pinned, recorded by the kernel that built the incidence
@@ -236,10 +243,7 @@ def test_large_hosts_keep_answers_and_node_counts():
     rng = random.Random(8)
     digest = hashlib.sha256()
     for params in LARGE_HOSTS:
-        g, _ = extremal_construction(FormulaParams(*params))
-        labels = list(range(1, g.n + 1))
-        rng.shuffle(labels)
-        h = make_hypergraph(g.r, g.n, [[labels[v - 1] for v in e] for e in g.edges])
+        h = _relabelled_construction(params, rng)
         masks = h.edge_vertex_masks()
         for expr in ("P3", "2P2", "C4"):
             pattern = parse_pattern(expr)
@@ -248,6 +252,26 @@ def test_large_hosts_keep_answers_and_node_counts():
                 assert out[0] == _engine_py.FOUND
                 digest.update(repr(out).encode() + b"\n")
     assert digest.hexdigest() == "bab0b7572ed4ae077520b1ed69670edd8fc44f03b3e8cc2c4f21a90b5ce9b174"
+
+
+def test_large_host_queries_convert_only_the_rows_they_read(monkeypatch):
+    # a FOUND P3 query on the 14,157-edge host places four vertices and
+    # tests a few twins: it converts the rows of those, not of all 60
+    # covered vertices
+    built = []
+
+    def recording(*args):
+        rows, degree = symmetry.incidence(*args)
+        built.append(rows)
+        return rows, degree
+
+    monkeypatch.setattr(_engine_py, "incidence", recording)
+    h = _relabelled_construction(LARGE_HOSTS[2], random.Random(8))
+    assert h.m == 14157
+    out = solve_raw(h.edge_vertex_masks(), parse_pattern("P3"))
+    assert out[0] == _engine_py.FOUND
+    (rows,) = built
+    assert 4 <= len(rows) < len(h.covered_vertices()) == 60
 
 
 def test_solve_leaves_no_reference_cycles():
@@ -277,6 +301,19 @@ def _incidence_by_definition(n, edge_masks):
     return inc
 
 
+def _check_incidence(n, masks, covered):
+    """Check every row and the degree table of ``symmetry.incidence``
+    against the definition; return whether the rows were lazy."""
+    rows, degree = symmetry.incidence(n, masks, covered)
+    lazy = isinstance(rows, dict)
+    if lazy:
+        assert len(rows) == 0  # no row is converted before it is read
+    expected = _incidence_by_definition(n, masks)
+    assert [rows[v] for v in range(n)] == expected
+    assert degree == [row.bit_count() for row in expected]
+    return lazy
+
+
 def test_incidence_agrees_with_its_definition():
     # hosts on both sides of the switch from the per-bit loop to the byte
     # transpose, with vertices in every byte of one, two and three words
@@ -289,16 +326,40 @@ def test_incidence_agrees_with_its_definition():
         m = rng.randint(1, 60)
         masks = [sum(1 << v for v in rng.sample(pool, r)) for _ in range(m)]
         covered = [v for v in range(n) if any(em >> v & 1 for em in masks)]
-        assert symmetry.incidence(n, masks, covered) == _incidence_by_definition(n, masks)
+        assert not _check_incidence(n, masks, covered)
         switched.add((m * r > 4 * len(covered), n > 64))
     assert switched == {(False, False), (False, True), (True, False), (True, True)}
 
 
+def test_lazy_incidence_agrees_with_its_definition():
+    # hosts of 64 to 400 edges, where the transposed rows are converted at
+    # their first read, on both sides of the per-bit loop's switch and of
+    # the 64-vertex packing, with vertices in every byte of up to 19 words
+    rng = random.Random(14)
+    seen = set()
+    for _ in range(150):
+        n = rng.choice((rng.randint(2, 64), rng.randint(65, 150)))
+        pool = rng.sample(range(n), rng.randint(2, min(n, 80)))
+        r = rng.randint(1, min(4, len(pool)))
+        m = rng.choice((rng.randint(64, 80), rng.randint(64, 400)))
+        masks = [sum(1 << v for v in rng.sample(pool, r)) for _ in range(m)]
+        covered = [v for v in range(n) if any(em >> v & 1 for em in masks)]
+        transposed = m * r > 4 * len(covered)
+        assert _check_incidence(n, masks, covered) == transposed
+        seen.add((transposed, n > 64))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_hypergraph_incidence_masks_agree_with_their_definition():
     rng = random.Random(12)
-    for _ in range(200):
-        n = rng.randint(3, 20)
-        h = random_hypergraph(rng, n, rng.randint(2, min(4, n)), rng.randint(1, 50))
+    hosts = [random_hypergraph(rng, n, rng.randint(2, min(4, n)), rng.randint(1, 50))
+             for n in (rng.randint(3, 20) for _ in range(200))]
+    # and large hosts, whose rows are lazy: a relabelled construction of
+    # 480 edges on 20 vertices and a random one on up to 90 vertices
+    hosts.append(_relabelled_construction((20, 3, 9, 2), rng))
+    hosts.append(random_hypergraph(rng, 90, 3, 300))
+    assert min(h.m for h in hosts[-2:]) >= 64 and hosts[-1].n > 64
+    for h in hosts:
         expected = {}
         for j, e in enumerate(h.edges):
             for v in e:
@@ -405,3 +466,35 @@ def test_pinned_copy_queries_one_edge_per_orbit(monkeypatch):
                 assert pinned == reps
         if expr == "2P2":
             assert reps == [0] and any(c == [0, False] for c in checks)
+
+
+def test_large_host_twin_classes_agree_with_naive_oracle():
+    # hosts of at least 64 edges, whose twin tests use a dict and no
+    # per-bit walk: relabelled constructions, full of twins, and random
+    # hosts, with up to two uncovered vertices and some listing one edge
+    # twice
+    rng = random.Random(15)
+    seen = set()
+    for i in range(24):
+        if i % 2:
+            h = random_hypergraph(rng, rng.randint(12, 16), 3, rng.randint(100, 200))
+        else:
+            h = _relabelled_construction(rng.choice(
+                [(13, 3, 5, 2), (14, 3, 6, 2), (12, 3, 5, 3), (16, 4, 7, 2)]), rng)
+        n = h.n + rng.randint(0, 2)
+        masks = h.edge_vertex_masks()
+        repeated = i % 4 == 3
+        if repeated:
+            masks.append(rng.choice(masks))
+        assert len(masks) >= 64
+        classes = symmetry.twin_classes(n, masks)
+        got = [frozenset(v for v in range(n) if c >> v & 1) for c in classes]
+        expected = naive_twin_classes(n, [[v for v in range(n) if em >> v & 1] for em in masks])
+        if repeated:
+            assert all(any(c <= t for t in expected) for c in got)
+            assert all(len(c) == 1 for c in got if c & {v for em in masks for v in range(n)
+                                                         if em >> v & 1})
+        else:
+            assert got == expected, (h, n)
+        seen.add((repeated, any(len(c) > 1 for c in expected)))
+    assert seen == {(repeated, twins) for repeated in (False, True) for twins in (False, True)}

@@ -90,6 +90,30 @@ class TestSubcommandImports:
                           "bergeturan.errors", "bergeturan.berge", "bergeturan._engine_py",
                           "bergeturan.engine", "bergeturan.symmetry"}
 
+    def test_json_is_imported_by_the_first_large_read(self, tmp_path):
+        # importing core loads no json; a read of fewer than 64 edges loads
+        # none either, and the first larger read imports it
+        _, bare = _loaded_modules(cwd=tmp_path, entry=("-c", "pass"))
+        assert "json" not in bare
+        code, loaded = _loaded_modules(cwd=tmp_path, entry=("-c", "import bergeturan.core"))
+        assert code == 0
+        assert "json" not in loaded
+        probe = ("import sys\n"
+                 "from bergeturan.core import read_hypergraph\n"
+                 "read_hypergraph('2 9 63\\n' + '1 2\\n' * 63)\n"
+                 "assert 'json' not in sys.modules\n"
+                 "read_hypergraph('2 9 64\\n' + '1 2\\n' * 64)\n"
+                 "assert 'json' in sys.modules\n")
+        code, _ = _loaded_modules(cwd=tmp_path, entry=("-c", probe))
+        assert code == 0
+        # check loads json for its own output, so the large read adds no
+        # module to its import set
+        host = tmp_path / "h.hg"
+        host.write_text("3 5 2\n1 2 3\n3 4 5\n")
+        code, loaded = _loaded_modules("check", str(host), "-F", "P2", cwd=tmp_path)
+        assert code == 1
+        assert "json" in loaded
+
     def test_symmetry_loads_no_other_package_module(self, tmp_path):
         # the kernel, core and search import symmetry, never the reverse
         code, loaded = _loaded_modules(cwd=tmp_path, entry=("-c", "import bergeturan.symmetry"))

@@ -140,6 +140,10 @@ near_hg_texts = st.one_of(
 @settings(PROPERTY, max_examples=500)
 @given(near_hg_texts)
 def test_bulk_reader_agrees_with_the_line_scan(text):
+    _bulk_reader_agrees_with_the_line_scan(text)
+
+
+def _bulk_reader_agrees_with_the_line_scan(text):
     # the bulk pass accepts exactly the texts the line scan accepts, with
     # the same hypergraph, and every rejected text fails at the same line
     try:
@@ -153,6 +157,37 @@ def test_bulk_reader_agrees_with_the_line_scan(text):
     bulk = _read_bulk(text)
     assert bulk == expected
     assert bulk.duplicates_collapsed == expected.duplicates_collapsed
+
+
+@st.composite
+def large_raw_hg_texts(draw):
+    """.hg text of 64 to 80 edges, the size at which the bulk reader parses
+    labels by JSON: edges in any order and perhaps repeated, and in some
+    texts one edge written backwards, one label with leading zeros or a
+    comment line."""
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(r + 6, 12))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(1, n + 1), r))),
+                          min_size=64, max_size=80))
+    lines = [" ".join(map(str, edge)) for edge in edges]
+    extra = draw(st.sampled_from(["none", "none", "backwards", "zeros", "comment"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    if extra == "backwards":
+        lines[at] = " ".join(map(str, edges[at][::-1]))
+    elif extra == "zeros":
+        fields = lines[at].split(" ")
+        i = draw(st.integers(0, r - 1))
+        fields[i] = "00" + fields[i]
+        lines[at] = " ".join(fields)
+    elif extra == "comment":
+        lines.insert(at, "# note")
+    return f"{r} {n} {len(edges)}\n" + "\n".join(lines) + "\n"
+
+
+@settings(PROPERTY, max_examples=300)
+@given(mutated(large_raw_hg_texts(), "0123456789 \n#\t\r\uff13x"))
+def test_bulk_reader_agrees_with_the_line_scan_on_large_hosts(text):
+    _bulk_reader_agrees_with_the_line_scan(text)
 
 
 @PROPERTY
