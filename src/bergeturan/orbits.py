@@ -1,0 +1,335 @@
+"""Orbits for the Turán search: twin classes of a host's vertices, orbits of
+r-sets under the twin group, orbits of pattern edges under Aut(F), and a
+canonical form of a host.
+
+Twin classes.  Host vertices that are twins (:mod:`bergeturan.symmetry`
+gives the test and the argument that twins form classes) are classified
+by the kernel's lazy classifier, ``symmetry._candidates``, unpinned;
+:func:`twin_classes` reads the classes off its records, so twin
+classification is written once.  A host that repeats an edge gets a
+singleton class per covered vertex, a refinement of its twin classes;
+everything below holds for any refinement, where it costs only more
+checks.
+
+Orbits of r-sets.  The transpositions inside a class generate the
+symmetric group on it, and transpositions of different classes commute, so
+the swaps of twins generate the product G of the symmetric groups on the
+classes C_1..C_k.  Two r-sets S and T share an orbit of G exactly when
+|S & C_i| = |T & C_i| for every i.  Every element of G maps each class
+onto itself, so it keeps the sizes.  Where the sizes agree, a bijection of
+S & C_i onto T & C_i extends to a permutation of C_i for each i, and the
+product of these maps S onto T.  So the sizes are the orbit's key
+(:func:`_orbit_key`), and taking the c_i smallest members of each class,
+for every (c_1..c_k) with c_i <= |C_i| summing to r, gives one r-set per
+orbit (:func:`_orbit_representatives`).  An automorphism sigma of a host H
+maps H + e onto H + sigma(e), so both have a Berge copy or neither has:
+one r-set answers for its orbit.
+
+Orbits of pattern edges.  If a Berge copy (phi, psi) puts pattern edge e
+on hyperedge j and sigma in Aut(F) maps e to e', then (phi o sigma^-1,
+psi o sigma^-1) is a copy that puts e' on j.  So a search pinned at one
+edge answers for its orbit under Aut(F) (:func:`_pattern_edge_orbits`).
+
+Canonical form.  Colour refinement on the vertex-hyperedge incidence,
+individualisation of one vertex per twin class of the first non-singleton
+cell, and the least relabelled edge tuple over the leaves give one form per
+isomorphism class (:func:`canonical_form`).  The level search of
+``search`` keeps one free host per form.
+
+Of the package, only ``search`` imports this module, so a command that
+runs no Turán search never compiles it.  It imports no module of the
+package but ``symmetry``.  Vertices and indices are 0-based here.
+"""
+
+from functools import lru_cache, reduce
+from itertools import combinations_with_replacement, groupby, islice
+from operator import or_
+
+from .symmetry import _candidates, incidence
+
+
+def twin_classes(n, edge_masks):
+    """The twin classes of the host on vertices 0..n-1, as vertex bitmasks
+    ordered by smallest member: the uncovered vertices, and the classes of
+    the covered ones read off the unpinned classifier's records."""
+    covered = reduce(or_, edge_masks, 0)
+    width = covered.bit_length()
+    vertices = [v for v in range(width) if covered >> v & 1]
+    cands, _, through = _candidates(edge_masks, *incidence(width, edge_masks, vertices), 0,
+                                    vertices, 1 << width)
+    classes = {}  # smallest member -> the class
+    for v, vbit, guard, earlier in cands:
+        if guard >> width:
+            earlier = through(v)
+        first = earlier & -earlier or vbit
+        classes[first] = classes.get(first, 0) | vbit
+    uncovered = ((1 << n) - 1) & ~covered
+    if uncovered:
+        classes[uncovered & -uncovered] = uncovered
+    return [classes[first] for first in sorted(classes)]
+
+
+def _orbit_key(classes, rset):
+    """The sizes of the r-set's intersections with the twin classes, all
+    vertex bitmasks: equal exactly for r-sets in one orbit."""
+    return tuple((rset & c).bit_count() for c in classes)
+
+
+def _orbit_representatives(classes, r):
+    """One r-set per orbit of the product of the symmetric groups on
+    ``classes`` (vertex bitmasks), as a bitmask: for every way of taking
+    c_i vertices from class i with the c_i summing to r, the r-set of the
+    smallest c_i members of each class."""
+    # prefixes[i][c] is the smallest c members of class i, for c <= r
+    prefixes = []
+    for cls in classes:
+        row = [0]
+        for v in islice(_bits(cls), r):
+            row.append(row[-1] | 1 << v)
+        prefixes.append(row)
+    # a multiset of r class indices says how many vertices each class gives
+    for pick in combinations_with_replacement(range(len(classes)), r):
+        rset = 0
+        for i, run in groupby(pick):
+            c = len(tuple(run))
+            if c >= len(prefixes[i]):
+                break
+            rset |= prefixes[i][c]
+        else:
+            yield rset
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _refine(colour, edges, through):
+    """The coarsest refinement of ``colour`` (one int per vertex) in which
+    vertices of one colour meet equally many hyperedges of each colour, a
+    hyperedge's colour being the sorted colours of its vertices.  Each
+    round gives a vertex the rank of its sorted signature (its colour, then
+    the sorted colours of the hyperedges through it), so the order of the
+    old colours is kept and the result depends only on the colouring, not
+    on the labels."""
+    classes = len(set(colour))
+    while True:
+        edge_colours = [tuple(sorted([colour[v] for v in e])) for e in edges]
+        sigs = [(colour[v], sorted([edge_colours[j] for j in through[v]]))
+                for v in range(len(colour))]
+        ranked = sorted(range(len(sigs)), key=sigs.__getitem__)
+        colour = [0] * len(sigs)
+        rank = 0
+        for prev, v in zip(ranked, ranked[1:]):
+            if sigs[v] != sigs[prev]:
+                rank += 1
+            colour[v] = rank
+        if rank + 1 == classes:
+            return colour
+        classes = rank + 1
+
+
+def _leaves(n, edge_masks):
+    """The discrete colourings of the individualisation-refinement tree of
+    the host on vertices 0..n-1, each a list that gives every vertex its
+    own colour in 0..n-1.
+
+    The root is the refined colouring with every vertex alike.  A node that
+    is not discrete individualises, one child each, the vertices of its
+    first non-singleton cell (the one of least colour), but only one
+    member of each twin class there, the smallest (:func:`twin_classes`):
+    the swap of two twins u and w maps the host onto itself and fixes every
+    vertex individualised above, none of which is in the cell, so it maps
+    the subtree of u onto that of w, and both yield the same relabelled
+    hosts.  Individualising v gives it a colour of its own just below its
+    cell, then refines (:func:`_refine`)."""
+    edges = [tuple(_bits(mask)) for mask in edge_masks]
+    through = [[] for _ in range(n)]
+    for j, e in enumerate(edges):
+        for v in e:
+            through[v].append(j)
+    twin = [0] * n
+    for i, cls in enumerate(twin_classes(n, edge_masks)):
+        for v in _bits(cls):
+            twin[v] = i
+    pending = [_refine([0] * n, edges, through)]
+    while pending:
+        colour = pending.pop()
+        size = [0] * n
+        for c in colour:
+            size[c] += 1
+        cell = next((c for c in range(n) if size[c] > 1), None)
+        if cell is None:
+            yield colour
+            continue
+        seen = set()
+        for v in range(n):
+            if colour[v] == cell and twin[v] not in seen:
+                seen.add(twin[v])
+                split = [2 * c + (u != v) for u, c in enumerate(colour)]
+                pending.append(_refine(split, edges, through))
+
+
+def canonical_form(n, edge_masks):
+    """The canonical form of the host on vertices 0..n-1 with the given
+    hyperedges (vertex bitmasks, no edge repeated), and a labelling that
+    produces it: ``(form, labelling)``, where ``labelling[v]`` is the new
+    label of vertex v and ``form`` is the ascending tuple of the relabelled
+    hyperedge masks.  Two hosts get one form exactly when they are
+    isomorphic.
+
+    The form is the least relabelled tuple over the leaves of the
+    individualisation-refinement tree (:func:`_leaves`; McKay and Piperno,
+    *Practical graph isomorphism, II*, 2014).  Refinement and the choice of
+    the cell to split depend on no label, so relabelling the host by sigma
+    relabels every node of the tree by sigma, and the set of relabelled
+    hosts at the leaves, hence its least member, is the same; where only
+    one twin per class is individualised, the skipped subtrees yield the
+    same hosts as the kept one.  Every leaf labelling relabels the host
+    isomorphically, so isomorphic hosts are also the only ones that share
+    a form."""
+    best = labelling = None
+    for colour in _leaves(n, edge_masks):
+        form = tuple(sorted([sum([1 << colour[v] for v in _bits(mask)]) for mask in edge_masks]))
+        if best is None or form < best:
+            best, labelling = form, tuple(colour)
+    return best, labelling
+
+
+def _automorphism(adj, colour, seed):
+    """A vertex permutation that preserves adjacency, maps every vertex to
+    one of its colour and extends the (vertex, image) pairs of ``seed``, or
+    None when there is none.
+
+    Backtracks in breadth-first order from the seed's vertices: a vertex
+    with a placed neighbour w takes its image among the neighbours of w's
+    image, the first vertex of a new component any unused vertex.  A
+    candidate image must have v's colour, and the placed neighbours of v
+    must map onto exactly the neighbours of the image that are images
+    already; when every vertex is placed the map is an automorphism.
+    """
+    p = len(adj)
+    order = [v for v, _ in seed]
+    parent = [-1] * p
+    seen = 0
+    for v in order:
+        seen |= 1 << v
+    head = 0
+    while len(order) < p:
+        if head == len(order):
+            v = next(v for v in range(p) if not seen >> v & 1)
+            seen |= 1 << v
+            order.append(v)
+        v = order[head]
+        head += 1
+        for w in _bits(adj[v] & ~seen):
+            seen |= 1 << w
+            parent[w] = v
+            order.append(w)
+    fixed = dict(seed)
+    image = [-1] * p
+    placed = used = 0
+
+    def choices(i):
+        v = order[i]
+        if v in fixed:
+            return iter((fixed[v],))
+        if parent[v] >= 0:
+            return _bits(adj[image[parent[v]]] & ~used)
+        return (w for w in range(p) if not used >> w & 1)
+
+    pending = [choices(0)]
+    while pending:
+        v = order[len(pending) - 1]
+        if image[v] >= 0:
+            used ^= 1 << image[v]
+            placed ^= 1 << v
+            image[v] = -1
+        for w in pending[-1]:
+            if used >> w & 1 or colour[w] != colour[v]:
+                continue
+            nbrs = adj[v] & placed
+            if (adj[w] & used).bit_count() == nbrs.bit_count() and all(
+                    adj[w] >> image[x] & 1 for x in _bits(nbrs)):
+                break
+        else:
+            pending.pop()
+            continue
+        image[v] = w
+        used |= 1 << w
+        placed |= 1 << v
+        if len(pending) == p:
+            return image
+        pending.append(choices(len(pending)))
+    return None
+
+
+@lru_cache(maxsize=512)
+def _pattern_edge_orbits(pattern):
+    """The orbits of a ``PatternGraph``'s edges under its automorphism
+    group Aut(F): tuples of 0-based edge indices, each ascending, ordered
+    by their smallest index (the orbit's representative).
+
+    Vertices are first coloured by colour refinement (iterated degree),
+    which every automorphism preserves, so edges whose endpoint colours
+    differ lie in different orbits.  Edges are then taken in index order.
+    An edge is tried against each earlier representative of its colours,
+    looking for an automorphism that maps the representative onto it
+    (:func:`_automorphism`, either orientation); the first one found merges
+    the two orbits, and with them every edge with its image under that
+    automorphism.  An edge that no automorphism reaches from an earlier
+    representative becomes one.  So two edges share an orbit only through
+    explicit automorphisms, and the exhaustive search makes the
+    representatives pairwise inequivalent.  kP_l has ceil(l/2) orbits.
+    """
+    p = pattern.num_vertices
+    edges0 = [(u - 1, v - 1) for u, v in pattern.edges]
+    adj = [0] * p
+    for a, b in edges0:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    colour = [0] * p
+    classes = 1
+    while True:
+        sigs = [(colour[v], tuple(sorted(colour[w] for w in _bits(adj[v])))) for v in range(p)]
+        ids = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        colour = [ids[sig] for sig in sigs]
+        if len(ids) == classes:
+            break
+        classes = len(ids)
+
+    def key(e):
+        return tuple(sorted((colour[e[0]], colour[e[1]])))
+
+    index = {frozenset(e): i for i, e in enumerate(edges0)}
+    root = list(range(len(edges0)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    reps = []
+    for j, (a, b) in enumerate(edges0):
+        if find(j) != j:
+            continue
+        for i in reps:
+            if key(edges0[i]) != key((a, b)):
+                continue
+            c, d = edges0[i]
+            sigma = _automorphism(adj, colour, ((c, a), (d, b))) or \
+                _automorphism(adj, colour, ((c, b), (d, a)))
+            if sigma is not None:
+                for k, (x, y) in enumerate(edges0):
+                    s, t = find(k), find(index[frozenset((sigma[x], sigma[y]))])
+                    root[max(s, t)] = min(s, t)
+                break
+        else:
+            reps.append(j)
+    orbits = {}
+    for k in range(len(edges0)):
+        orbits.setdefault(find(k), []).append(k)
+    return tuple(tuple(orbits[i]) for i in sorted(orbits))

@@ -7,10 +7,10 @@ is free.  If it is, the value is C(n, r) and that host is the only witness.
 
 Levels.  Level k holds one host per isomorphism class of free hosts with k
 edges.  Level 0 is the empty host.  For each class R of level k, one absent
-r-set e is taken per orbit of R's twin group (:mod:`bergeturan.symmetry`),
+r-set e is taken per orbit of R's twin group (:mod:`bergeturan.orbits`),
 R + e is kept when no Berge copy uses e (R is free, so a copy of R + e must
 use it), and the kept hosts are reduced to one per class by their canonical
-form (:func:`bergeturan.symmetry.canonical_form`).  This lists every class
+form (:func:`bergeturan.orbits.canonical_form`).  This lists every class
 of free hosts with k + 1 edges.  Freeness is downward closed in the edge
 set, so deleting an edge f from a free host H with k + 1 edges leaves a
 free host isomorphic to some listed R, by a map sigma; then sigma(H) is
@@ -40,7 +40,7 @@ full, and it returns the witnesses of the search that does not know it
 (see :class:`_Searcher`).
 
 Filter checks are answered once per orbit of the chosen set's twin group
-(:mod:`bergeturan.symmetry`): later candidates with one orbit key share
+(:mod:`bergeturan.orbits`): later candidates with one orbit key share
 one check.  The live lists, the tree and the answer are those of one
 check per candidate, and only the count of kernel calls falls.
 """
@@ -56,7 +56,7 @@ from ._engine_py import FOUND
 from .berge import Status, find_berge_embedding, solve_raw
 from .core import FormulaParams, Hypergraph, PatternGraph, Record, disjoint_paths_pattern
 from .errors import HostNotFree, ParamsOutOfRange, ScaleGuardExceeded
-from .symmetry import (
+from .orbits import (
     _orbit_key,
     _orbit_representatives,
     _pattern_edge_orbits,
@@ -121,7 +121,7 @@ class _Budget(Exception):
 def _pinned_copy(masks, pattern, stats=None):
     """Does some Berge copy in ``masks`` use its last hyperedge?  One pinned
     search per orbit of pattern edges under Aut(F), which answers for its
-    orbit (:mod:`bergeturan.symmetry`), on the orbit's smallest edge index,
+    orbit (:mod:`bergeturan.orbits`), on the orbit's smallest edge index,
     in index order, stopping at the first copy.  Each search adds one to
     ``stats.pinned_calls`` where ``stats`` is given."""
     new_idx = len(masks) - 1
@@ -417,7 +417,7 @@ def is_maximal_free(h: Hypergraph, pattern: PatternGraph) -> bool:
     create a Berge copy?
 
     One r-set is tried per orbit of the host's twin group
-    (:mod:`bergeturan.symmetry`).  An automorphism maps H onto itself, so
+    (:mod:`bergeturan.orbits`).  An automorphism maps H onto itself, so
     an orbit of r-sets is wholly present or wholly absent, and one absent
     r-set answers for its orbit.  The constructions have two or three twin
     classes."""

@@ -33,7 +33,7 @@ from bergeturan.errors import (
     InvalidCycleLength,
     V0TooSmall,
 )
-from bergeturan.symmetry import _pattern_edge_orbits
+from bergeturan.orbits import _pattern_edge_orbits
 from oracles import brute_bcn, brute_star, naive_contains, naive_edge_orbits, random_hypergraph
 
 K4_TRIPLES = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]
@@ -110,7 +110,7 @@ print(res.status.value, res.nodes, verify_certificate(path, res.certificate),
       star.exists, verify_certificate(chain, star.certificate))
 """
         env = {**os.environ, "PYTHONPATH": str(SRC)}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+        proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
                               env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["found", "842998", "True", "True", "True"]

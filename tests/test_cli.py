@@ -8,6 +8,7 @@ import csv
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -213,6 +214,39 @@ class TestContainmentCommands:
             for path in (host_file, layout)
         }
 
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_input_digests_are_sha256_with_or_without_the_builtin(self, monkeypatch, tmp_path,
+                                                                  fallback):
+        # CPython's own SHA-256 module gives the digest; hashlib runs only
+        # where it does not import (a None in sys.modules makes it fail)
+        rng = random.Random(7)
+        inputs = {"empty": b"", "lf.hg": b"3 5 2\n1 2 3\n3 4 5\n",
+                  "crlf.hg": b"3 5 2\r\n1 2 3\r\n3 4 5\r\n", "random": rng.randbytes(4099)}
+        expected = {}
+        for name, data in inputs.items():
+            (tmp_path / name).write_bytes(data)
+            expected[str(tmp_path / name)] = hashlib.sha256(data).hexdigest()
+        calls = []
+        real = hashlib.sha256
+
+        def counting(data):
+            calls.append(data)
+            return real(data)
+
+        monkeypatch.setattr(hashlib, "sha256", counting)
+        if fallback:
+            for module in ("_sha2", "_sha256"):
+                monkeypatch.setitem(sys.modules, module, None)
+        run = cli._Run(None)
+        for name in inputs:
+            # the digest is taken from the bytes before they are decoded
+            try:
+                run.read_input(tmp_path / name)
+            except UnicodeDecodeError:
+                assert name == "random"
+        assert run.inputs == expected
+        assert calls == (list(inputs.values()) if fallback else [])
+
 
 class TestVertexCommands:
     def test_good_order(self, host_file, capsys):
@@ -393,7 +427,7 @@ class TestUsage:
     def test_runs_as_module_from_checkout(self):
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
-        proc = subprocess.run([sys.executable, "-m", "bergeturan", "--version"],
+        proc = subprocess.run([sys.executable, "-B", "-m", "bergeturan", "--version"],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0
         assert proc.stdout.startswith("bergeturan ")

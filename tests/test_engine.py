@@ -15,6 +15,7 @@ from bergeturan import (
     find_berge_embedding,
     longest_berge_path,
     make_hypergraph,
+    orbits,
     parse_pattern,
     search,
     symmetry,
@@ -24,7 +25,7 @@ from bergeturan.cli import main
 from bergeturan.core import FormulaParams
 from bergeturan.constructions import block_construction, extremal_construction
 from bergeturan.errors import ParamsOutOfRange
-from bergeturan.symmetry import _pattern_edge_orbits
+from bergeturan.orbits import _pattern_edge_orbits
 from oracles import naive_contains, naive_twin_classes, random_hypergraph, symmetric_hypergraph
 
 CORPUS_PATTERNS = [parse_pattern(e) for e in
@@ -387,7 +388,7 @@ def test_twin_classes_agree_with_naive_oracle(monkeypatch):
         repeated = rng.random() < 0.2
         if repeated:
             masks.append(rng.choice(masks))
-        classes = symmetry.twin_classes(n, masks)
+        classes = orbits.twin_classes(n, masks)
         got = [frozenset(v for v in range(n) if c >> v & 1) for c in classes]
         expected = naive_twin_classes(n, [[v for v in range(n) if em >> v & 1] for em in masks])
         covered = {v for em in masks for v in range(n) if em >> v & 1}
@@ -487,7 +488,7 @@ def test_large_host_twin_classes_agree_with_naive_oracle():
         if repeated:
             masks.append(rng.choice(masks))
         assert len(masks) >= 64
-        classes = symmetry.twin_classes(n, masks)
+        classes = orbits.twin_classes(n, masks)
         got = [frozenset(v for v in range(n) if c >> v & 1) for c in classes]
         expected = naive_twin_classes(n, [[v for v in range(n) if em >> v & 1] for em in masks])
         if repeated:

@@ -67,7 +67,7 @@ def _loaded_modules(*argv, cwd, entry=("-m", "bergeturan")):
     ``-m bergeturan``, so ``entry=("-c", "pass")`` gives the modules a bare
     interpreter loads, site hooks included."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-X", "importtime", *entry, *argv],
+    proc = subprocess.run([sys.executable, "-B", "-X", "importtime", *entry, *argv],
                           capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
     names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
              if line.startswith("import time:")}
@@ -88,7 +88,7 @@ class TestSubcommandImports:
         assert code == 1  # P2 is there: the command ran to its answer
         assert loaded == {"bergeturan", "bergeturan.cli", "bergeturan.core",
                           "bergeturan.errors", "bergeturan.berge", "bergeturan._engine_py",
-                          "bergeturan.engine", "bergeturan.symmetry"}
+                          "bergeturan.symmetry"}
 
     def test_json_is_imported_by_the_first_large_read(self, tmp_path):
         # importing core loads no json; a read of fewer than 64 edges loads
@@ -115,18 +115,49 @@ class TestSubcommandImports:
         assert "json" in loaded
 
     def test_symmetry_loads_no_other_package_module(self, tmp_path):
-        # the kernel, core and search import symmetry, never the reverse
+        # the kernel, core and orbits import symmetry, never the reverse
         code, loaded = _loaded_modules(cwd=tmp_path, entry=("-c", "import bergeturan.symmetry"))
         assert code == 0
         assert {name for name in loaded if name.split(".")[0] == "bergeturan"} == {
             "bergeturan", "bergeturan.symmetry"}
 
+    def test_orbits_loads_no_package_module_but_symmetry(self, tmp_path):
+        # so a checker of Turán answers can load it without the kernel or
+        # the search
+        code, loaded = _loaded_modules(cwd=tmp_path, entry=("-c", "import bergeturan.orbits"))
+        assert code == 0
+        assert {name for name in loaded if name.split(".")[0] == "bergeturan"} == {
+            "bergeturan", "bergeturan.symmetry", "bergeturan.orbits"}
+
     def test_turan_loads_search_but_no_formulas(self, tmp_path):
         code, loaded = _loaded_submodules("turan", "-n", "4", "-r", "3", "-F", "P2",
                                           cwd=tmp_path)
         assert code == 0
-        assert "bergeturan.search" in loaded
+        assert {"bergeturan.search", "bergeturan.orbits"} <= loaded
         assert not loaded & {"bergeturan.formulas", "bergeturan.constructions"}
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("--help",), 0),
+        (("--version",), 0),
+        (("frobnicate",), 2),
+        (("check", "h.hg"), 2),  # no -F: a usage error of one sub-parser
+    ])
+    def test_help_version_and_usage_errors_load_no_kernel(self, tmp_path, argv, expected):
+        code, loaded = _loaded_submodules(*argv, cwd=tmp_path)
+        assert code == expected
+        assert "bergeturan.cli" in loaded
+        assert not loaded & {"bergeturan.berge", "bergeturan.core", "bergeturan.symmetry",
+                             "bergeturan._engine_py"}
+
+    @pytest.mark.parametrize("argv", [
+        ("formula", "--name", "erdos-gallai", "-n", "10", "-l", "3"),
+        ("verify-lemmas", "--lemma", "I1"),
+    ])
+    def test_commands_without_a_host_load_no_kernel(self, tmp_path, argv):
+        code, loaded = _loaded_submodules(*argv, cwd=tmp_path)
+        assert code == 0
+        assert "bergeturan.formulas" in loaded
+        assert not loaded & {"bergeturan.berge", "bergeturan._engine_py"}
 
     def test_verify_lemmas_loads_formulas(self, tmp_path):
         # the control: the report does show a module a command imports late
@@ -135,18 +166,19 @@ class TestSubcommandImports:
         assert "bergeturan.formulas" in loaded
         assert "bergeturan.search" not in loaded
 
-    def test_only_commands_that_read_an_input_load_hashlib(self, tmp_path):
-        # the manifest digests each input file; OpenSSL's _hashlib takes
-        # milliseconds to load, so commands without an input skip it
-        code, loaded = _loaded_modules("turan", "-n", "4", "-r", "3", "-F", "P2", cwd=tmp_path)
-        assert code == 0
-        assert not loaded & {"hashlib", "_hashlib"}
-        # the control: check digests its host, and the report shows it
-        host = tmp_path / "h.hg"
-        host.write_text("3 5 2\n1 2 3\n3 4 5\n")
-        code, loaded = _loaded_modules("check", str(host), "-F", "P2", cwd=tmp_path)
-        assert code == 1
-        assert {"hashlib", "_hashlib"} <= loaded
+    @pytest.mark.parametrize("argv,expected", [
+        (("check", "h.hg", "-F", "P2"), 1),
+        (("longest-path", "h.hg"), 0),
+    ])
+    def test_host_commands_digest_without_hashlib(self, tmp_path, argv, expected):
+        # the manifest digests the host with CPython's own SHA-256, not
+        # OpenSSL's (_hashlib takes milliseconds to load); these commands
+        # run no Turán search and report no backend module
+        (tmp_path / "h.hg").write_text("3 5 2\n1 2 3\n3 4 5\n")
+        code, loaded = _loaded_modules(*argv, cwd=tmp_path)
+        assert code == expected
+        assert loaded & {"_sha2", "_sha256"}
+        assert not loaded & {"hashlib", "_hashlib", "bergeturan.orbits", "bergeturan.engine"}
 
     def test_no_command_loads_dataclasses(self, tmp_path):
         # the result types are Records: importing dataclasses would bring in
@@ -172,7 +204,8 @@ class TestSubcommandImports:
 
 
 # the names the benchmark's tracer (bench/tracer.py) looks up and re-binds
-TRACED_ON_CLI = {"extremal_construction": constructions, "block_construction": constructions,
+TRACED_ON_CLI = {"read_hypergraph": core, "write_hypergraph": core, "parse_pattern": core,
+                 "extremal_construction": constructions, "block_construction": constructions,
                  "construction_audit": constructions, "exact_turan": search}
 TRACED_ON_SEARCH = {"extremal_construction": constructions, "berge_kpl_turan": formulas}
 
@@ -214,13 +247,42 @@ class TestLateImports:
             calls.append(expr)
             return real(expr)
 
-        for module in (core, cli):
+        # cli first: it resolves the name on core, and monkeypatch restores
+        # what it resolved
+        for module in (cli, core):
             monkeypatch.setattr(module, "parse_pattern", counting)
         host = tmp_path / "h.hg"
         host.write_text("3 4 1\n1 2 3\n")
         assert main(["check", str(host), "-F", "P1"]) == 1
         assert core.parse_pattern("P1") is real("P1")
         assert calls == ["P1", "P1"]
+
+    @pytest.mark.parametrize("name,argv,expected", [
+        ("read_hypergraph", ["check", "{dir}/h.hg", "-F", "P1"], 1),
+        ("parse_pattern", ["check", "{dir}/h.hg", "-F", "P1"], 1),
+        ("read_hypergraph", ["audit", "{dir}/c.hg"], 0),
+        ("write_hypergraph", ["turan", "-n", "4", "-r", "3", "-F", "P2", "--out-dir", "{dir}"], 0),
+    ])
+    def test_names_wrapped_as_the_tracer_does_run_once_per_call(self, monkeypatch, capsys,
+                                                                 tmp_path, name, argv, expected):
+        # the tracer wraps the name on core, then wraps what cli resolves
+        # for it; a command that runs core's wrapper records one call
+        (tmp_path / "h.hg").write_text("3 4 1\n1 2 3\n")
+        assert main(["construct", "-n", "10", "-r", "3", "-l", "5", "-k", "2",
+                     "-o", str(tmp_path / "c.hg")]) == 0
+        calls = []
+
+        def wrap(fn):
+            def counting(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return counting
+
+        on_core = wrap(getattr(core, name))
+        monkeypatch.setattr(cli, name, wrap(on_core))
+        monkeypatch.setattr(core, name, on_core)
+        assert main([arg.format(dir=tmp_path) for arg in argv]) == expected
+        assert calls == [name]
 
     def test_audit_calls_the_defining_module(self, monkeypatch, capsys, tmp_path):
         host = str(tmp_path / "h.hg")

@@ -1,10 +1,10 @@
-"""The orbit helpers and the canonical form of ``bergeturan.symmetry``
+"""The orbit helpers and the canonical form of ``bergeturan.orbits``
 against brute force over permutations."""
 
 import random
 from itertools import combinations, islice, permutations, product
 
-from bergeturan.symmetry import _leaves, _orbit_key, _orbit_representatives, canonical_form
+from bergeturan.orbits import _leaves, _orbit_key, _orbit_representatives, canonical_form
 
 
 def _class_preserving_orbits(n, classes, r):
