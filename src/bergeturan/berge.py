@@ -64,15 +64,17 @@ class BergeCertificate(Record):
     defining_vertices: tuple[int, ...]
     edge_assignment: tuple[int, ...]
 
-    def to_json(self) -> str:
-        doc = {
+    def to_json_dict(self) -> dict:
+        return {
             "pattern": self.pattern.expr,
             "defining_vertices": list(self.defining_vertices),
             "edge_assignment": [
                 [u, v, h] for (u, v), h in zip(self.pattern.edges, self.edge_assignment)
             ],
         }
-        return json.dumps(doc, indent=2) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "BergeCertificate":

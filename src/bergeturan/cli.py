@@ -84,9 +84,7 @@ def _load_host(run, path):
 
 
 def _certificate_doc(cert):
-    if cert is None:
-        return None
-    return json.loads(cert.to_json())
+    return None if cert is None else cert.to_json_dict()
 
 
 def _sha256(data):

@@ -55,8 +55,8 @@ def twin_classes(n, edge_masks):
     covered = reduce(or_, edge_masks, 0)
     width = covered.bit_length()
     vertices = [v for v in range(width) if covered >> v & 1]
-    cands, _, through = _candidates(edge_masks, *incidence(width, edge_masks, vertices), 0,
-                                    vertices, 1 << width)
+    cands, _, _, through = _candidates(edge_masks, *incidence(width, edge_masks, vertices), 0,
+                                       vertices, 1 << width)
     classes = {}  # smallest member -> the class
     for v, vbit, guard, earlier in cands:
         if guard >> width:

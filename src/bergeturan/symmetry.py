@@ -188,17 +188,21 @@ def _join_class(edge_masks, edge_set, inc, classes, w):
 def _candidates(edge_masks, inc, degree, pinned_mask, vertices, unclassified):
     """The kernel's candidate records and the lazy classifier of twins.
 
-    Returns (cands, inside, through).  ``cands`` holds a record (v, 1 << v,
-    guard, earlier twins) per vertex of ``vertices``, the covered vertices
-    in ascending order, and ``inside`` the records of the pinned
-    hyperedge's vertices.  The vertices are grouped by degree (``degree``
-    of :func:`incidence`, so grouping reads no row of ``inc``) and
-    pinned-edge membership, which twins share.  The smallest vertex of a
-    group has no earlier twin; the record of every other vertex starts
-    with no earlier twins and bit ``unclassified`` set in its guard.
-    ``through(v)`` classifies the members of v's group in ascending order
-    up to v (:func:`_join_class`), replaces their records in both lists
-    and returns v's earlier twins.
+    Returns (cands, inside, smaller, through).  ``cands`` holds a record
+    (v, 1 << v, guard, earlier twins) per vertex of ``vertices``, the
+    covered vertices in ascending order, and ``inside`` the records of the
+    pinned hyperedge's vertices.  The vertices are grouped by degree
+    (``degree`` of :func:`incidence`, so grouping reads no row of ``inc``)
+    and pinned-edge membership, which twins share.  The smallest vertex of
+    a group has no earlier twin, and its record is final: guard 1 << v, no
+    earlier twins.  The record of every other vertex starts with no
+    earlier twins and bit ``unclassified`` set in its guard, and
+    ``smaller[v]`` is the bitmask of the smaller members of its group,
+    which hold its earlier twins.  ``through(v)`` classifies the members
+    of v's group in ascending order up to v (:func:`_join_class`),
+    replaces their records in both lists with final ones, whose guard is
+    a member's earlier twins and its own bit, and returns v's earlier
+    twins.
 
     A member's class depends only on the smaller members of its group, and
     twins form classes, so every vertex gets the earlier twins that
@@ -211,16 +215,20 @@ def _candidates(edge_masks, inc, degree, pinned_mask, vertices, unclassified):
     """
     cands = []
     inside = []
-    groups = {}  # (degree, pinned membership) -> [pending members, classes, next pending]
+    smaller = {}
+    # (degree, pinned membership) -> [pending members, classes, next pending, members so far]
+    groups = {}
     for v in vertices:
         vbit = 1 << v
         key = degree[v] << 1 | pinned_mask >> v & 1
         group = groups.get(key)
         if group is None:
-            groups[key] = [[], [[v, vbit]], 0]
+            groups[key] = [[], [[v, vbit]], 0, vbit]
             record = (v, vbit, vbit, 0)
         else:
             group[0].append((v, len(cands), len(inside) if pinned_mask & vbit else -1))
+            smaller[v] = group[3]
+            group[3] |= vbit
             record = (v, vbit, vbit | unclassified, 0)
         cands.append(record)
         if pinned_mask & vbit:
@@ -246,4 +254,4 @@ def _candidates(edge_masks, inc, degree, pinned_mask, vertices, unclassified):
             if w == v:
                 return earlier
 
-    return cands, inside, through
+    return cands, inside, smaller, through

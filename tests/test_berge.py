@@ -218,6 +218,11 @@ class TestVerifyCertificate:
         assert back == self.good
         assert verify_certificate(self.h, back)
 
+    def test_json_dict_is_the_parsed_json(self):
+        # the CLI embeds the dict in its --json documents, so it must be
+        # what parsing the certificate's own JSON gives
+        assert json.loads(self.good.to_json()) == self.good.to_json_dict()
+
     @pytest.mark.parametrize("text", [
         "{",
         "{}",

@@ -236,23 +236,58 @@ def _relabelled_construction(params, rng):
     return make_hypergraph(g.r, g.n, [[labels[v - 1] for v in e] for e in g.edges])
 
 
-def test_large_hosts_keep_answers_and_node_counts():
-    # sha256 of (status, images, assignment, nodes) for P3, 2P2 and C4,
-    # unpinned and pinned, recorded by the kernel that built the incidence
-    # with one growing integer per vertex and classified every covered
-    # vertex before the search began
+def _large_host_queries(hosts):
+    """(masks, pattern, pinned) for P3, 2P2 and C4, unpinned and pinned, on
+    each of ``hosts`` (a prefix of LARGE_HOSTS) relabelled by one
+    ``random.Random(8)``, which also draws the pins."""
     rng = random.Random(8)
-    digest = hashlib.sha256()
-    for params in LARGE_HOSTS:
+    for params in hosts:
         h = _relabelled_construction(params, rng)
         masks = h.edge_vertex_masks()
         for expr in ("P3", "2P2", "C4"):
             pattern = parse_pattern(expr)
             for pinned in (None, (rng.randrange(pattern.num_edges), rng.randrange(h.m))):
-                out = solve_raw(masks, pattern, pinned=pinned)
-                assert out[0] == _engine_py.FOUND
-                digest.update(repr(out).encode() + b"\n")
+                yield masks, pattern, pinned
+
+
+def test_large_hosts_keep_answers_and_node_counts(monkeypatch):
+    # sha256 of (status, images, assignment, nodes) for P3, 2P2 and C4,
+    # unpinned and pinned, recorded by the kernel that built the incidence
+    # with one growing integer per vertex and classified every covered
+    # vertex before the search began.  A candidate is classified only
+    # when an unused smaller group-mate could skip it: 58 twin tests,
+    # where classifying every candidate that reaches the twin filter ran 91
+    tests = []
+    real_test = symmetry._swap_is_automorphism
+
+    def counting_test(*args):
+        tests.append(args)
+        return real_test(*args)
+
+    monkeypatch.setattr(symmetry, "_swap_is_automorphism", counting_test)
+    digest = hashlib.sha256()
+    for masks, pattern, pinned in _large_host_queries(LARGE_HOSTS):
+        out = solve_raw(masks, pattern, pinned=pinned)
+        assert out[0] == _engine_py.FOUND
+        digest.update(repr(out).encode() + b"\n")
     assert digest.hexdigest() == "bab0b7572ed4ae077520b1ed69670edd8fc44f03b3e8cc2c4f21a90b5ce9b174"
+    assert len(tests) == 58
+
+
+def test_large_host_queries_classify_only_when_a_group_mate_is_unused(monkeypatch):
+    # on the 7,084- and 12,144-edge hosts every FOUND query places each
+    # candidate that reaches the twin filter after all its smaller
+    # group-mates are used, so no twin class could skip it and none is
+    # tested; classifying each such candidate ran 25 twin tests
+    def no_twin_test(*args):
+        raise AssertionError("twin test where every smaller group-mate is used")
+
+    monkeypatch.setattr(symmetry, "_join_class", no_twin_test)
+    queries = list(_large_host_queries(LARGE_HOSTS[:2]))
+    assert sorted({len(masks) for masks, _, _ in queries}) == [7084, 12144]
+    assert sum(pinned is not None for _, _, pinned in queries) == 6
+    for masks, pattern, pinned in queries:
+        assert solve_raw(masks, pattern, pinned=pinned)[0] == _engine_py.FOUND
 
 
 def test_large_host_queries_convert_only_the_rows_they_read(monkeypatch):
