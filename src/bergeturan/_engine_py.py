@@ -30,27 +30,27 @@ Deterministic contract:
 Twin rule.  Twins, and why they form classes, are defined in
 :mod:`bergeturan.symmetry`.  Skipping candidate v while a twin u < v is
 unused is exact: an embedding that extends the current placement with v
-maps under the swap of u and v to one that extends the same placement with
-u, because neither vertex is used yet, the swap fixes every earlier image
-and the pinned hyperedge, and it carries hyperedges to hyperedges.  So v's
-subtree holds an embedding only if u's does, and u's subtree is searched
-first.  Every status and the first embedding (images and assignment) are
-those of the search without the rule; only node counts fall.  A candidate
-is classified lazily (``symmetry._candidates``), before it counts as a
-node, and only when it passes the used-vertex filter while some smaller
-member of its group (same degree, same pinned-edge membership) is unused.
-Twins share both, so a candidate's earlier twins are among those smaller
-members: when all of them are used, no twin can skip it, and it passes as
-classifying it would let it pass.  A group is classified in ascending
-order whenever it is, so every class, and so every node count, is that of
-classifying every vertex first.  Set-up is linear in the edge masks: it
-packs them into a byte matrix of n x m bits, where n runs only to the last
-covered vertex, and takes each covered vertex's degree from it
-(``symmetry.incidence``).  On hosts of fewer than
+maps under the swap of u and v to one that extends the same placement
+with u, because neither vertex is used yet, the swap fixes every earlier
+image and the pinned hyperedge, and it carries hyperedges to hyperedges.
+So v's subtree holds an embedding only if u's does, and u's subtree is
+searched first.  Every status and the first embedding (images and
+assignment) are those of the search without the rule; only node counts
+fall.  A candidate is classified lazily (``symmetry._candidates``),
+before it counts as a node, and only when it passes the used-vertex
+filter while some smaller member of its group (same degree, same
+pinned-edge membership) is unused.  Twins share both, so a candidate's
+earlier twins are among those smaller members: when all of them are
+used, no twin can skip it, and it passes as classifying it would let it
+pass.  Groups are classified in ascending order, so every class and every
+node count is that of classifying every vertex first.  Set-up is linear in
+the edge masks: it packs them into a byte matrix of n x m bits, where n
+runs only to the last covered vertex, and takes each covered vertex's
+degree from it (``symmetry.incidence``).  On hosts of fewer than
 ``symmetry._LARGE_HOST_EDGES`` edges it also converts every vertex's
 incidence mask; on larger ones a mask is converted when the search or a
-twin test first reads it, so a query that stops after a few nodes converts
-few of them.
+twin test first reads it, so a query that stops after a few nodes
+converts few of them.
 
 Pin rule.  Under a pin, the positions of both endpoints of the pinned
 pattern edge take their candidates from a list holding only the vertices
