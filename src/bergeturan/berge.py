@@ -172,7 +172,8 @@ def _host_prep(h: Hypergraph):
 
 
 def solve_raw(edge_masks, pattern, budget=0, pinned=None):
-    """Low-level search over raw edge masks; used by the exhaustive search."""
+    """Low-level search over raw edge masks; called by find_berge_embedding,
+    longest_berge_path and search's _pinned_copy and _pattern_edge_orbits."""
     edges0, order = _pattern_plan(pattern)
     pinned_pe, pinned_he = pinned if pinned else (-1, -1)
     return _engine_py.solve(edge_masks, edges0, order, budget, pinned_pe, pinned_he)

@@ -127,8 +127,11 @@ def block_construction(n: int, block: int, r: int) -> Hypergraph:
     """Disjoint union of n/block complete r-graphs on `block` vertices each.
 
     Contains no Berge path with `block` edges: such a path needs block+1
-    defining vertices inside one component.
+    defining vertices inside one component.  Raises ParamsOutOfRange for
+    r < 2 or n < r, as ``make_hypergraph`` does, before the block checks.
     """
+    if r < 2 or n < r:
+        raise ParamsOutOfRange(f"need 2 <= r <= n, got r={r}, n={n}")
     if block < r:
         raise BlockTooSmall(f"block size {block} below uniformity {r}")
     if n % block != 0:

@@ -37,6 +37,13 @@ def erdos_gallai_bound(n: int, ell: int) -> Fraction:
     return Fraction(ell - 1, 2) * n
 
 
+def _construction_count(n, r, core, even):
+    """Edges of the core construction (:mod:`bergeturan.constructions`) with
+    ``core`` core vertices, ``even`` being [ell even]:
+    C(core, r-1)*(n-core) + C(core, r) + even*C(core, r-2)."""
+    return comb(core, r - 1) * (n - core) + comb(core, r) + even * comb(core, r - 2)
+
+
 class KplGraphResult(Record):
     value: int
     threshold_n0: int
@@ -50,9 +57,7 @@ def kpl_graph_turan(n: int, k: int, ell: int) -> KplGraphResult:
         raise ParamsOutOfRange(f"need k >= 2 and ell >= 3, got k={k}, ell={ell}")
     half_floor = (ell + 1) // 2
     half_ceil = (ell + 2) // 2
-    core = k * half_floor - 1
-    c_ell = 1 if ell % 2 == 0 else 0
-    value = core * (n - core) + comb(core, 2) + c_ell
+    value = _construction_count(n, 2, k * half_floor - 1, 1 if ell % 2 == 0 else 0)
     threshold = 2 * (ell + 1) + 2 * k * (ell + 1) * (half_ceil + 1) * comb(ell + 1, half_floor)
     return KplGraphResult(value=value, threshold_n0=threshold, valid=n >= threshold)
 
@@ -90,9 +95,7 @@ def connected_berge_path_turan(n: int, r: int, ell: int) -> ConnectedPathResult:
         raise OutsideTheoremRange(f"need ell >= 2r+13 >= 18, got r={r}, ell={ell}")
     if n < 1:
         raise ParamsOutOfRange(f"need n >= 1, got {n}")
-    lp = (ell + 1) // 2
-    ind = 1 if ell % 2 == 0 else 0
-    value = comb(lp - 1, r - 1) * (n - lp + 1) + comb(lp - 1, r) + ind * comb(lp - 1, r - 2)
+    value = _construction_count(n, r, (ell + 1) // 2 - 1, 1 if ell % 2 == 0 else 0)
     return ConnectedPathResult(value=value, large_n_required=True)
 
 
@@ -147,12 +150,7 @@ def berge_kpl_turan(p: FormulaParams) -> KplBergeResult:
     :attr:`FormulaParams.hypothesis_failures` hold, the range in which the
     formula is the exact Turan number for large n.
     """
-    core = p.core_size
-    value = (
-        comb(core, p.r - 1) * (p.n - core)
-        + comb(core, p.r)
-        + p.parity_indicator * comb(core, p.r - 2)
-    )
+    value = _construction_count(p.n, p.r, p.core_size, p.parity_indicator)
     failures = p.hypothesis_failures
     return KplBergeResult(value, not failures, failures, True)
 

@@ -1,6 +1,5 @@
 """Orbits for the Turán search: twin classes of a host's vertices, orbits of
-r-sets under the twin group, orbits of pattern edges under Aut(F), and a
-canonical form of a host.
+r-sets under the twin group, and a canonical form of a host.
 
 Twin classes.  Host vertices that are twins (:mod:`bergeturan.symmetry`
 gives the test and the argument that twins form classes) are classified
@@ -25,23 +24,20 @@ orbit (:func:`_orbit_representatives`).  An automorphism sigma of a host H
 maps H + e onto H + sigma(e), so both have a Berge copy or neither has:
 one r-set answers for its orbit.
 
-Orbits of pattern edges.  If a Berge copy (phi, psi) puts pattern edge e
-on hyperedge j and sigma in Aut(F) maps e to e', then (phi o sigma^-1,
-psi o sigma^-1) is a copy that puts e' on j.  So a search pinned at one
-edge answers for its orbit under Aut(F) (:func:`_pattern_edge_orbits`).
-
-Canonical form.  Colour refinement on the vertex-hyperedge incidence,
-individualisation of one vertex per twin class of the first non-singleton
-cell, and the least relabelled edge tuple over the leaves give one form per
-isomorphism class (:func:`canonical_form`).  The level search of
-``search`` keeps one free host per form.
+Canonical form.  Colour refinement on the vertex-hyperedge incidence
+(:func:`_refine`), individualisation of one vertex per twin class of the
+first non-singleton cell, and the least relabelled edge tuple over the
+leaves give one form per isomorphism class (:func:`canonical_form`).  The
+level search of ``search`` keeps one free host per form.  Every
+automorphism keeps the refined colours, so ``search`` also uses them to
+tell pattern edges apart that no automorphism of the pattern can swap.
 
 Of the package, only ``search`` imports this module, so a command that
 runs no Turán search never compiles it.  It imports no module of the
 package but ``symmetry``.  Vertices and indices are 0-based here.
 """
 
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations_with_replacement, groupby, islice
 from operator import or_
 
@@ -196,140 +192,3 @@ def canonical_form(n, edge_masks):
         if best is None or form < best:
             best, labelling = form, tuple(colour)
     return best, labelling
-
-
-def _automorphism(adj, colour, seed):
-    """A vertex permutation that preserves adjacency, maps every vertex to
-    one of its colour and extends the (vertex, image) pairs of ``seed``, or
-    None when there is none.
-
-    Backtracks in breadth-first order from the seed's vertices: a vertex
-    with a placed neighbour w takes its image among the neighbours of w's
-    image, the first vertex of a new component any unused vertex.  A
-    candidate image must have v's colour, and the placed neighbours of v
-    must map onto exactly the neighbours of the image that are images
-    already; when every vertex is placed the map is an automorphism.
-    """
-    p = len(adj)
-    order = [v for v, _ in seed]
-    parent = [-1] * p
-    seen = 0
-    for v in order:
-        seen |= 1 << v
-    head = 0
-    while len(order) < p:
-        if head == len(order):
-            v = next(v for v in range(p) if not seen >> v & 1)
-            seen |= 1 << v
-            order.append(v)
-        v = order[head]
-        head += 1
-        for w in _bits(adj[v] & ~seen):
-            seen |= 1 << w
-            parent[w] = v
-            order.append(w)
-    fixed = dict(seed)
-    image = [-1] * p
-    placed = used = 0
-
-    def choices(i):
-        v = order[i]
-        if v in fixed:
-            return iter((fixed[v],))
-        if parent[v] >= 0:
-            return _bits(adj[image[parent[v]]] & ~used)
-        return (w for w in range(p) if not used >> w & 1)
-
-    pending = [choices(0)]
-    while pending:
-        v = order[len(pending) - 1]
-        if image[v] >= 0:
-            used ^= 1 << image[v]
-            placed ^= 1 << v
-            image[v] = -1
-        for w in pending[-1]:
-            if used >> w & 1 or colour[w] != colour[v]:
-                continue
-            nbrs = adj[v] & placed
-            if (adj[w] & used).bit_count() == nbrs.bit_count() and all(
-                    adj[w] >> image[x] & 1 for x in _bits(nbrs)):
-                break
-        else:
-            pending.pop()
-            continue
-        image[v] = w
-        used |= 1 << w
-        placed |= 1 << v
-        if len(pending) == p:
-            return image
-        pending.append(choices(len(pending)))
-    return None
-
-
-@lru_cache(maxsize=512)
-def _pattern_edge_orbits(pattern):
-    """The orbits of a ``PatternGraph``'s edges under its automorphism
-    group Aut(F): tuples of 0-based edge indices, each ascending, ordered
-    by their smallest index (the orbit's representative).
-
-    Vertices are first coloured by colour refinement (iterated degree),
-    which every automorphism preserves, so edges whose endpoint colours
-    differ lie in different orbits.  Edges are then taken in index order.
-    An edge is tried against each earlier representative of its colours,
-    looking for an automorphism that maps the representative onto it
-    (:func:`_automorphism`, either orientation); the first one found merges
-    the two orbits, and with them every edge with its image under that
-    automorphism.  An edge that no automorphism reaches from an earlier
-    representative becomes one.  So two edges share an orbit only through
-    explicit automorphisms, and the exhaustive search makes the
-    representatives pairwise inequivalent.  kP_l has ceil(l/2) orbits.
-    """
-    p = pattern.num_vertices
-    edges0 = [(u - 1, v - 1) for u, v in pattern.edges]
-    adj = [0] * p
-    for a, b in edges0:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    colour = [0] * p
-    classes = 1
-    while True:
-        sigs = [(colour[v], tuple(sorted(colour[w] for w in _bits(adj[v])))) for v in range(p)]
-        ids = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        colour = [ids[sig] for sig in sigs]
-        if len(ids) == classes:
-            break
-        classes = len(ids)
-
-    def key(e):
-        return tuple(sorted((colour[e[0]], colour[e[1]])))
-
-    index = {frozenset(e): i for i, e in enumerate(edges0)}
-    root = list(range(len(edges0)))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    reps = []
-    for j, (a, b) in enumerate(edges0):
-        if find(j) != j:
-            continue
-        for i in reps:
-            if key(edges0[i]) != key((a, b)):
-                continue
-            c, d = edges0[i]
-            sigma = _automorphism(adj, colour, ((c, a), (d, b))) or \
-                _automorphism(adj, colour, ((c, b), (d, a)))
-            if sigma is not None:
-                for k, (x, y) in enumerate(edges0):
-                    s, t = find(k), find(index[frozenset((sigma[x], sigma[y]))])
-                    root[max(s, t)] = min(s, t)
-                break
-        else:
-            reps.append(j)
-    orbits = {}
-    for k in range(len(edges0)):
-        orbits.setdefault(find(k), []).append(k)
-    return tuple(tuple(orbits[i]) for i in sorted(orbits))

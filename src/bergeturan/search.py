@@ -43,11 +43,25 @@ Filter checks are answered once per orbit of the chosen set's twin group
 (:mod:`bergeturan.orbits`): later candidates with one orbit key share
 one check.  The live lists, the tree and the answer are those of one
 check per candidate, and only the count of kernel calls falls.
+
+Orbits of pattern edges.  If a Berge copy (phi, psi) puts pattern edge e
+on hyperedge j and sigma in Aut(F) maps e to e', then (phi o sigma^-1,
+psi o sigma^-1) is a copy that puts e' on j.  So a search pinned at one
+edge answers for its orbit under Aut(F) (:func:`_pinned_copy`).  The
+kernel finds the orbits too.  A Berge copy of F in the 2-uniform host
+made of F's own edges is an automorphism of F: the images are an
+injective map of V(F) into itself, hence a bijection, and each pattern
+edge takes a distinct host edge, which holds its endpoints' images and
+nothing else, so the bijection maps E(F) onto E(F).  Every automorphism
+is such a copy.  So that search, with edge i pinned to edge j, finds an
+automorphism that maps i onto j or proves that none exists
+(:func:`_pattern_edge_orbits`).
 """
 
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -56,13 +70,7 @@ from ._engine_py import FOUND
 from .berge import Status, find_berge_embedding, solve_raw
 from .core import FormulaParams, Hypergraph, PatternGraph, Record, disjoint_paths_pattern
 from .errors import HostNotFree, ParamsOutOfRange, ScaleGuardExceeded
-from .orbits import (
-    _orbit_key,
-    _orbit_representatives,
-    _pattern_edge_orbits,
-    canonical_form,
-    twin_classes,
-)
+from .orbits import _orbit_key, _orbit_representatives, _refine, canonical_form, twin_classes
 
 # The functions that ``compare_with_formula`` imports from their defining
 # module when it runs.  They resolve on this module too, as they did when
@@ -118,10 +126,64 @@ class _Budget(Exception):
     pass
 
 
+@lru_cache(maxsize=512)
+def _pattern_edge_orbits(pattern):
+    """The orbits of a ``PatternGraph``'s edges under its automorphism
+    group Aut(F): tuples of 0-based edge indices, each ascending, ordered
+    by their smallest index (the orbit's representative).
+
+    Edges are taken in index order.  An edge is tried against each earlier
+    representative whose endpoints have the same refined colours
+    (``orbits._refine``, which every automorphism keeps), by a kernel
+    search in F's own edges pinning the representative onto it (see the
+    module docstring).  The first automorphism found merges every edge
+    with its image under it, and with them the two orbits.  An edge that
+    no automorphism reaches from an earlier representative becomes one.
+    So two edges share an orbit only through explicit automorphisms, and
+    the exhaustive searches make the representatives pairwise
+    inequivalent.  kP_l has ceil(l/2) orbits.
+    """
+    edges0 = [(u - 1, v - 1) for u, v in pattern.edges]
+    through = [[] for _ in range(pattern.num_vertices)]
+    for j, e in enumerate(edges0):
+        for v in e:
+            through[v].append(j)
+    colour = _refine([0] * pattern.num_vertices, edges0, through)
+    keys = [sorted((colour[a], colour[b])) for a, b in edges0]
+    masks = [1 << a | 1 << b for a, b in edges0]
+    root = list(range(len(edges0)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    reps = []
+    for j in range(len(edges0)):
+        if find(j) != j:
+            continue
+        for i in reps:
+            if keys[i] != keys[j]:
+                continue
+            status, _, assignment, _ = solve_raw(masks, pattern, pinned=(i, j))
+            if status == FOUND:
+                for k, image in enumerate(assignment):
+                    s, t = find(k), find(image)
+                    root[max(s, t)] = min(s, t)
+                break
+        else:
+            reps.append(j)
+    orbits = {}
+    for k in range(len(edges0)):
+        orbits.setdefault(find(k), []).append(k)
+    return tuple(tuple(orbits[i]) for i in sorted(orbits))
+
+
 def _pinned_copy(masks, pattern, stats=None):
     """Does some Berge copy in ``masks`` use its last hyperedge?  One pinned
     search per orbit of pattern edges under Aut(F), which answers for its
-    orbit (:mod:`bergeturan.orbits`), on the orbit's smallest edge index,
+    orbit (see the module docstring), on the orbit's smallest edge index,
     in index order, stopping at the first copy.  Each search adds one to
     ``stats.pinned_calls`` where ``stats`` is given."""
     new_idx = len(masks) - 1
@@ -397,10 +459,11 @@ def exact_turan(n: int, r: int, pattern: PatternGraph, opts: SearchOptions | Non
 
     With ``connected_only`` the maximum runs over connected hosts covering
     all n vertices.  A node budget returns the best value found so far with
-    ``exact=False``.
+    ``exact=False``.  Raises ParamsOutOfRange for r < 2 or n < r, as
+    ``make_hypergraph`` does, before anything is searched.
     """
-    if r > n:
-        raise ParamsOutOfRange(f"need r <= n, got r={r}, n={n}")
+    if r < 2 or n < r:
+        raise ParamsOutOfRange(f"need 2 <= r <= n, got r={r}, n={n}")
     opts = opts or SearchOptions()
     if opts.witness_limit < 1:
         raise ParamsOutOfRange("witness_limit must be >= 1")

@@ -33,7 +33,7 @@ from bergeturan.errors import (
     InvalidCycleLength,
     V0TooSmall,
 )
-from bergeturan.orbits import _pattern_edge_orbits
+from bergeturan.search import _pattern_edge_orbits
 from oracles import brute_bcn, brute_star, naive_contains, naive_edge_orbits, random_hypergraph
 
 K4_TRIPLES = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]
@@ -165,6 +165,22 @@ class TestEdgeOrbits:
                      "S3", "M3", "2P2", "2P3", "P2+M1", "C3+C3", "C3+C4"):
             pattern = parse_pattern(expr)
             assert _pattern_edge_orbits(pattern) == naive_edge_orbits(pattern), expr
+
+    def test_unions_of_cycles_split_by_cycle_length(self):
+        # every vertex has degree 2, so colour refinement leaves one colour
+        # and only the kernel's NOT_FOUND answers keep cycles of different
+        # lengths apart; more than 8 vertices, beyond naive_edge_orbits
+        expected = {
+            "C4+C4+C8": (tuple(range(8)), tuple(range(8, 16))),
+            "C3+C3+C6": (tuple(range(6)), tuple(range(6, 12))),
+            "C5+C5+C5": (tuple(range(15)),),
+            "C3+C4+C5+C3": ((0, 1, 2, 12, 13, 14), (3, 4, 5, 6), (7, 8, 9, 10, 11)),
+        }
+        for expr, orbits in expected.items():
+            pattern = parse_pattern(expr)
+            assert pattern.num_vertices > 8 and all(
+                sum(v in e for e in pattern.edges) == 2 for v in range(1, pattern.num_vertices + 1))
+            assert _pattern_edge_orbits.__wrapped__(pattern) == orbits, expr
 
     def test_disjoint_paths_fold_to_half_a_path(self):
         # Aut(kP_l) swaps the paths and reverses each, so edge i of a path

@@ -6,6 +6,7 @@ exit code and validate machine output against the shipped JSON schemas.
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -19,7 +20,7 @@ import pytest
 
 from bergeturan import cli
 from bergeturan.cli import build_parser, main
-from bergeturan.core import _LARGE_HOST_EDGES
+from bergeturan.core import _LARGE_HOST_EDGES, read_hypergraph
 from bergeturan.formulas import default_grid
 from oracles import naive_verify
 
@@ -86,6 +87,22 @@ class TestConstructAndAudit:
     def test_block_divisibility_error(self, capsys):
         code, _ = run_cli(capsys, "block", "-n", "9", "-l", "4", "-r", "3")
         assert code == 2
+
+    def test_every_host_block_writes_reads_back(self, tmp_path, capsys):
+        # r < 2, n < r, a block below r and a block that does not divide n
+        # exit 2 and write nothing; every written host reads back
+        written = 0
+        for n, block, r in itertools.product(range(0, 7), range(0, 4), range(0, 4)):
+            out = tmp_path / f"b{n}-{block}-{r}.hg"
+            code, _ = run_cli(capsys, "block", "-n", str(n), "-l", str(block), "-r", str(r),
+                              "-o", str(out))
+            if code == 0:
+                written += 1
+                h = read_hypergraph(out.read_text())
+                assert (h.n, h.r) == (n, r)
+            else:
+                assert code == 2 and not out.exists()
+        assert written >= 5
 
     def test_audit_roundtrip(self, host_file, capsys):
         code, doc = json_doc(capsys, "audit", str(host_file), "--json")
@@ -311,6 +328,14 @@ class TestTuranCommand:
     def test_scale_guard_exit_two(self, capsys):
         code, _ = run_cli(capsys, "turan", "-n", "12", "-r", "3", "-F", "P2")
         assert code == 2
+
+    @pytest.mark.parametrize("n,r", [("5", "1"), ("4", "0"), ("2", "3")])
+    def test_uniformity_below_two_or_order_below_r_exit_two(self, tmp_path, capsys, n, r):
+        out_dir = tmp_path / "wit"
+        code, _ = run_cli(capsys, "turan", "-n", n, "-r", r, "-F", "P1",
+                          "--out-dir", str(out_dir))
+        assert code == 2
+        assert not out_dir.exists()
 
 
 class TestFormulaCommand:

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -12,7 +13,9 @@ from bergeturan import (
     find_berge_embedding,
     make_hypergraph,
     parse_pattern,
+    read_hypergraph,
     verify_certificate,
+    write_hypergraph,
 )
 from bergeturan.core import Hypergraph
 from bergeturan.errors import BlockTooSmall, DoesNotDivide, ParamsOutOfRange
@@ -136,6 +139,24 @@ class TestBlockConstruction:
             block_construction(9, 4, 3)
         with pytest.raises(BlockTooSmall):
             block_construction(8, 2, 3)
+
+    def test_uniformity_and_order_checked_first(self):
+        # r and n are checked as make_hypergraph checks them, before the
+        # block size, which for r = 0 would otherwise divide by zero
+        for n, block, r in ((0, 3, 3), (4, 2, 1), (4, 0, 0), (2, 4, 3), (-3, 3, 3)):
+            with pytest.raises(ParamsOutOfRange):
+                block_construction(n, block, r)
+
+    def test_every_built_host_reads_back(self):
+        built = 0
+        for n, block, r in product(range(-1, 10), range(-1, 6), range(-1, 5)):
+            try:
+                h = block_construction(n, block, r)
+            except (ParamsOutOfRange, BlockTooSmall, DoesNotDivide):
+                continue
+            built += 1
+            assert read_hypergraph(write_hypergraph(h)) == h
+        assert built >= 10
 
     def test_blocks_are_path_free(self):
         for n in (6, 9, 12):

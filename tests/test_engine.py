@@ -25,7 +25,7 @@ from bergeturan.cli import main
 from bergeturan.core import FormulaParams
 from bergeturan.constructions import block_construction, extremal_construction
 from bergeturan.errors import ParamsOutOfRange
-from bergeturan.orbits import _pattern_edge_orbits
+from bergeturan.search import _pattern_edge_orbits
 from oracles import naive_contains, naive_twin_classes, random_hypergraph, symmetric_hypergraph
 
 CORPUS_PATTERNS = [parse_pattern(e) for e in

@@ -124,8 +124,10 @@ class TestExactTuran:
     def test_scale_guard(self):
         with pytest.raises(ScaleGuardExceeded):
             exact_turan(12, 3, parse_pattern("P2"))
-        with pytest.raises(ParamsOutOfRange):
-            exact_turan(2, 3, parse_pattern("P2"))
+        # n < r, and r < 2 as make_hypergraph rejects it
+        for n, r in ((2, 3), (-1, 2), (5, 1), (4, 0), (0, 0)):
+            with pytest.raises(ParamsOutOfRange):
+                exact_turan(n, r, parse_pattern("P2"))
 
     def test_determinism(self):
         a = exact_turan(6, 3, parse_pattern("P3"))
