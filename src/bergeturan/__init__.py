@@ -30,7 +30,6 @@ _EXPORTS = {
         "make_hypergraph", "matching_pattern", "parse_pattern", "path_pattern", "read_hypergraph",
         "star_pattern", "union_pattern", "write_hypergraph",
     ),
-    "engine": ("backend_name", "compiled_available"),
     "formulas": (
         "ConjectureReport", "LemmaReport", "berge_kpl_turan", "berge_path_bound",
         "conjecture_values", "connected_berge_path_turan", "default_grid", "erdos_gallai_bound",

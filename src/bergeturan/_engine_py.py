@@ -44,13 +44,12 @@ earlier twins are among those smaller members: when all of them are
 used, no twin can skip it, and it passes as classifying it would let it
 pass.  Groups are classified in ascending order, so every class and every
 node count is that of classifying every vertex first.  Set-up is linear in
-the edge masks: it packs them into a byte matrix of n x m bits, where n
-runs only to the last covered vertex, and takes each covered vertex's
-degree from it (``symmetry.incidence``).  On hosts of fewer than
-``symmetry._LARGE_HOST_EDGES`` edges it also converts every vertex's
-incidence mask; on larger ones a mask is converted when the search or a
-twin test first reads it, so a query that stops after a few nodes
-converts few of them.
+the edge masks (``symmetry.incidence``).  A dense host is packed into a
+byte matrix of n x m bits, where n runs only to the last covered vertex,
+and each covered vertex's degree is taken from it; a vertex's incidence
+mask is converted when the search or a twin test first reads it, so a
+query that stops after a few nodes converts few of them.  A sparse host,
+with at most four incidences per vertex, sets its masks bit by bit.
 
 Pin rule.  Under a pin, the positions of both endpoints of the pinned
 pattern edge take their candidates from a list holding only the vertices

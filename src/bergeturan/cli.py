@@ -247,72 +247,45 @@ def _cmd_formula(ns, run):
     return EXIT_OK
 
 
-# by ``berge.Status`` value, so that building the parser loads no kernel
-_STATUS_EXIT = {
-    "found": EXIT_OK,
-    "not-found": EXIT_PROPERTY_FAILS,
-    "indeterminate": EXIT_TRUNCATED,
+# the exit code and human verdict of ``find`` and ``cycle``, then those of
+# ``check``, by ``berge.Status`` value, so that building the parser loads no
+# kernel
+_VERDICTS = {
+    "found": ((EXIT_OK, "FOUND"), (EXIT_PROPERTY_FAILS, "CONTAINS")),
+    "not-found": ((EXIT_PROPERTY_FAILS, "NOT-FOUND"), (EXIT_OK, "FREE")),
+    "indeterminate": ((EXIT_TRUNCATED, "INDETERMINATE"),
+                      (EXIT_TRUNCATED, "INDETERMINATE (budget exhausted)")),
 }
 
 
-def _embedding_doc(host_path, expr, result):
-    return {
-        "host": str(host_path),
-        "pattern": expr,
-        "status": result.status.value,
+def _cmd_embedding(ns, run):
+    """``check``, ``find`` and ``cycle``: one embedding search, of C<length>
+    for ``cycle``.  ``check`` adds ``free`` and reads the answer as a
+    freeness verdict."""
+    from .berge import find_berge_embedding
+    from .core import cycle_pattern, parse_pattern
+
+    h = _load_host(run, ns.host)
+    pattern = cycle_pattern(ns.length) if ns.subcommand == "cycle" else parse_pattern(ns.pattern)
+    result = find_berge_embedding(h, pattern, budget=ns.budget)
+    status = result.status.value
+    doc = {
+        "host": ns.host,
+        "pattern": pattern.expr,
+        "status": status,
         "nodes": result.nodes,
         "certificate": _certificate_doc(result.certificate),
     }
-
-
-def _cmd_check(ns, run):
-    from .berge import Status, find_berge_embedding
-    from .core import parse_pattern
-
-    h = _load_host(run, ns.host)
-    pattern = parse_pattern(ns.pattern)
-    result = find_berge_embedding(h, pattern, budget=ns.budget)
-    doc = _embedding_doc(ns.host, pattern.expr, result)
-    doc["free"] = result.status is Status.NOT_FOUND
-    run.summary = {"status": result.status.value}
-    if result.status is Status.NOT_FOUND:
-        run.emit(doc, ["FREE"])
-        return EXIT_OK
-    if result.status is Status.FOUND:
-        run.emit(doc, ["CONTAINS", result.certificate.to_json().rstrip("\n")])
-        return EXIT_PROPERTY_FAILS
-    run.emit(doc, ["INDETERMINATE (budget exhausted)"])
-    return EXIT_TRUNCATED
-
-
-def _cmd_find(ns, run):
-    from .berge import find_berge_embedding
-    from .core import parse_pattern
-
-    h = _load_host(run, ns.host)
-    pattern = parse_pattern(ns.pattern)
-    result = find_berge_embedding(h, pattern, budget=ns.budget)
-    doc = _embedding_doc(ns.host, pattern.expr, result)
-    run.summary = {"status": result.status.value}
-    lines = [result.status.value.upper()]
+    check = ns.subcommand == "check"
+    if check:
+        doc["free"] = status == "not-found"
+    code, verdict = _VERDICTS[status][check]
+    run.summary = {"status": status}
+    lines = [verdict]
     if result.certificate:
         lines.append(result.certificate.to_json().rstrip("\n"))
     run.emit(doc, lines)
-    return _STATUS_EXIT[result.status.value]
-
-
-def _cmd_cycle(ns, run):
-    from .berge import find_berge_cycle
-
-    h = _load_host(run, ns.host)
-    result = find_berge_cycle(h, ns.length, budget=ns.budget)
-    doc = _embedding_doc(ns.host, f"C{ns.length}", result)
-    run.summary = {"status": result.status.value}
-    lines = [result.status.value.upper()]
-    if result.certificate:
-        lines.append(result.certificate.to_json().rstrip("\n"))
-    run.emit(doc, lines)
-    return _STATUS_EXIT[result.status.value]
+    return code
 
 
 def _cmd_longest_path(ns, run):
@@ -527,13 +500,13 @@ _COMMANDS = {
                        "help": "comma-separated path lengths for the forest conjecture"}),
         *_COMMON,
     ]),
-    "check": ("prove or refute freeness from a Berge pattern", _cmd_check,
+    "check": ("prove or refute freeness from a Berge pattern", _cmd_embedding,
               [_HOST, _PATTERN, *_COMMON_BUDGET]),
-    "find": ("find a Berge copy with a certificate", _cmd_find,
+    "find": ("find a Berge copy with a certificate", _cmd_embedding,
              [_HOST, _PATTERN, *_COMMON_BUDGET]),
     "longest-path": ("longest Berge path with witness", _cmd_longest_path,
                      [_HOST, *_COMMON_BUDGET]),
-    "cycle": ("find a Berge cycle of a given length", _cmd_cycle, [
+    "cycle": ("find a Berge cycle of a given length", _cmd_embedding, [
         _HOST,
         (("--length",), _REQUIRED_INT),
         *_COMMON_BUDGET,

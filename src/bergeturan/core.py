@@ -30,7 +30,25 @@ from .errors import (
     ParseError,
     VertexOutOfRange,
 )
-from .symmetry import _LARGE_HOST_EDGES, incidence
+
+# Hosts with at least this many edges take the large-host routes of this
+# module: labels parsed in one ``json.loads`` pass (:func:`_read_bulk`) and
+# edge masks built from one bit per distinct label
+# (:meth:`Hypergraph.edge_vertex_masks`).  Smaller hosts keep the per-item
+# routes: there a label repeats only a few times, and a read imports no
+# ``json``.  Medians of 9 runs on random canonical hosts (n=12, r=3; n=30,
+# r=3; n=60, r=4), one core of a 2-core x86 machine, CPython 3.11.  At 64
+# edges the masks took 36 us against 51 per edge (n=12) and 50-67 against
+# 50-70 (n=60).  Parsing the labels took, by JSON, by int() per distinct
+# label (the route JSON replaced) and by int() per field: 29, 30 and 47 us
+# at n=12, m=64; 50, 49 and 86 at m=128; 81, 75 and 143 at m=220 (dense
+# n=12 hosts, which no workload reads, are up to 7% slower by JSON); 25, 32
+# and 45 at n=30, m=64; 28, 46 and 48 at n=60, m=64; 1.2, 1.3 and 2.0 ms at
+# m=3000; and 1.9, 2.1 and 3.6 ms and 5.5, 8.2 and 10.4 ms on the 7,084-
+# and 14,157-edge constructions.  JSON and int() per field meet at about 8
+# edges.  Taking either large-host route at every size cost the small jobs
+# of the ``queries`` benchmark about 3% of their time.
+_LARGE_HOST_EDGES = 64
 
 
 class Record:
@@ -143,8 +161,19 @@ class Hypergraph(Record, eq_skip=("duplicates_collapsed",)):
         v is in edge j)."""
         covered = [v - 1 for v in self.covered_vertices()]
         # the builder's table runs to the last covered vertex, not to n
-        inc, _ = incidence(covered[-1] + 1 if covered else 0, self.edge_vertex_masks(), covered)
+        inc, _ = _incidence(covered[-1] + 1 if covered else 0, self.edge_vertex_masks(), covered)
         return {v + 1: inc[v] for v in covered}
+
+
+def _incidence(n, edge_masks, vertices):
+    """``symmetry.incidence``, which replaces this function at its first
+    call.  So loading ``core`` loads no ``symmetry``, and no later call
+    runs an import statement, which cost the small ``bcn`` and ``star``
+    jobs of the ``queries`` benchmark 5-18% of their time."""
+    global _incidence
+    from .symmetry import incidence as _incidence
+
+    return _incidence(n, edge_masks, vertices)
 
 
 def make_hypergraph(r, n, raw_edges) -> Hypergraph:

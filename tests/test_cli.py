@@ -265,6 +265,72 @@ class TestContainmentCommands:
         assert calls == (list(inputs.values()) if fallback else [])
 
 
+_P3_CERT = {"pattern": "P3", "defining_vertices": [3, 1, 2, 4],
+            "edge_assignment": [[1, 2, 2], [2, 3, 0], [3, 4, 1]]}
+_C4_CERT = {"pattern": "C4", "defining_vertices": [1, 2, 3, 4],
+            "edge_assignment": [[1, 2, 0], [2, 3, 3], [3, 4, 2], [1, 4, 1]]}
+
+
+class TestEmbeddingTable:
+    """``check``, ``find`` and ``cycle`` on K4 (3-uniform) plus a pendant
+    edge, for each status: stdout, the --json document with its manifest
+    (wall time aside) and the exit code, pinned."""
+
+    HOST = "3 6 5\n1 2 3\n1 2 4\n1 3 4\n2 3 4\n4 5 6\n"
+    # command, its pattern arguments, budget, status, nodes, certificate,
+    # exit code, the human verdict line
+    ROWS = [
+        ("check", ["-F", "P3"], 0, "found", 4, _P3_CERT, 1, "CONTAINS"),
+        ("check", ["-F", "2P2"], 0, "not-found", 62, None, 0, "FREE"),
+        ("check", ["-F", "P4"], 1, "indeterminate", 2, None, 3,
+         "INDETERMINATE (budget exhausted)"),
+        ("find", ["-F", "P3"], 0, "found", 4, _P3_CERT, 0, "FOUND"),
+        ("find", ["-F", "2P2"], 0, "not-found", 62, None, 1, "NOT-FOUND"),
+        ("find", ["-F", "P4"], 1, "indeterminate", 2, None, 3, "INDETERMINATE"),
+        ("cycle", ["--length", "4"], 0, "found", 4, _C4_CERT, 0, "FOUND"),
+        ("cycle", ["--length", "5"], 0, "not-found", 44, None, 1, "NOT-FOUND"),
+        ("cycle", ["--length", "4"], 1, "indeterminate", 2, None, 3, "INDETERMINATE"),
+    ]
+
+    @pytest.mark.parametrize("row", ROWS, ids=lambda row: f"{row[0]}-{row[3]}")
+    def test_stdout_json_and_exit_code(self, tmp_path, capsys, row):
+        command, pattern_args, budget, status, nodes, cert, exit_code, verdict = row
+        path = tmp_path / "k4.hg"
+        path.write_text(self.HOST)
+        argv = [command, str(path), *pattern_args, "--budget", str(budget)]
+
+        code, out = run_cli(capsys, *argv)
+        assert code == exit_code
+        cert_lines = [] if cert is None else [json.dumps(cert, indent=2)]
+        assert out == "\n".join([verdict, *cert_lines]) + "\n"
+        assert not list(tmp_path.glob("*.manifest.json"))
+
+        code, doc = json_doc(capsys, *argv, "--json")
+        assert code == exit_code
+        validate(doc, "embedding")
+        validate(doc["manifest"], "manifest")
+        pattern = pattern_args[1] if command != "cycle" else f"C{pattern_args[1]}"
+        expected = {"host": str(path), "pattern": pattern, "status": status, "nodes": nodes,
+                    "certificate": cert}
+        if command == "check":
+            expected["free"] = status == "not-found"
+        option = pattern_args[0].lstrip("-").replace("F", "pattern")
+        value = int(pattern_args[1]) if command == "cycle" else pattern_args[1]
+        manifest = doc.pop("manifest")
+        assert list(doc) == list(expected) and doc == expected
+        del manifest["wall_time_s"]
+        assert manifest == {
+            "subcommand": command,
+            "arguments": {"subcommand": command, "host": str(path), option: value,
+                          "budget": budget, "json": "-"},
+            "input_digests": {str(path): hashlib.sha256(self.HOST.encode()).hexdigest()},
+            "tool_version": cli.__version__,
+            "engine_backend": "pure-python",
+            "result_summary": {"status": status},
+        }
+        assert list(manifest["arguments"]) == ["subcommand", "host", option, "budget", "json"]
+
+
 class TestVertexCommands:
     def test_good_order(self, host_file, capsys):
         code, doc = json_doc(capsys, "good-order", str(host_file), "--first", "3", "--json")

@@ -371,6 +371,56 @@ def test_reader_table(text, expected):
         assert bulk.duplicates_collapsed == expected[1]
 
 
+def _random_hg_text(rng):
+    """A random .hg text: r in 2..4, labels up to two digits, some with
+    leading zeros, comment lines anywhere, repeated or unsorted edges, and
+    0 edges or a count on either side of the readers' large-host cut."""
+    r = rng.randint(2, 4)
+    n = rng.randint(r, 14)
+    m = rng.choice((0, 1, 2, 5, CUT - 1, CUT, CUT + 1))
+    zeros = rng.random() < 0.3
+    lines = []
+    for _ in range(m):
+        edge = sorted(rng.sample(range(1, n + 1), r))
+        lines.append(" ".join("0" * (zeros and rng.random() < 0.05) + str(v) for v in edge))
+    if rng.random() < 0.2:
+        rng.shuffle(lines)
+    lines.insert(0, f"{r} {n} {m}")
+    for _ in range(rng.choice((0, 0, 1, 3))):
+        lines.insert(rng.randint(0, len(lines)), "#" + rng.choice(("", " note", "1 2 3")))
+    return "\n".join(lines) + "\n"
+
+
+def _mutated(rng, text):
+    """``text`` with one byte replaced, deleted or inserted."""
+    at = rng.randrange(len(text))
+    byte = rng.choice("0123456789 \n#\r\tx-²")
+    return rng.choice((text[:at] + byte + text[at + 1:], text[:at] + text[at + 1:],
+                       text[:at] + byte + text[at:]))
+
+
+def test_bulk_and_line_readers_agree():
+    # every text that one reader accepts, the other accepts with an equal
+    # host and duplicates flag; read_hypergraph trusts the bulk reader's
+    # None to mean that the line reader raises
+    rng = random.Random(23)
+    accepted = declined = 0
+    for _ in range(1500):
+        text = _random_hg_text(rng)
+        for candidate in (text, _mutated(rng, text), _mutated(rng, text)):
+            bulk = _read_bulk(candidate)
+            try:
+                lines = _read_lines(candidate)
+            except FormatError:
+                assert bulk is None, candidate
+                declined += 1
+                continue
+            assert bulk == lines, candidate
+            assert bulk.duplicates_collapsed == lines.duplicates_collapsed
+            accepted += 1
+    assert accepted > 1500 and declined > 1000
+
+
 # hosts whose header names far more vertices than their edges cover
 LARGE_N_HOSTS = [
     "3 1000000000 0\n",

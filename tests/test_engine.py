@@ -11,6 +11,7 @@ from itertools import combinations
 from bergeturan import (
     SearchOptions,
     _engine_py,
+    core,
     exact_turan,
     find_berge_embedding,
     longest_berge_path,
@@ -75,7 +76,7 @@ def _twin_corpus(seed, count):
 
 
 def test_backend_report():
-    from bergeturan import backend_name, compiled_available
+    from bergeturan.engine import backend_name, compiled_available
     assert backend_name() == "pure-python"
     assert compiled_available() is False
 
@@ -352,7 +353,8 @@ def _check_incidence(n, masks, covered):
 
 def test_incidence_agrees_with_its_definition():
     # hosts on both sides of the switch from the per-bit loop to the byte
-    # transpose, with vertices in every byte of one, two and three words
+    # transpose, with vertices in every byte of one, two and three words:
+    # dense hosts get lazy rows at every size, sparse hosts a list
     rng = random.Random(11)
     switched = set()
     for _ in range(400):
@@ -362,15 +364,16 @@ def test_incidence_agrees_with_its_definition():
         m = rng.randint(1, 60)
         masks = [sum(1 << v for v in rng.sample(pool, r)) for _ in range(m)]
         covered = [v for v in range(n) if any(em >> v & 1 for em in masks)]
-        assert not _check_incidence(n, masks, covered)
-        switched.add((m * r > 4 * len(covered), n > 64))
+        transposed = m * r > 4 * len(covered)
+        assert _check_incidence(n, masks, covered) == transposed
+        switched.add((transposed, n > 64))
     assert switched == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_lazy_incidence_agrees_with_its_definition():
-    # hosts of 64 to 400 edges, where the transposed rows are converted at
-    # their first read, on both sides of the per-bit loop's switch and of
-    # the 64-vertex packing, with vertices in every byte of up to 19 words
+    # hosts of 64 to 400 edges, on both sides of the per-bit loop's switch
+    # and of the 64-vertex packing, with vertices in every byte of up to 19
+    # words
     rng = random.Random(14)
     seen = set()
     for _ in range(150):
@@ -401,6 +404,9 @@ def test_hypergraph_incidence_masks_agree_with_their_definition():
             for v in e:
                 expected[v] = expected.get(v, 0) | (1 << j)
         assert h.incidence_masks() == expected
+    # the first call bound core's helper to the builder itself, so later
+    # calls run no import statement
+    assert core._incidence is symmetry.incidence
 
 
 def test_twin_classes_agree_with_naive_oracle(monkeypatch):

@@ -1,6 +1,7 @@
 """What each entry point loads: the lazy public API of the package and the
 per-subcommand import sets of the command line."""
 
+import json
 import os
 import subprocess
 import sys
@@ -16,7 +17,8 @@ from bergeturan.formulas import LEMMAS
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # every public name the package exported when its __init__ imported all
-# submodules eagerly
+# submodules eagerly, less the kernel report (``backend_name`` and
+# ``compiled_available``), which is read from ``bergeturan.engine``
 EAGER_EXPORTS = sorted([
     "BergeCertificate", "EmbeddingResult", "GoodOrder", "PathSearchResult", "StarResult",
     "Status", "berge_common_neighbours", "berge_star_exists", "find_berge_cycle",
@@ -26,7 +28,6 @@ EAGER_EXPORTS = sorted([
     "FormulaParams", "Hypergraph", "PatternGraph", "cycle_pattern", "disjoint_paths_pattern",
     "make_hypergraph", "matching_pattern", "parse_pattern", "path_pattern", "read_hypergraph",
     "star_pattern", "union_pattern", "write_hypergraph",
-    "backend_name", "compiled_available",
     "ConjectureReport", "LemmaReport", "berge_kpl_turan", "berge_path_bound",
     "conjecture_values", "connected_berge_path_turan", "default_grid", "erdos_gallai_bound",
     "kpl_graph_turan", "two_path_turan", "verify_lemma",
@@ -114,8 +115,16 @@ class TestSubcommandImports:
         assert code == 1
         assert "json" in loaded
 
+    def test_core_loads_no_package_module_but_errors(self, tmp_path):
+        # Hypergraph.incidence_masks imports symmetry when it runs, so the
+        # reader, the patterns and the records load without the twin code
+        code, loaded = _loaded_modules(cwd=tmp_path, entry=("-c", "import bergeturan.core"))
+        assert code == 0
+        assert {name for name in loaded if name.split(".")[0] == "bergeturan"} == {
+            "bergeturan", "bergeturan.core", "bergeturan.errors"}
+
     def test_symmetry_loads_no_other_package_module(self, tmp_path):
-        # the kernel, core and orbits import symmetry, never the reverse
+        # the kernel and orbits import symmetry, never the reverse
         code, loaded = _loaded_modules(cwd=tmp_path, entry=("-c", "import bergeturan.symmetry"))
         assert code == 0
         assert {name for name in loaded if name.split(".")[0] == "bergeturan"} == {
@@ -157,7 +166,8 @@ class TestSubcommandImports:
         code, loaded = _loaded_submodules(*argv, cwd=tmp_path)
         assert code == 0
         assert "bergeturan.formulas" in loaded
-        assert not loaded & {"bergeturan.berge", "bergeturan._engine_py"}
+        assert not loaded & {"bergeturan.berge", "bergeturan._engine_py",
+                             "bergeturan.symmetry"}
 
     def test_verify_lemmas_loads_formulas(self, tmp_path):
         # the control: the report does show a module a command imports late
@@ -210,7 +220,44 @@ TRACED_ON_CLI = {"read_hypergraph": core, "write_hypergraph": core, "parse_patte
 TRACED_ON_SEARCH = {"extremal_construction": constructions, "berge_kpl_turan": formulas}
 
 
+# runs the commands named in argv[2] under the benchmark's tracer, with
+# bench/ (argv[1]) on sys.path, and prints each one's exit code and the
+# names of the spans it recorded
+_TRACED_COMMANDS = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+from bergeturan import cli
+t = tracer.Tracer()
+tracer.install(t)
+report = {}
+for argv in json.loads(sys.argv[2]):
+    start = len(t.spans)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    report[argv[0]] = [code, sorted({span[0] for span in t.spans[start:]})]
+print(json.dumps(report))
+"""
+
+
 class TestLateImports:
+    def test_the_benchmark_tracer_finds_every_name_it_wraps(self, tmp_path):
+        # tracer.install looks up every name it wraps, so a renamed one
+        # fails here; the traced commands record kernel and embedding spans
+        host = tmp_path / "h.hg"
+        host.write_text("3 5 3\n1 2 3\n2 3 4\n3 4 5\n")
+        commands = [["check", str(host), "-F", "P2"], ["cycle", str(host), "--length", "3"]]
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", _TRACED_COMMANDS, str(SRC.parent / "bench"),
+             json.dumps(commands)],
+            capture_output=True, text=True, cwd=tmp_path, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["check"][0] == 1 and report["cycle"][0] == 0
+        for _, names in report.values():
+            assert {"engine.pure", "berge.find_berge_embedding"} <= set(names)
+
     def test_traced_names_resolve_on_the_importing_module(self):
         for module, names in ((cli, TRACED_ON_CLI), (search, TRACED_ON_SEARCH)):
             for name, source in names.items():
