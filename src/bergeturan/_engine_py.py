@@ -43,13 +43,11 @@ pinned-edge membership) is unused.  Twins share both, so a candidate's
 earlier twins are among those smaller members: when all of them are
 used, no twin can skip it, and it passes as classifying it would let it
 pass.  Groups are classified in ascending order, so every class and every
-node count is that of classifying every vertex first.  Set-up is linear in
-the edge masks (``symmetry.incidence``).  A dense host is packed into a
-byte matrix of n x m bits, where n runs only to the last covered vertex,
-and each covered vertex's degree is taken from it; a vertex's incidence
-mask is converted when the search or a twin test first reads it, so a
-query that stops after a few nodes converts few of them.  A sparse host,
-with at most four incidences per vertex, sets its masks bit by bit.
+node count is that of classifying every vertex first.  Set-up is one call
+to ``symmetry._candidates``, after the edge-count refutation and before
+the covered-vertex one: it finds the covered vertices and their incidence
+masks (``symmetry.incidence``, linear in the edge masks, converting a mask
+only when it is first read) and builds the candidate records.
 
 Pin rule.  Under a pin, the positions of both endpoints of the pinned
 pattern edge take their candidates from a list holding only the vertices
@@ -83,10 +81,7 @@ plan, not on the vertex labels.
 Vertices and indices are 0-based here; wrappers translate.
 """
 
-from functools import reduce
-from operator import or_
-
-from .symmetry import _candidates, incidence
+from .symmetry import _candidates
 
 NOT_FOUND = 0
 FOUND = 1
@@ -136,19 +131,20 @@ def solve(edge_masks, pat_edges, order, budget=0, pinned_pe=-1, pinned_he=-1):
     # pattern vertices are never isolated, so the plan lists all of them
     p = len(order)
     q = len(pat_edges)
-    covered = reduce(or_, edge_masks, 0)
-    if q > m or p > covered.bit_count():
+    if q > m:
         return (NOT_FOUND, None, None, 0)
-    # vertices above the last covered one take no part, so per-vertex
-    # tables need not run to it
-    n = covered.bit_length()
-
-    # covered's binary digits, lowest first, in one pass
-    host_order = [v for v, digit in enumerate(bin(covered)[:1:-1]) if digit == "1"]
-    # the hyperedges through each vertex as a bitmask; a pair's shared
-    # edges are inc[a] & inc[b]
-    inc, degree = incidence(n, edge_masks, host_order)
     pinned_mask = edge_masks[pinned_he] if pinned_he >= 0 else 0
+    # inc[v] is the hyperedges through vertex v as a bitmask, so a pair's
+    # shared edges are inc[a] & inc[b], and cands holds a record per
+    # covered vertex.  Candidate v passes the used-vertex and twin filters
+    # when used & guard == earlier twins, with guard = earlier twins | v;
+    # an unclassified record also has bit unclassified in its guard, so
+    # that it passes the used-vertex filter alone and is then classified
+    # if some smaller member of its group, smaller[v], is unused
+    inc, unclassified, cands, inside, smaller, twins_through = _candidates(
+        edge_masks, pinned_mask)
+    if p > len(cands):
+        return (NOT_FOUND, None, None, 0)
     pos_of = [-1] * p
     for i, pv in enumerate(order):
         pos_of[pv] = i
@@ -159,15 +155,6 @@ def solve(edge_masks, pat_edges, order, budget=0, pinned_pe=-1, pinned_he=-1):
             incident[pos_of[a]].append((pe, b))
         else:
             incident[pos_of[b]].append((pe, a))
-    # candidate v passes the used-vertex and twin filters when
-    # used & guard == earlier twins, with guard = earlier twins | v.  Until
-    # v is classified, its record reads no earlier twins and its guard also
-    # has bit n set, so that it passes the used-vertex filter alone and is
-    # then classified if some smaller member of its group, smaller[v], is
-    # unused
-    unclassified = 1 << n
-    cands, inside, smaller, twins_through = _candidates(edge_masks, inc, degree, pinned_mask,
-                                                        host_order, unclassified)
     pos_cands = [cands] * p
     if pinned_pe >= 0:
         # the pin rule: both endpoints of the pinned edge lie in its hyperedge

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from enum import Enum
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 from . import _engine_py
@@ -32,6 +33,7 @@ from .errors import (
     EmptyHypergraph,
     FormatError,
     IndexOutOfRange,
+    ParamsOutOfRange,
     TooFewEdges,
     V0TooSmall,
     VertexNotInHost,
@@ -196,8 +198,11 @@ def find_berge_embedding(h: Hypergraph, pattern: PatternGraph, budget: int = 0) 
 
     budget 0 means unlimited, in which case "not found" is a proof of
     absence.  A positive budget caps vertex-assignment attempts and an
-    exhausted budget yields an indeterminate status.
+    exhausted budget yields an indeterminate status.  A negative budget
+    raises ParamsOutOfRange.
     """
+    if budget < 0:
+        raise ParamsOutOfRange(f"budget must be >= 0, got {budget}")
     raw = solve_raw(_host_prep(h), pattern, budget)
     return _result_from_engine(pattern, raw)
 
@@ -233,7 +238,10 @@ def longest_berge_path(h: Hypergraph, budget: int = 0) -> PathSearchResult:
     Scans upward from ell = 1; containment is monotone decreasing in ell,
     so the first absence proof pins the maximum.  With a budget, an
     indeterminate query stops the scan and the result is marked inexact.
+    A negative budget raises ParamsOutOfRange.
     """
+    if budget < 0:
+        raise ParamsOutOfRange(f"budget must be >= 0, got {budget}")
     if h.m == 0:
         raise EmptyHypergraph("host has no hyperedges")
     masks = _host_prep(h)
@@ -312,26 +320,11 @@ def berge_common_neighbours(h: Hypergraph, v0) -> frozenset[int]:
         if not 1 <= v <= h.n:
             raise VertexOutOfRange(f"vertex {v} outside 1..{h.n}")
     inc = h.incidence_masks()
-    out = []
-    for u in range(1, h.n + 1):
-        if u in v0:
-            continue
-        mu = inc.get(u, 0)
-        if mu == 0:
-            continue
-        ok = True
-        for i in range(len(v0)):
-            for j in range(i + 1, len(v0)):
-                m1 = mu & inc.get(v0[i], 0)
-                m2 = mu & inc.get(v0[j], 0)
-                if m1 == 0 or m2 == 0 or (m1 | m2).bit_count() < 2:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(u)
-    return frozenset(out)
+    pairs = [(inc.get(a, 0), inc.get(b, 0)) for a, b in combinations(v0, 2)]
+    # u's hyperedges through v1 and through v2 must both exist and number
+    # two or more together
+    return frozenset(u for u, mu in inc.items() if u not in v0 and all(
+        mu & a and mu & b and (mu & (a | b)).bit_count() > 1 for a, b in pairs))
 
 
 def berge_star_exists(h: Hypergraph, centre: int, size: int) -> StarResult:

@@ -158,22 +158,22 @@ class Hypergraph(Record, eq_skip=("duplicates_collapsed",)):
 
     def incidence_masks(self) -> dict[int, int]:
         """Per covered vertex, the bitmask over edge indices (bit j set when
-        v is in edge j)."""
-        covered = [v - 1 for v in self.covered_vertices()]
-        # the builder's table runs to the last covered vertex, not to n
-        inc, _ = _incidence(covered[-1] + 1 if covered else 0, self.edge_vertex_masks(), covered)
-        return {v + 1: inc[v] for v in covered}
+        v is in edge j): the covered vertices and rows of
+        ``symmetry.incidence``, relabelled from 1."""
+        vertices, inc, _ = _incidence(self.edge_vertex_masks())
+        return {v + 1: inc[v] for v in vertices}
 
 
-def _incidence(n, edge_masks, vertices):
-    """``symmetry.incidence``, which replaces this function at its first
-    call.  So loading ``core`` loads no ``symmetry``, and no later call
-    runs an import statement, which cost the small ``bcn`` and ``star``
-    jobs of the ``queries`` benchmark 5-18% of their time."""
+def _incidence(edge_masks):
+    """``symmetry.incidence``, which finds the covered vertices itself and
+    replaces this function at its first call.  So loading ``core`` loads
+    no ``symmetry``, and no later call runs an import statement, which
+    cost the small ``bcn`` and ``star`` jobs of the ``queries`` benchmark
+    5-18% of their time."""
     global _incidence
     from .symmetry import incidence as _incidence
 
-    return _incidence(n, edge_masks, vertices)
+    return _incidence(edge_masks)
 
 
 def make_hypergraph(r, n, raw_edges) -> Hypergraph:

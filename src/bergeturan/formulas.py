@@ -53,8 +53,8 @@ class KplGraphResult(Record):
 def kpl_graph_turan(n: int, k: int, ell: int) -> KplGraphResult:
     """Graph (r = 2) Turan number of k disjoint paths with ell edges, with
     the explicit order threshold above which the formula is exact."""
-    if k < 2 or ell < 3:
-        raise ParamsOutOfRange(f"need k >= 2 and ell >= 3, got k={k}, ell={ell}")
+    if n < 1 or k < 2 or ell < 3:
+        raise ParamsOutOfRange(f"need n >= 1, k >= 2 and ell >= 3, got n={n}, k={k}, ell={ell}")
     half_floor = (ell + 1) // 2
     half_ceil = (ell + 2) // 2
     value = _construction_count(n, 2, k * half_floor - 1, 1 if ell % 2 == 0 else 0)
@@ -184,12 +184,12 @@ def conjecture_values(n: int, r: int, ell_list) -> ConjectureReport:
     some ell_i is even.  For a uniform list the uniform-case conjecture is
     evaluated as printed alongside."""
     ells = list(ell_list)
-    if len(ells) < 2 or any(e < 3 for e in ells):
-        raise ParamsOutOfRange(f"need k >= 2 paths of length >= 3, got {ells}")
+    if n < 1 or len(ells) < 2 or any(e < 3 for e in ells):
+        raise ParamsOutOfRange(f"need n >= 1 and k >= 2 paths of length >= 3, got n={n}, {ells}")
     s = sum((e + 1) // 2 for e in ells)
     t = sum(ells)
     indicator = 1 if any(e % 2 == 0 for e in ells) else 0
-    forest = comb(s - 1, r - 1) * (n - s + 1) + comb(s - 1, r) + indicator * comb(t - 1, r - 2)
+    forest = _construction_count(n, r, s - 1, 0) + indicator * comb(t - 1, r - 2)
     uniform = None
     notes = [_FOREST_NOTE]
     if len(set(ells)) == 1:
@@ -311,11 +311,17 @@ class LemmaReport(Record, repr_skip=("scaled",)):
                      for pt, (lhs, rhs, den) in zip(self.grid, self.scaled))
 
 
+def _lemma(lemma_id):
+    if lemma_id not in LEMMAS:
+        raise ParamsOutOfRange(f"unknown lemma id {lemma_id!r}; expected one of {sorted(LEMMAS)}")
+    return LEMMAS[lemma_id]
+
+
 def default_grid(lemma_id: str, r_max: int = 8, k_max: int = 6, l_max: int = 30):
     """Default verification grid: r in 3..r_max, k in 2..k_max, length
     parameter in 3..l_max, in lexicographic order, filtered by the stated
     hypotheses."""
-    lemma = LEMMAS[lemma_id]
+    lemma = _lemma(lemma_id)
     axes = {"r": range(3, r_max + 1), "k": range(2, k_max + 1),
             "l": range(3, l_max + 1), "L": range(3, l_max + 1)}
     return tuple(pt for pt in product(*(axes[name] for name in lemma.params))
@@ -329,9 +335,7 @@ def verify_lemma(lemma_id: str, grid=None) -> LemmaReport:
     a caller-supplied grid must hold points of plain ints (not bools,
     floats or strings) inside the stated hypotheses.
     """
-    if lemma_id not in LEMMAS:
-        raise ParamsOutOfRange(f"unknown lemma id {lemma_id!r}; expected one of {sorted(LEMMAS)}")
-    lemma = LEMMAS[lemma_id]
+    lemma = _lemma(lemma_id)
     if grid is None:
         grid = default_grid(lemma_id)
     else:

@@ -1,14 +1,13 @@
-"""Orbits for the Turán search: twin classes of a host's vertices, orbits of
-r-sets under the twin group, and a canonical form of a host.
+"""Orbits for the Turán search: orbits of r-sets under the twin group of a
+host, and a canonical form of a host.
 
-Twin classes.  Host vertices that are twins (:mod:`bergeturan.symmetry`
-gives the test and the argument that twins form classes) are classified
-by the kernel's lazy classifier, ``symmetry._candidates``, unpinned;
-:func:`twin_classes` reads the classes off its records, so twin
-classification is written once.  A host that repeats an edge gets a
-singleton class per covered vertex, a refinement of its twin classes;
-everything below holds for any refinement, where it costs only more
-checks.
+Twin classes.  ``symmetry.twin_classes``, imported here, reads the twin
+classes of a host off the kernel's lazy classifier, unpinned, so twin
+classification is written once; :mod:`bergeturan.symmetry` gives the
+test and the argument that twins form classes.  A host that repeats an
+edge gets a singleton class per covered vertex, a refinement of its twin
+classes; everything below holds for any refinement, where it costs only
+more checks.
 
 Orbits of r-sets.  The transpositions inside a class generate the
 symmetric group on it, and transpositions of different classes commute, so
@@ -37,32 +36,9 @@ runs no Turán search never compiles it.  It imports no module of the
 package but ``symmetry``.  Vertices and indices are 0-based here.
 """
 
-from functools import reduce
 from itertools import combinations_with_replacement, groupby, islice
-from operator import or_
 
-from .symmetry import _candidates, incidence
-
-
-def twin_classes(n, edge_masks):
-    """The twin classes of the host on vertices 0..n-1, as vertex bitmasks
-    ordered by smallest member: the uncovered vertices, and the classes of
-    the covered ones read off the unpinned classifier's records."""
-    covered = reduce(or_, edge_masks, 0)
-    width = covered.bit_length()
-    vertices = [v for v in range(width) if covered >> v & 1]
-    cands, _, _, through = _candidates(edge_masks, *incidence(width, edge_masks, vertices), 0,
-                                       vertices, 1 << width)
-    classes = {}  # smallest member -> the class
-    for v, vbit, guard, earlier in cands:
-        if guard >> width:
-            earlier = through(v)
-        first = earlier & -earlier or vbit
-        classes[first] = classes.get(first, 0) | vbit
-    uncovered = ((1 << n) - 1) & ~covered
-    if uncovered:
-        classes[uncovered & -uncovered] = uncovered
-    return [classes[first] for first in sorted(classes)]
+from .symmetry import twin_classes
 
 
 def _orbit_key(classes, rset):

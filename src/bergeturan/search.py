@@ -460,13 +460,16 @@ def exact_turan(n: int, r: int, pattern: PatternGraph, opts: SearchOptions | Non
     With ``connected_only`` the maximum runs over connected hosts covering
     all n vertices.  A node budget returns the best value found so far with
     ``exact=False``.  Raises ParamsOutOfRange for r < 2 or n < r, as
-    ``make_hypergraph`` does, before anything is searched.
+    ``make_hypergraph`` does, and for a witness limit below 1 or a negative
+    node budget, before anything is searched.
     """
     if r < 2 or n < r:
         raise ParamsOutOfRange(f"need 2 <= r <= n, got r={r}, n={n}")
     opts = opts or SearchOptions()
     if opts.witness_limit < 1:
         raise ParamsOutOfRange("witness_limit must be >= 1")
+    if opts.node_budget < 0:
+        raise ParamsOutOfRange(f"node_budget must be >= 0, got {opts.node_budget}")
     total = comb(n, r)
     if total > opts.max_candidates:
         raise ScaleGuardExceeded(

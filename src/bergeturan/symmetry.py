@@ -1,5 +1,6 @@
-"""Twins of host vertices: the twin test and the embedding kernel's lazy
-classifier of twins, with the incidence rows and degrees they read.
+"""A host's vertex tables and its twins: the covered vertices, incidence
+rows and degrees, the twin test, the embedding kernel's lazy classifier of
+twins and the twin classes it gives.
 
 Host vertices u and w are twins when swapping them maps the set of
 hyperedges onto itself and, when a hyperedge is pinned, u and w are both
@@ -15,10 +16,12 @@ twins: each covered vertex is a class of its own, which refines its twin
 classes.  Everything below holds for any such refinement, where it costs
 only more checks.
 
-Every query runs this code: the kernel classifies its candidates here.
-The orbits and the canonical form, which only the Turán search uses, are
-in :mod:`bergeturan.orbits`; it reads the twin classes off
-:func:`_candidates`.
+Every query runs this code.  :func:`incidence` finds a host's covered
+vertices and builds its incidence rows and degrees for every reader: the
+kernel's set-up is one call to :func:`_candidates`, which builds on it,
+and :func:`twin_classes` reads a host's classes off that.  The orbits and
+the canonical form, which only the Turán search uses, are in
+:mod:`bergeturan.orbits`.
 
 This module imports no other module of the package; the kernel and
 ``orbits`` import it, and ``Hypergraph.incidence_masks`` in ``core``
@@ -27,8 +30,9 @@ imports it when it runs.  Vertices and indices are 0-based here.
 
 import sys
 from array import array
+from functools import reduce
 from itertools import compress, repeat
-from operator import add
+from operator import add, or_
 
 # _BIT_DIGIT[k] maps a byte to b"1" when its bit k is set, else to b"0";
 # _NO_BIT[k] lists the bytes whose bit k is clear
@@ -52,12 +56,12 @@ class _LazyRows(dict):
         return row
 
 
-def incidence(n, edge_masks, vertices):
-    """The incidence rows and degrees of a host: ``(rows, degree)``, where
-    ``rows[v]`` is the bitmask of the edges through vertex v (bit j for
-    edge j) and ``degree[v]`` its number of bits, for every vertex v below
-    n.  ``vertices`` lists the covered vertices; every other vertex has row
-    and degree 0.
+def incidence(edge_masks):
+    """The covered vertices of a host, ascending, and its incidence tables:
+    ``(vertices, rows, degree)``, where ``rows[v]`` is the bitmask of the
+    edges through vertex v (bit j for edge j) and ``degree[v]`` its number
+    of bits.  The tables stop at the last covered vertex, since no vertex
+    above it takes part.
 
     Dense hosts go through a byte transpose: the edge masks are packed into
     a matrix of one row of little-endian bytes per edge, last edge first,
@@ -78,6 +82,10 @@ def incidence(n, edge_masks, vertices):
     than ``int.to_bytes`` per edge (0.6 against 1.5 ms at m = 14,157).
     The choices change no result.
     """
+    covered = reduce(or_, edge_masks, 0)
+    # covered's binary digits, lowest first, in one pass
+    vertices = [v for v, digit in enumerate(bin(covered)[:1:-1]) if digit == "1"]
+    n = covered.bit_length()
     m = len(edge_masks)
     if not m or m * edge_masks[0].bit_count() <= 4 * len(vertices):
         inc = [0] * n
@@ -87,7 +95,7 @@ def incidence(n, edge_masks, vertices):
                 low = em & -em
                 inc[low.bit_length() - 1] |= bit
                 em ^= low
-        return inc, list(map(int.bit_count, inc))
+        return vertices, inc, list(map(int.bit_count, inc))
     if n <= 64:
         words = array("Q", edge_masks)
         words.reverse()
@@ -102,7 +110,7 @@ def incidence(n, edge_masks, vertices):
     degree = [0] * n
     for v in vertices:
         degree[v] = len(columns[v >> 3].translate(None, _NO_BIT[v & 7]))
-    return _LazyRows(columns), degree
+    return vertices, _LazyRows(columns), degree
 
 
 def _swap_is_automorphism(edge_masks, edge_set, inc, u, w):
@@ -151,18 +159,19 @@ def _join_class(edge_masks, edge_set, inc, classes, w):
     return 0
 
 
-def _candidates(edge_masks, inc, degree, pinned_mask, vertices, unclassified):
-    """The kernel's candidate records and the lazy classifier of twins.
+def _candidates(edge_masks, pinned_mask):
+    """The kernel's set-up: the incidence rows, the candidate records and
+    the lazy classifier of twins.
 
-    Returns (cands, inside, smaller, through).  ``cands`` holds a record
-    (v, 1 << v, guard, earlier twins) per vertex of ``vertices``, the
-    covered vertices in ascending order, and ``inside`` the records of the
-    pinned hyperedge's vertices.  The vertices are grouped by degree
-    (``degree`` of :func:`incidence`, so grouping reads no row of ``inc``)
-    and pinned-edge membership, which twins share.  The smallest vertex of
-    a group has no earlier twin, and its record is final: guard 1 << v, no
-    earlier twins.  The record of every other vertex starts with no
-    earlier twins and bit ``unclassified`` set in its guard, and
+    Returns (rows, unclassified, cands, inside, smaller, through).
+    ``rows`` is that of :func:`incidence`.  ``cands`` holds a record (v,
+    1 << v, guard, earlier twins) per covered vertex, in ascending order,
+    and ``inside`` the records of the pinned hyperedge's vertices.  The
+    vertices are grouped by degree (grouping reads no row) and pinned-edge
+    membership, which twins share.  The smallest vertex of a group has no
+    earlier twin, and its record is final: guard 1 << v, no earlier twins.
+    The record of every other vertex starts with no earlier twins and the
+    bit ``unclassified``, above every vertex, set in its guard, and
     ``smaller[v]`` is the bitmask of the smaller members of its group,
     which hold its earlier twins.  ``through(v)`` classifies the members
     of v's group in ascending order up to v (:func:`_join_class`),
@@ -179,6 +188,9 @@ def _candidates(edge_masks, inc, degree, pinned_mask, vertices, unclassified):
     bits; each test then costs one pass over an m-bit mask and a lookup per
     hyperedge through one vertex of the pair but not the other.
     """
+    vertices, inc, degree = incidence(edge_masks)
+    # a bit above every covered vertex: the tables end at the last one
+    unclassified = 1 << len(degree)
     cands = []
     inside = []
     smaller = {}
@@ -220,4 +232,22 @@ def _candidates(edge_masks, inc, degree, pinned_mask, vertices, unclassified):
             if w == v:
                 return earlier
 
-    return cands, inside, smaller, through
+    return inc, unclassified, cands, inside, smaller, through
+
+
+def twin_classes(n, edge_masks):
+    """The twin classes of the host on vertices 0..n-1, as vertex bitmasks
+    ordered by smallest member: the uncovered vertices, and the classes of
+    the covered ones read off the unpinned classifier's records."""
+    _, unclassified, cands, _, _, through = _candidates(edge_masks, 0)
+    classes = {}  # smallest member -> the class
+    uncovered = (1 << n) - 1
+    for v, vbit, guard, earlier in cands:
+        if guard >= unclassified:
+            earlier = through(v)
+        first = earlier & -earlier or vbit
+        classes[first] = classes.get(first, 0) | vbit
+        uncovered ^= vbit
+    if uncovered:
+        classes[uncovered & -uncovered] = uncovered
+    return [classes[first] for first in sorted(classes)]

@@ -31,6 +31,7 @@ from bergeturan.errors import (
     FormatError,
     IndexOutOfRange,
     InvalidCycleLength,
+    ParamsOutOfRange,
     V0TooSmall,
 )
 from bergeturan.search import _pattern_edge_orbits
@@ -76,6 +77,17 @@ class TestFindEmbedding:
         assert res.status is Status.INDETERMINATE
         assert res.certificate is None
         assert res.nodes >= 10
+
+    def test_negative_budget_raises(self):
+        # a negative budget is no cap: it raises before any search
+        h = make_hypergraph(3, 4, K4_TRIPLES)
+        for budget in (-1, -3):
+            with pytest.raises(ParamsOutOfRange, match="budget"):
+                find_berge_embedding(h, parse_pattern("P2"), budget=budget)
+            with pytest.raises(ParamsOutOfRange, match="budget"):
+                find_berge_cycle(h, 3, budget)
+            with pytest.raises(ParamsOutOfRange, match="budget"):
+                longest_berge_path(h, budget=budget)
 
     def test_deep_patterns_answer(self, capsys, tmp_path):
         # the search keeps its placed positions and augmenting paths on

@@ -188,6 +188,18 @@ class TestContainmentCommands:
         validate(doc, "longest_path")
         assert doc["exact"]
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "{host}", "-F", "P2"], ["find", "{host}", "-F", "P2"],
+        ["cycle", "{host}", "--length", "3"], ["longest-path", "{host}"],
+        ["turan", "-n", "6", "-r", "3", "-F", "2P2"],
+    ])
+    def test_negative_budget_exit_two(self, host_file, capsys, argv):
+        argv = [arg.format(host=host_file) for arg in argv]
+        assert main([*argv, "--budget", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "budget" in captured.err
+        assert captured.out == ""
+
     def test_missing_file(self, capsys):
         code, _ = run_cli(capsys, "check", "nope.hg", "-F", "P2")
         assert code == 2
@@ -436,6 +448,15 @@ class TestFormulaCommand:
         code, _ = run_cli(capsys, "formula", "--name", "connected-berge-path",
                           "-n", "100", "-r", "3", "-l", "18")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--name", "kpl-graph", "-n", "-5", "-k", "2", "-l", "4"],
+        ["--name", "conjecture", "-n", "-3", "-r", "3", "--ells", "3,4"],
+    ])
+    def test_order_below_one_exit_two(self, capsys, argv):
+        assert main(["formula", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "need n >= 1" in captured.err
 
 
 class TestVerifyLemmas:

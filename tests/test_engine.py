@@ -297,12 +297,14 @@ def test_large_host_queries_convert_only_the_rows_they_read(monkeypatch):
     # covered vertices
     built = []
 
-    def recording(*args):
-        rows, degree = symmetry.incidence(*args)
-        built.append(rows)
-        return rows, degree
+    real_incidence = symmetry.incidence
 
-    monkeypatch.setattr(_engine_py, "incidence", recording)
+    def recording(edge_masks):
+        vertices, rows, degree = real_incidence(edge_masks)
+        built.append(rows)
+        return vertices, rows, degree
+
+    monkeypatch.setattr(symmetry, "incidence", recording)
     h = _relabelled_construction(LARGE_HOSTS[2], random.Random(8))
     assert h.m == 14157
     out = solve_raw(h.edge_vertex_masks(), parse_pattern("P3"))
@@ -338,17 +340,23 @@ def _incidence_by_definition(n, edge_masks):
     return inc
 
 
-def _check_incidence(n, masks, covered):
-    """Check every row and the degree table of ``symmetry.incidence``
-    against the definition; return whether the rows were lazy."""
-    rows, degree = symmetry.incidence(n, masks, covered)
+def _check_incidence(n, masks):
+    """Check the covered vertices, every row and the degree table of
+    ``symmetry.incidence`` against the definition on a host whose vertices
+    lie below n; return whether the rows were lazy and whether the tables
+    run past 64 vertices."""
+    vertices, rows, degree = symmetry.incidence(masks)
     lazy = isinstance(rows, dict)
     if lazy:
         assert len(rows) == 0  # no row is converted before it is read
     expected = _incidence_by_definition(n, masks)
-    assert [rows[v] for v in range(n)] == expected
-    assert degree == [row.bit_count() for row in expected]
-    return lazy
+    assert vertices == [v for v in range(n) if expected[v]]
+    # the tables run to the last covered vertex
+    width = vertices[-1] + 1
+    assert not any(expected[width:])
+    assert [rows[v] for v in range(width)] == expected[:width]
+    assert degree == [row.bit_count() for row in expected[:width]]
+    return lazy, width > 64
 
 
 def test_incidence_agrees_with_its_definition():
@@ -365,8 +373,9 @@ def test_incidence_agrees_with_its_definition():
         masks = [sum(1 << v for v in rng.sample(pool, r)) for _ in range(m)]
         covered = [v for v in range(n) if any(em >> v & 1 for em in masks)]
         transposed = m * r > 4 * len(covered)
-        assert _check_incidence(n, masks, covered) == transposed
-        switched.add((transposed, n > 64))
+        lazy, wide = _check_incidence(n, masks)
+        assert lazy == transposed
+        switched.add((transposed, wide))
     assert switched == {(False, False), (False, True), (True, False), (True, True)}
 
 
@@ -384,9 +393,14 @@ def test_lazy_incidence_agrees_with_its_definition():
         masks = [sum(1 << v for v in rng.sample(pool, r)) for _ in range(m)]
         covered = [v for v in range(n) if any(em >> v & 1 for em in masks)]
         transposed = m * r > 4 * len(covered)
-        assert _check_incidence(n, masks, covered) == transposed
-        seen.add((transposed, n > 64))
+        lazy, wide = _check_incidence(n, masks)
+        assert lazy == transposed
+        seen.add((transposed, wide))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_incidence_of_no_edges_is_empty():
+    assert symmetry.incidence([]) == ([], [], [])
 
 
 def test_hypergraph_incidence_masks_agree_with_their_definition():
@@ -420,6 +434,8 @@ def test_twin_classes_agree_with_naive_oracle(monkeypatch):
         assert inc[w], w
         return real_join(edge_masks, edge_set, inc, classes, w)
 
+    # one definition, which the Turán search reaches through orbits
+    assert orbits.twin_classes is search.twin_classes is symmetry.twin_classes
     monkeypatch.setattr(symmetry, "_join_class", checked_join)
     rng = random.Random(13)
     seen = set()
@@ -429,7 +445,7 @@ def test_twin_classes_agree_with_naive_oracle(monkeypatch):
         repeated = rng.random() < 0.2
         if repeated:
             masks.append(rng.choice(masks))
-        classes = orbits.twin_classes(n, masks)
+        classes = symmetry.twin_classes(n, masks)
         got = [frozenset(v for v in range(n) if c >> v & 1) for c in classes]
         expected = naive_twin_classes(n, [[v for v in range(n) if em >> v & 1] for em in masks])
         covered = {v for em in masks for v in range(n) if em >> v & 1}
@@ -529,7 +545,7 @@ def test_large_host_twin_classes_agree_with_naive_oracle():
         if repeated:
             masks.append(rng.choice(masks))
         assert len(masks) >= 64
-        classes = orbits.twin_classes(n, masks)
+        classes = symmetry.twin_classes(n, masks)
         got = [frozenset(v for v in range(n) if c >> v & 1) for c in classes]
         expected = naive_twin_classes(n, [[v for v in range(n) if em >> v & 1] for em in masks])
         if repeated:

@@ -171,6 +171,22 @@ class TestConjectures:
             conjecture_values(100, 3, [5, 2])
 
 
+@pytest.mark.parametrize("n", [0, -5])
+@pytest.mark.parametrize("evaluate", [
+    lambda n: erdos_gallai_bound(n, 3),
+    lambda n: kpl_graph_turan(n, 2, 4),
+    lambda n: berge_path_bound(n, 3, 4),
+    lambda n: connected_berge_path_turan(n, 3, 19),
+    lambda n: two_path_turan(n, 3, 9, 9),
+    lambda n: berge_kpl_turan(FormulaParams(n=n, r=3, ell=6, k=2)),
+    lambda n: conjecture_values(n, 3, [3, 4]),
+], ids=["erdos-gallai", "kpl-graph", "berge-path", "connected-berge-path", "two-path",
+        "berge-kpl", "conjecture"])
+def test_every_evaluator_rejects_orders_below_one(evaluate, n):
+    with pytest.raises(ParamsOutOfRange):
+        evaluate(n)
+
+
 class TestLemmaGrids:
     def test_all_hold_with_positive_margin(self):
         for lemma_id in sorted(LEMMAS):
@@ -232,6 +248,11 @@ class TestLemmaGrids:
         rows = rep.rows
         assert rows == (((3, 3), Fraction(10), Fraction(28, 3), Fraction(2, 3)),)
         assert vars(rep)["rows"] is rows and rep.rows is rows
+
+    def test_unknown_lemma_id_raises_typed_error(self):
+        for lookup in (default_grid, verify_lemma):
+            with pytest.raises(ParamsOutOfRange, match="'I9'.*'I1'"):
+                lookup("I9")
 
     def test_default_grid_ranges(self):
         grid = default_grid("I2")

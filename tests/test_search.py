@@ -129,6 +129,11 @@ class TestExactTuran:
             with pytest.raises(ParamsOutOfRange):
                 exact_turan(n, r, parse_pattern("P2"))
 
+    def test_negative_node_budget_raises(self):
+        for budget in (-1, -5):
+            with pytest.raises(ParamsOutOfRange, match="node_budget"):
+                exact_turan(6, 3, parse_pattern("2P2"), SearchOptions(node_budget=budget))
+
     def test_determinism(self):
         a = exact_turan(6, 3, parse_pattern("P3"))
         b = exact_turan(6, 3, parse_pattern("P3"))
