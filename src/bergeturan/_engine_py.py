@@ -47,7 +47,8 @@ node count is that of classifying every vertex first.  Set-up is one call
 to ``symmetry._candidates``, after the edge-count refutation and before
 the covered-vertex one: it finds the covered vertices and their incidence
 masks (``symmetry.incidence``, linear in the edge masks, converting a mask
-only when it is first read) and builds the candidate records.
+only when it is first read, or the tables that the masks keep) and builds
+the candidate records.
 
 Pin rule.  Under a pin, the positions of both endpoints of the pinned
 pattern edge take their candidates from a list holding only the vertices

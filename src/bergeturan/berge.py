@@ -39,6 +39,7 @@ from .errors import (
     VertexNotInHost,
     VertexOutOfRange,
 )
+from .symmetry import incidence, keep_tables
 
 
 class Status(Enum):
@@ -168,9 +169,11 @@ def _pattern_plan(pattern: PatternGraph):
 
 
 def _host_prep(h: Hypergraph):
-    """The kernel's view of the host: one vertex bitmask per hyperedge.
-    A named step, so the benchmark tracer can time host preparation."""
-    return h.edge_vertex_masks()
+    """The kernel's view of the host: one vertex bitmask per hyperedge,
+    which on a large host carry its vertex tables
+    (:meth:`Hypergraph.kernel_masks`).  A named step, so the benchmark
+    tracer can time host preparation."""
+    return h.kernel_masks()
 
 
 def solve_raw(edge_masks, pattern, budget=0, pinned=None):
@@ -244,8 +247,9 @@ def longest_berge_path(h: Hypergraph, budget: int = 0) -> PathSearchResult:
         raise ParamsOutOfRange(f"budget must be >= 0, got {budget}")
     if h.m == 0:
         raise EmptyHypergraph("host has no hyperedges")
-    masks = _host_prep(h)
-    upper = min(h.m, len(h.covered_vertices()) - 1)
+    # every length's search shares one build of the host's vertex tables
+    masks = keep_tables(_host_prep(h))
+    upper = min(h.m, len(incidence(masks)[0]) - 1)
     best = None
     total_nodes = 0
     exact = True
