@@ -19,6 +19,7 @@ from math import comb
 
 from . import _engine_py
 from .core import (
+    _LARGE_HOST_EDGES,
     Hypergraph,
     PatternGraph,
     Record,
@@ -39,7 +40,7 @@ from .errors import (
     VertexNotInHost,
     VertexOutOfRange,
 )
-from .symmetry import incidence, keep_tables
+from .symmetry import incidence, keep_tables, label_masks
 
 
 class Status(Enum):
@@ -169,11 +170,18 @@ def _pattern_plan(pattern: PatternGraph):
 
 
 def _host_prep(h: Hypergraph):
-    """The kernel's view of the host: one vertex bitmask per hyperedge,
-    which on a large host carry its vertex tables
-    (:meth:`Hypergraph.kernel_masks`).  A named step, so the benchmark
-    tracer can time host preparation."""
-    return h.kernel_masks()
+    """The kernel's view of the host: one vertex bitmask per hyperedge.
+    On a host of at least ``_LARGE_HOST_EDGES`` edges with labels up to 64
+    the masks carry the kernel's vertex tables, built with them at each
+    call in one transpose of the host's label columns
+    (``symmetry.label_masks``): those the bulk reader left on the host,
+    which serve one call, or else those of its edges.  A named step, so
+    the benchmark tracer can time host preparation."""
+    if len(h.edges) >= _LARGE_HOST_EDGES:
+        masks = label_masks(vars(h).pop("_label_columns", None) or list(zip(*h.edges)))
+        if masks is not None:
+            return masks
+    return h.edge_vertex_masks()
 
 
 def solve_raw(edge_masks, pattern, budget=0, pinned=None):

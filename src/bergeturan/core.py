@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import io
 import sys
-from functools import cached_property, lru_cache, wraps
+from functools import lru_cache, wraps
 from itertools import chain
 from operator import lt
 
@@ -32,25 +32,26 @@ from .errors import (
 )
 
 # Hosts with at least this many edges take the large-host routes of this
-# module: labels parsed in one ``json.loads`` pass (:func:`_read_bulk`), and
-# edge masks built with the kernel's vertex tables in one transpose of the
-# label columns, once per host (:meth:`Hypergraph.kernel_masks`).
-# ``_VertexBits``, one bit per distinct label, now serves only hosts with a
-# label above 64, which the transpose does not take.  Smaller hosts keep the
-# per-item routes: there a label repeats only a few times, and a read
-# imports no ``json``.  Medians of interleaved runs on random canonical
-# hosts (n=12, r=3; n=30, r=3; n=60, r=4), one core of a 2-core x86
-# machine, CPython 3.11.  At 64 edges the masks and the kernel's tables
-# took 30, 51 and 93 us by the transpose, against 48, 76 and 119 by the
-# per-edge masks and the packing of ``symmetry.incidence``; on the 14,157-
-# edge construction, 3.0 against 5.7 ms.  Parsing the labels took (9 runs,
-# before the transpose), by JSON, by int() per distinct label (the route
-# JSON replaced) and by int() per field: 29, 30 and 47 us at n=12, m=64;
-# 50, 49 and 86 at m=128; 81, 75 and 143 at m=220 (dense n=12 hosts, which
-# no workload reads, are up to 7% slower by JSON); 25, 32 and 45 at n=30,
-# m=64; 28, 46 and 48 at n=60, m=64; 1.2, 1.3 and 2.0 ms at m=3000; and
-# 1.9, 2.1 and 3.6 ms and 5.5, 8.2 and 10.4 ms on the 7,084- and
-# 14,157-edge constructions.  JSON and int() per field meet at about 8
+# module: labels parsed in one ``json.loads`` pass (:func:`_read_bulk`),
+# which leaves the label columns on the host, and edge masks built from one
+# bit per distinct label (:meth:`Hypergraph.edge_vertex_masks`).  The
+# kernel builds its masks and vertex tables on such a host in one transpose
+# of the label columns (``berge._host_prep``), so ``_VertexBits`` serves
+# it only where a label exceeds 64, which the transpose does not take.
+# Smaller hosts keep the per-item routes: there a label repeats only a few
+# times, and a read imports no ``json``.  Medians of interleaved runs on
+# random canonical hosts (n=12, r=3; n=30, r=3; n=60, r=4), one core of a
+# 2-core x86 machine, CPython 3.11.  At 64 edges the masks and the
+# kernel's tables took 30, 51 and 93 us by the transpose, against 48, 76
+# and 119 by the per-edge masks and the packing of ``symmetry.incidence``;
+# on the 14,157-edge construction, 3.0 against 5.7 ms.  Parsing the labels
+# took (9 runs, before the transpose), by JSON, by int() per distinct label
+# (the route JSON replaced) and by int() per field: 29, 30 and 47 us at
+# n=12, m=64; 50, 49 and 86 at m=128; 81, 75 and 143 at m=220 (dense n=12
+# hosts, which no workload reads, are up to 7% slower by JSON); 25, 32 and
+# 45 at n=30, m=64; 28, 46 and 48 at n=60, m=64; 1.2, 1.3 and 2.0 ms at
+# m=3000; and 1.9, 2.1 and 3.6 ms and 5.5, 8.2 and 10.4 ms on the 7,084-
+# and 14,157-edge constructions.  JSON and int() per field meet at about 8
 # edges.  Taking the JSON or the ``_VertexBits`` route at every size cost
 # the small jobs of the ``queries`` benchmark about 3% of their time.
 _LARGE_HOST_EDGES = 64
@@ -139,92 +140,43 @@ class Hypergraph(Record, eq_skip=("duplicates_collapsed",)):
         return len(self.edges)
 
     def covered_vertices(self) -> tuple[int, ...]:
-        """Vertices incident to at least one edge, ascending: those of the
-        vertex tables where the host keeps them (:meth:`kernel_masks`).  A
-        host that keeps none builds none here, since the set of its labels
-        costs less than the tables."""
-        kept = vars(self).get("_kept_masks") if len(self.edges) >= _LARGE_HOST_EDGES else None
-        if kept is None:
-            return tuple(sorted(set().union(*self.edges)))
-        return tuple(v + 1 for v in _incidence(kept)[0])
+        """Vertices incident to at least one edge, ascending."""
+        return tuple(sorted(set().union(*self.edges)))
 
     def edge_vertex_masks(self) -> list[int]:
         """Per-edge bitmask of member vertices (bit v-1 set for vertex v).
 
-        Each call returns a fresh list, which the caller may change.  A
-        host of at least ``_LARGE_HOST_EDGES`` edges copies the masks it
-        keeps (:meth:`kernel_masks`), or, where a label exceeds 64,
-        computes one bit per distinct label and looks it up once per
-        incidence."""
+        Each call builds a fresh list; the host keeps none.  A host of at
+        least ``_LARGE_HOST_EDGES`` edges computes one bit per distinct
+        label and looks it up once per incidence."""
         edges = self.edges
         if len(edges) < _LARGE_HOST_EDGES:
             # vertex v sets bit v, and the sum is shifted down by one; no
             # table indexed by n, whose bits would cost n**2 / 16 bytes
             bit_above = (1).__lshift__
             return [sum(map(bit_above, e)) >> 1 for e in edges]
-        kept = self._kept_masks
-        if kept is not None:
-            return list(kept)
         # the incidences in edge order, regrouped r at a time by zip
         bit = _VertexBits().__getitem__
         return list(map(sum, zip(*[map(bit, chain.from_iterable(edges))] * self.r)))
-
-    def kernel_masks(self) -> list[int]:
-        """The edge masks as the kernel reads them, which the caller must
-        not change.
-
-        A host of at least ``_LARGE_HOST_EDGES`` edges with labels up to
-        64 builds them at the first call, with the vertex tables of
-        ``symmetry.incidence``, in one transpose of its label columns
-        (``symmetry.label_masks``), keeps them, out of ``==``, ``hash``
-        and ``repr``, and returns them at every call; the kernel then
-        takes its tables from them.  Any other host returns
-        :meth:`edge_vertex_masks`."""
-        if len(self.edges) >= _LARGE_HOST_EDGES:
-            kept = self._kept_masks
-            if kept is not None:
-                return kept
-        return self.edge_vertex_masks()
-
-    @cached_property
-    def _kept_masks(self):
-        """The masks of :meth:`kernel_masks` on a host of at least
-        ``_LARGE_HOST_EDGES`` edges, or None where a label exceeds 64.
-        The label columns are those the bulk reader left on the host
-        (:func:`_assemble`), or else taken from the edges."""
-        columns = vars(self).pop("_label_columns", None) or list(zip(*self.edges))
-        return _label_masks(columns)
 
     def incidence_masks(self) -> dict[int, int]:
         """Per covered vertex, the bitmask over edge indices (bit j set when
         v is in edge j): the covered vertices and rows of
         ``symmetry.incidence``, relabelled from 1."""
-        vertices, inc, _ = _incidence(self.kernel_masks())
+        vertices, inc, _ = _incidence(self.edge_vertex_masks())
         return {v + 1: inc[v] for v in vertices}
 
 
-def _bind_symmetry():
-    """Replace ``_incidence`` and ``_label_masks`` by the ``symmetry``
-    functions they stand for.  So loading ``core`` loads no ``symmetry``,
-    and no later call runs an import statement, which cost the small
-    ``bcn`` and ``star`` jobs of the ``queries`` benchmark 5-18% of their
-    time."""
-    global _incidence, _label_masks
-    from .symmetry import incidence as _incidence, label_masks as _label_masks
-
-
 def _incidence(edge_masks):
-    """``symmetry.incidence``, which replaces this function at its first
-    call (:func:`_bind_symmetry`)."""
-    _bind_symmetry()
+    """``symmetry.incidence``, which finds the covered vertices itself and
+    replaces this function at its first call.  So loading ``core`` loads
+    no ``symmetry``, and no later call runs an import statement, which
+    cost the small ``bcn`` and ``star`` jobs of the ``queries`` benchmark
+    5-18% of their time."""
+    global _incidence
+    from .symmetry import incidence as _incidence
+
     return _incidence(edge_masks)
-
-
-def _label_masks(columns):
-    """``symmetry.label_masks``, which replaces this function at its first
-    call (:func:`_bind_symmetry`)."""
-    _bind_symmetry()
-    return _label_masks(columns)
 
 
 def make_hypergraph(r, n, raw_edges) -> Hypergraph:
@@ -253,7 +205,7 @@ def _assemble(r, n, edges, label_columns=None) -> Hypergraph:
     ascending r-tuples inside 1..n.  A generator of edges is consumed after
     the r and n checks; a list was checked before them.  ``label_columns``,
     the edges' labels place by place, stay on a host that keeps the order
-    of ``edges``, for its kernel masks (``Hypergraph._kept_masks``)."""
+    of ``edges``, for the first transpose of them (``berge._host_prep``)."""
     if r < 2:
         raise ParamsOutOfRange(f"uniformity r must be >= 2, got {r}")
     if n < r:

@@ -19,15 +19,16 @@ only more checks.
 Every query runs this code.  :func:`incidence` finds a host's covered
 vertices and builds its incidence rows and degrees for every reader: the
 kernel's set-up is one call to :func:`_candidates`, which builds on it,
-and :func:`twin_classes` reads a host's classes off that.  A large host
-builds its edge masks and its tables together, from its label columns
-(:func:`label_masks`), and keeps them; :func:`incidence` then returns
-the kept tables.  The orbits and the canonical form, which only the
-Turán search uses, are in :mod:`bergeturan.orbits`.
+and :func:`twin_classes` reads a host's classes off that.  The kernel's
+view of a large host builds its edge masks and its tables together, from
+its label columns (:func:`label_masks`), and the masks keep the tables;
+:func:`incidence` then returns them.  The orbits and the canonical form,
+which only the Turán search uses, are in :mod:`bergeturan.orbits`.
 
 This module imports no other module of the package; the kernel,
-``berge`` and ``orbits`` import it, and ``core`` imports it when a host's
-tables are first asked for.  Vertices and indices are 0-based here.
+``berge`` and ``orbits`` import it, and ``Hypergraph.incidence_masks``
+in ``core`` imports it when it runs.  Vertices and indices are 0-based
+here.
 """
 
 import sys

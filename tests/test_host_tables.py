@@ -12,8 +12,8 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergeturan import _engine_py, core, symmetry
-from bergeturan.berge import find_berge_embedding, longest_berge_path, solve_raw
+from bergeturan import _engine_py, berge, core, symmetry
+from bergeturan.berge import _host_prep, find_berge_embedding, longest_berge_path, solve_raw
 from bergeturan.constructions import construction_audit, extremal_construction
 from bergeturan.core import (
     FormulaParams,
@@ -86,12 +86,15 @@ def test_transpose_gives_the_tables_of_the_packing(host):
     large = h.m >= CUT and max(map(max, h.edges)) <= 64
     # the reader leaves its label columns only where the edges kept their order
     assert ("_label_columns" in vars(h)) == (h.m >= CUT and list(h.edges) == edges)
-    masks = h.kernel_masks()
+    masks = _host_prep(h)
     assert masks == naive and h.edge_vertex_masks() == naive
     assert (masks.__class__ is not list) == large
-    assert (masks is h.kernel_masks()) == large
     assert "_label_columns" not in vars(h)
     assert _tables(masks) == _tables(naive)
+    # a later call takes the columns of the edges, and builds afresh
+    again = _host_prep(h)
+    assert again == naive and again is not masks
+    assert _tables(again) == _tables(naive)
     covered = sorted(set().union(*h.edges))
     assert h.covered_vertices() == tuple(covered)
     expected = {v: sum(1 << j for j, e in enumerate(h.edges) if v in e) for v in covered}
@@ -105,8 +108,8 @@ LARGE_CONSTRUCTIONS = [(44, 3, 15, 3), (52, 4, 11, 2), (60, 3, 13, 3), (40, 4, 9
 
 
 def test_large_constructions_answer_alike_from_text_and_from_make_hypergraph():
-    # the kept tables of a host read from text (the reader's label columns)
-    # and of one built by make_hypergraph (columns from its edges) give
+    # the tables of a host read from text (the reader's label columns) and
+    # of one built by make_hypergraph (columns from its edges) give
     # the kernel answers, certificates and node counts of the plain masks
     rng = random.Random(5)
     digests = {"text": hashlib.sha256(), "make": hashlib.sha256(), "plain": hashlib.sha256()}
@@ -121,11 +124,11 @@ def test_large_constructions_answer_alike_from_text_and_from_make_hypergraph():
             pattern = parse_pattern(expr)
             pins = (None, (rng.randrange(pattern.num_edges), rng.randrange(made.m)))
             for pinned in pins:
-                for route, masks in (("text", read.kernel_masks()), ("make", made.kernel_masks()),
+                for route, masks in (("text", _host_prep(read)), ("make", _host_prep(made)),
                                      ("plain", made.edge_vertex_masks())):
                     out = solve_raw(masks, pattern, pinned=pinned)
                     digests[route].update(repr(out).encode() + b"\n")
-        assert read.kernel_masks().__class__ is made.kernel_masks().__class__ is not list
+        assert _host_prep(read).__class__ is _host_prep(made).__class__ is not list
     assert digests["text"].hexdigest() == digests["make"].hexdigest() \
         == digests["plain"].hexdigest()
 
@@ -180,7 +183,8 @@ def test_large_found_query_runs_no_packing_of_the_masks(monkeypatch):
     for expr in ("P3", "2P2", "C4"):
         res = find_berge_embedding(h, parse_pattern(expr))
         assert res.found
-    assert made == [["bytearray"]]
+    # one transpose per query, each packing its lanes from a bytearray
+    assert made == [["bytearray"]] * 3
 
 
 def test_reading_without_querying_builds_no_tables(monkeypatch):
@@ -188,14 +192,14 @@ def test_reading_without_querying_builds_no_tables(monkeypatch):
     def no_transpose(columns):
         raise AssertionError("tables built by a read")
 
-    monkeypatch.setattr(core, "_label_masks", no_transpose)
+    monkeypatch.setattr(berge, "label_masks", no_transpose)
     h, layout = extremal_construction(FormulaParams(n=40, r=3, ell=11, k=2))
     assert h.m >= CUT
     back = read_hypergraph(write_hypergraph(h))
     assert back == h and hash(back) == hash(h) and repr(back) == repr(h)
     assert construction_audit(back, layout).passed
-    for host in (h, back):
-        assert "_kept_masks" not in vars(host)
+    # the reader's label columns are still there for a first query
+    assert "_label_columns" in vars(back)
 
 
 def test_longest_path_scan_builds_the_tables_once(monkeypatch):
