@@ -84,7 +84,8 @@ class BergeCertificate(Record):
     def from_json(text: str) -> "BergeCertificate":
         """Parse a document written by :meth:`to_json`.  Raises FormatError
         for any malformed document: bad JSON, a missing or mistyped field,
-        a bad pattern expression, or a pattern edge without a hyperedge."""
+        a bad pattern expression, a pattern edge without a hyperedge or
+        with two, or a pair that is not a pattern edge."""
         try:
             doc = json.loads(text)
             pattern = parse_pattern(doc["pattern"])
@@ -99,6 +100,10 @@ class BergeCertificate(Record):
         if not all(len(t) == 3 and all(type(x) is int for x in t) for t in triples):
             raise FormatError("edge_assignment entries must be [u, v, hyperedge] integers", 1)
         by_pair = {(min(u, v), max(u, v)): h for u, v, h in triples}
+        # as many distinct pairs as pattern edges, so a pair that is no
+        # pattern edge leaves one of them missing
+        if not len(triples) == len(by_pair) == pattern.num_edges:
+            raise FormatError("edge_assignment must name each pattern edge once", 1)
         try:
             assignment = tuple(by_pair[(min(u, v), max(u, v))] for u, v in pattern.edges)
         except KeyError as exc:
@@ -175,13 +180,23 @@ def _host_prep(h: Hypergraph):
     the masks carry the kernel's vertex tables, built with them at each
     call in one transpose of the host's label columns
     (``symmetry.label_masks``): those the bulk reader left on the host,
-    which serve one call, or else those of its edges.  A named step, so
-    the benchmark tracer can time host preparation."""
+    which serve one call, or else those of its edges.  Every query of
+    this module takes its masks and vertex tables from here.  A named
+    step, so the benchmark tracer can time host preparation."""
     if len(h.edges) >= _LARGE_HOST_EDGES:
         masks = label_masks(vars(h).pop("_label_columns", None) or list(zip(*h.edges)))
         if masks is not None:
             return masks
     return h.edge_vertex_masks()
+
+
+def _vertex_rows(h: Hypergraph) -> dict[int, int]:
+    """Per covered vertex of ``h``, the bitmask over edge indices (bit j
+    set when v is in edge j): the covered vertices and rows of
+    ``symmetry.incidence`` on the kernel's view of the host, relabelled
+    from 1."""
+    vertices, rows, _ = incidence(_host_prep(h))
+    return {v + 1: rows[v] for v in vertices}
 
 
 def solve_raw(edge_masks, pattern, budget=0, pinned=None):
@@ -331,7 +346,7 @@ def berge_common_neighbours(h: Hypergraph, v0) -> frozenset[int]:
     for v in v0:
         if not 1 <= v <= h.n:
             raise VertexOutOfRange(f"vertex {v} outside 1..{h.n}")
-    inc = h.incidence_masks()
+    inc = _vertex_rows(h)
     pairs = [(inc.get(a, 0), inc.get(b, 0)) for a, b in combinations(v0, 2)]
     # u's hyperedges through v1 and through v2 must both exist and number
     # two or more together
@@ -351,7 +366,7 @@ def berge_star_exists(h: Hypergraph, centre: int, size: int) -> StarResult:
         raise BadParameters(f"need size > r >= 2, got size={size}, r={h.r}")
     if not 1 <= centre <= h.n:
         raise VertexOutOfRange(f"vertex {centre} outside 1..{h.n}")
-    inc = h.incidence_masks()
+    inc = _vertex_rows(h)
     through = inc.get(centre, 0)
     degree = through.bit_count()
     threshold = comb(size - 1, h.r - 1)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import io
 import sys
 from functools import lru_cache, wraps
-from itertools import chain
 from operator import lt
 
 from .errors import (
@@ -31,29 +30,25 @@ from .errors import (
     VertexOutOfRange,
 )
 
-# Hosts with at least this many edges take the large-host routes of this
-# module: labels parsed in one ``json.loads`` pass (:func:`_read_bulk`),
-# which leaves the label columns on the host, and edge masks built from one
-# bit per distinct label (:meth:`Hypergraph.edge_vertex_masks`).  The
-# kernel builds its masks and vertex tables on such a host in one transpose
-# of the label columns (``berge._host_prep``), so ``_VertexBits`` serves
-# it only where a label exceeds 64, which the transpose does not take.
-# Smaller hosts keep the per-item routes: there a label repeats only a few
-# times, and a read imports no ``json``.  Medians of interleaved runs on
-# random canonical hosts (n=12, r=3; n=30, r=3; n=60, r=4), one core of a
-# 2-core x86 machine, CPython 3.11.  At 64 edges the masks and the
-# kernel's tables took 30, 51 and 93 us by the transpose, against 48, 76
-# and 119 by the per-edge masks and the packing of ``symmetry.incidence``;
-# on the 14,157-edge construction, 3.0 against 5.7 ms.  Parsing the labels
-# took (9 runs, before the transpose), by JSON, by int() per distinct label
-# (the route JSON replaced) and by int() per field: 29, 30 and 47 us at
-# n=12, m=64; 50, 49 and 86 at m=128; 81, 75 and 143 at m=220 (dense n=12
-# hosts, which no workload reads, are up to 7% slower by JSON); 25, 32 and
-# 45 at n=30, m=64; 28, 46 and 48 at n=60, m=64; 1.2, 1.3 and 2.0 ms at
-# m=3000; and 1.9, 2.1 and 3.6 ms and 5.5, 8.2 and 10.4 ms on the 7,084-
-# and 14,157-edge constructions.  JSON and int() per field meet at about 8
-# edges.  Taking the JSON or the ``_VertexBits`` route at every size cost
-# the small jobs of the ``queries`` benchmark about 3% of their time.
+# Hosts with at least this many edges take the large-host routes: the bulk
+# reader parses their labels in one ``json.loads`` pass (:func:`_read_bulk`)
+# and leaves the label columns on the host, and the kernel builds their
+# masks and vertex tables in one transpose of those columns
+# (``berge._host_prep``).  Smaller hosts keep the per-item routes: there a
+# label repeats only a few times, and a read imports no ``json``.  Medians
+# of interleaved runs on random canonical hosts (n=12, r=3; n=30, r=3;
+# n=60, r=4), one core of a 2-core x86 machine, CPython 3.11.  At 64 edges
+# the masks and the kernel's tables took 30, 51 and 93 us by the transpose,
+# against 48, 76 and 119 by the per-edge masks and the packing of them into
+# tables; on the 14,157-edge construction, 3.0 against 5.7 ms.  Parsing the
+# labels took (9 runs, before the transpose), by JSON, by int() per
+# distinct label (the route JSON replaced) and by int() per field: 29, 30
+# and 47 us at n=12, m=64; 50, 49 and 86 at m=128; 81, 75 and 143 at m=220
+# (dense n=12 hosts, which no workload reads, are up to 7% slower by JSON);
+# 25, 32 and 45 at n=30, m=64; 28, 46 and 48 at n=60, m=64; 1.2, 1.3 and
+# 2.0 ms at m=3000; and 1.9, 2.1 and 3.6 ms and 5.5, 8.2 and 10.4 ms on the
+# 7,084- and 14,157-edge constructions.  JSON and int() per field meet at
+# about 8 edges.
 _LARGE_HOST_EDGES = 64
 
 
@@ -115,14 +110,6 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class _VertexBits(dict):
-    """Vertex v to its bit 1 << (v - 1), computed at its first lookup."""
-
-    def __missing__(self, v):
-        bit = self[v] = 1 << (v - 1)
-        return bit
-
-
 class Hypergraph(Record, eq_skip=("duplicates_collapsed",)):
     """An r-uniform hypergraph on vertices 1..n with a canonical edge list.
 
@@ -146,37 +133,11 @@ class Hypergraph(Record, eq_skip=("duplicates_collapsed",)):
     def edge_vertex_masks(self) -> list[int]:
         """Per-edge bitmask of member vertices (bit v-1 set for vertex v).
 
-        Each call builds a fresh list; the host keeps none.  A host of at
-        least ``_LARGE_HOST_EDGES`` edges computes one bit per distinct
-        label and looks it up once per incidence."""
-        edges = self.edges
-        if len(edges) < _LARGE_HOST_EDGES:
-            # vertex v sets bit v, and the sum is shifted down by one; no
-            # table indexed by n, whose bits would cost n**2 / 16 bytes
-            bit_above = (1).__lshift__
-            return [sum(map(bit_above, e)) >> 1 for e in edges]
-        # the incidences in edge order, regrouped r at a time by zip
-        bit = _VertexBits().__getitem__
-        return list(map(sum, zip(*[map(bit, chain.from_iterable(edges))] * self.r)))
-
-    def incidence_masks(self) -> dict[int, int]:
-        """Per covered vertex, the bitmask over edge indices (bit j set when
-        v is in edge j): the covered vertices and rows of
-        ``symmetry.incidence``, relabelled from 1."""
-        vertices, inc, _ = _incidence(self.edge_vertex_masks())
-        return {v + 1: inc[v] for v in vertices}
-
-
-def _incidence(edge_masks):
-    """``symmetry.incidence``, which finds the covered vertices itself and
-    replaces this function at its first call.  So loading ``core`` loads
-    no ``symmetry``, and no later call runs an import statement, which
-    cost the small ``bcn`` and ``star`` jobs of the ``queries`` benchmark
-    5-18% of their time."""
-    global _incidence
-    from .symmetry import incidence as _incidence
-
-    return _incidence(edge_masks)
+        Each call builds a fresh list; the host keeps none."""
+        # vertex v sets bit v, and the sum is shifted down by one; no table
+        # indexed by n, whose bits would cost n**2 / 16 bytes
+        bit_above = (1).__lshift__
+        return [sum(map(bit_above, e)) >> 1 for e in self.edges]
 
 
 def make_hypergraph(r, n, raw_edges) -> Hypergraph:

@@ -19,16 +19,18 @@ only more checks.
 Every query runs this code.  :func:`incidence` finds a host's covered
 vertices and builds its incidence rows and degrees for every reader: the
 kernel's set-up is one call to :func:`_candidates`, which builds on it,
-and :func:`twin_classes` reads a host's classes off that.  The kernel's
-view of a large host builds its edge masks and its tables together, from
-its label columns (:func:`label_masks`), and the masks keep the tables;
-:func:`incidence` then returns them.  The orbits and the canonical form,
-which only the Turán search uses, are in :mod:`bergeturan.orbits`.
+:func:`twin_classes` reads a host's classes off that, and the
+neighbourhood tools of ``berge`` read its rows.  The kernel's view of a
+large host builds its edge masks and its tables together, from its label
+columns (:func:`label_masks`), and the masks keep the tables;
+:func:`incidence` then returns them.  Both byte transposes, of the label
+columns and of the packed masks, end in the same tables
+(:func:`_column_tables`).  The orbits and the canonical form, which only
+the Turán search uses, are in :mod:`bergeturan.orbits`.
 
 This module imports no other module of the package; the kernel,
-``berge`` and ``orbits`` import it, and ``Hypergraph.incidence_masks``
-in ``core`` imports it when it runs.  Vertices and indices are 0-based
-here.
+``berge`` and ``orbits`` import it, and ``core`` never does.  Vertices
+and indices are 0-based here.
 """
 
 import sys
@@ -121,9 +123,16 @@ def label_masks(columns):
     if sys.byteorder == "big":
         words.byteswap()
     masks = _KeptMasks(words)
-    degree = [len(lanes[v >> 3].translate(None, _NO_BIT[v & 7])) for v in range(top)]
-    masks.tables = [v for v in range(top) if degree[v]], _LazyRows(lanes), degree
+    masks.tables = _column_tables(lanes, top)
     return masks
+
+
+def _column_tables(columns, n):
+    """``(vertices, rows, degree)`` of :func:`incidence` from the byte
+    columns of a host whose last covered vertex is n-1; the covered
+    vertices are those of nonzero degree."""
+    degree = [len(columns[v >> 3].translate(None, _NO_BIT[v & 7])) for v in range(n)]
+    return list(compress(range(n), degree)), _LazyRows(columns), degree
 
 
 def incidence(edge_masks):
@@ -153,20 +162,18 @@ def incidence(edge_masks):
     The choices change no result.
 
     Masks that keep their tables (:func:`keep_tables`, :func:`label_masks`)
-    skip all of this.  On the 14,157-edge host, where the masks by one bit
-    per label took about 3.5 ms and this function 2.2 ms more, 0.5 of them
-    the OR of the masks and 0.5 their re-pack into words, the transpose of
-    the reader's label columns builds masks and tables in about 2.5 ms
-    (medians on one core).
+    skip all of this.  On the 14,157-edge host, where this function took
+    about 2.2 ms after the masks were built, 0.5 of them the OR of the
+    masks and 0.5 their re-pack into words, the transpose of the reader's
+    label columns builds masks and tables in about 2.5 ms (medians on one
+    core).
     """
     if edge_masks.__class__ is _KeptMasks:
         return edge_masks.tables
     covered = reduce(or_, edge_masks, 0)
-    # covered's binary digits, lowest first, in one pass
-    vertices = [v for v, digit in enumerate(bin(covered)[:1:-1]) if digit == "1"]
     n = covered.bit_length()
     m = len(edge_masks)
-    if not m or m * edge_masks[0].bit_count() <= 4 * len(vertices):
+    if not m or m * edge_masks[0].bit_count() <= 4 * covered.bit_count():
         inc = [0] * n
         for j, em in enumerate(edge_masks):
             bit = 1 << j
@@ -174,7 +181,8 @@ def incidence(edge_masks):
                 low = em & -em
                 inc[low.bit_length() - 1] |= bit
                 em ^= low
-        return vertices, inc, list(map(int.bit_count, inc))
+        degree = list(map(int.bit_count, inc))
+        return list(compress(range(n), degree)), inc, degree
     if n <= 64:
         words = array("Q", edge_masks)
         words.reverse()
@@ -185,11 +193,7 @@ def incidence(edge_masks):
         width = (n + 7) >> 3
         matrix = b"".join(map(int.to_bytes, reversed(edge_masks), repeat(width),
                               repeat("little")))
-    columns = [matrix[c::width] for c in range((n + 7) >> 3)]
-    degree = [0] * n
-    for v in vertices:
-        degree[v] = len(columns[v >> 3].translate(None, _NO_BIT[v & 7]))
-    return vertices, _LazyRows(columns), degree
+    return _column_tables([matrix[c::width] for c in range((n + 7) >> 3)], n)
 
 
 def _swap_is_automorphism(edge_masks, edge_set, inc, u, w):

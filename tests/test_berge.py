@@ -22,8 +22,9 @@ from bergeturan import (
     parse_pattern,
     verify_certificate,
 )
+from bergeturan.berge import _host_prep
 from bergeturan.cli import main
-from bergeturan.core import FormulaParams, write_hypergraph
+from bergeturan.core import FormulaParams, read_hypergraph, write_hypergraph
 from bergeturan.constructions import extremal_construction
 from bergeturan.errors import (
     BadParameters,
@@ -263,6 +264,9 @@ class TestVerifyCertificate:
         '{"pattern": "P2", "defining_vertices": 5, "edge_assignment": [[1, 2, 0], [2, 3, 1]]}',
         '{"pattern": "Q2", "defining_vertices": [1, 2, 3], "edge_assignment": [[1, 2, 0], [2, 3, 1]]}',
         '{"pattern": "C2", "defining_vertices": [1, 2], "edge_assignment": []}',
+        # a pattern edge named twice, and a pair that is no pattern edge
+        '{"pattern": "P2", "defining_vertices": [1, 2, 3], "edge_assignment": [[1, 2, 0], [2, 3, 1], [2, 1, 4]]}',
+        '{"pattern": "P2", "defining_vertices": [1, 2, 3], "edge_assignment": [[1, 2, 0], [2, 3, 1], [5, 9, 7]]}',
     ])
     def test_malformed_json_raises_format_error(self, text):
         with pytest.raises(FormatError):
@@ -454,3 +458,50 @@ class TestBergeStar:
         capsys.readouterr()
         assert main(["star", str(path), "--centre", "1", "--size", "1200"]) == 0
         assert "exists: True" in capsys.readouterr().out
+
+
+class TestLargeHostNeighbourhoods:
+    @staticmethod
+    def _hosts():
+        """A 65-edge construction read from text, the same host built by
+        make_hypergraph, and the host relabelled into 1..99, whose labels
+        above 64 leave it the per-edge masks."""
+        g, _ = extremal_construction(FormulaParams(n=10, r=3, ell=6, k=2))
+        labels = random.Random(3).sample(range(1, 100), g.n)
+        spread = make_hypergraph(g.r, 99, [[labels[v - 1] for v in e] for e in g.edges])
+        return read_hypergraph(write_hypergraph(g)), make_hypergraph(g.r, g.n, g.edges), spread
+
+    def test_hosts_take_both_mask_routes(self):
+        text, made, spread = self._hosts()
+        assert min(h.m for h in (text, made, spread)) >= 64
+        # the transpose's masks carry their tables; the per-edge masks are a
+        # list.  The text host's first query takes the reader's label columns
+        assert "_label_columns" in vars(text)
+        assert _host_prep(text).__class__ is not list
+        assert "_label_columns" not in vars(text)
+        assert _host_prep(made).__class__ is not list
+        assert max(map(max, spread.edges)) > 64 and _host_prep(spread).__class__ is list
+
+    def test_common_neighbours_agree_with_brute_force(self):
+        rng = random.Random(4)
+        nonempty = 0
+        for h in self._hosts():
+            covered = h.covered_vertices()
+            for _ in range(6):
+                base = rng.sample(covered, rng.randint(2, 3))
+                got = berge_common_neighbours(h, base)
+                assert got == brute_bcn(h, base), (h.n, base)
+                nonempty += bool(got)
+        assert nonempty
+
+    def test_stars_agree_with_brute_force(self):
+        seen = set()
+        for h in self._hosts():
+            for centre in h.covered_vertices():
+                for size in (h.r + 1, h.r + 3):
+                    res = berge_star_exists(h, centre, size)
+                    assert res.exists == brute_star(h, centre, size), (h.n, centre, size)
+                    if res.exists:
+                        assert verify_certificate(h, res.certificate)
+                    seen.add(res.exists)
+        assert seen == {True, False}

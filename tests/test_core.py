@@ -431,11 +431,12 @@ LARGE_N_HOSTS = [
 _LARGE_N_PROBE = """
 import json, sys
 from bergeturan import find_berge_embedding, parse_pattern, read_hypergraph
+from bergeturan.berge import _vertex_rows
 out = []
 for text in json.loads(sys.argv[1]):
     h = read_hypergraph(text)
     found = [find_berge_embedding(h, parse_pattern(e)) for e in ("P1", "P2")]
-    out.append([list(map(hex, h.edge_vertex_masks())), sorted(h.incidence_masks().items()),
+    out.append([list(map(hex, h.edge_vertex_masks())), sorted(_vertex_rows(h).items()),
                 [(res.status.value, res.nodes) for res in found]])
 print(json.dumps(out))
 """

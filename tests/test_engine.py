@@ -11,7 +11,6 @@ from itertools import combinations
 from bergeturan import (
     SearchOptions,
     _engine_py,
-    core,
     exact_turan,
     find_berge_embedding,
     longest_berge_path,
@@ -21,7 +20,7 @@ from bergeturan import (
     search,
     symmetry,
 )
-from bergeturan.berge import _pattern_plan, solve_raw
+from bergeturan.berge import _pattern_plan, _vertex_rows, solve_raw
 from bergeturan.cli import main
 from bergeturan.core import FormulaParams
 from bergeturan.constructions import block_construction, extremal_construction
@@ -403,7 +402,7 @@ def test_incidence_of_no_edges_is_empty():
     assert symmetry.incidence([]) == ([], [], [])
 
 
-def test_hypergraph_incidence_masks_agree_with_their_definition():
+def test_vertex_rows_agree_with_their_definition():
     rng = random.Random(12)
     hosts = [random_hypergraph(rng, n, rng.randint(2, min(4, n)), rng.randint(1, 50))
              for n in (rng.randint(3, 20) for _ in range(200))]
@@ -417,10 +416,7 @@ def test_hypergraph_incidence_masks_agree_with_their_definition():
         for j, e in enumerate(h.edges):
             for v in e:
                 expected[v] = expected.get(v, 0) | (1 << j)
-        assert h.incidence_masks() == expected
-    # the first call bound core's helper to the builder itself, so later
-    # calls run no import statement
-    assert core._incidence is symmetry.incidence
+        assert _vertex_rows(h) == expected
 
 
 def test_twin_classes_agree_with_naive_oracle(monkeypatch):

@@ -98,7 +98,7 @@ def test_transpose_gives_the_tables_of_the_packing(host):
     covered = sorted(set().union(*h.edges))
     assert h.covered_vertices() == tuple(covered)
     expected = {v: sum(1 << j for j, e in enumerate(h.edges) if v in e) for v in covered}
-    assert h.incidence_masks() == expected
+    assert berge._vertex_rows(h) == expected
 
 
 # the six constructions of the ``queries`` benchmark's large jobs, 7,084 to

@@ -116,12 +116,22 @@ class TestSubcommandImports:
         assert "json" in loaded
 
     def test_core_loads_no_package_module_but_errors(self, tmp_path):
-        # Hypergraph.incidence_masks imports symmetry when it runs, so the
-        # reader, the patterns and the records load without the twin code
-        code, loaded = _loaded_modules(cwd=tmp_path, entry=("-c", "import bergeturan.core"))
-        assert code == 0
-        assert {name for name in loaded if name.split(".")[0] == "bergeturan"} == {
-            "bergeturan", "bergeturan.core", "bergeturan.errors"}
+        # the reader, the patterns, the records and the edge masks load and
+        # run without the twin code, a large read by JSON included
+        probe = ("import sys\n"
+                 "from itertools import combinations\n"
+                 "from bergeturan.core import read_hypergraph\n"
+                 "edges = list(combinations(range(1, 13), 3))\n"
+                 "h = read_hypergraph('3 12 220\\n' + ''.join("
+                 "' '.join(map(str, e)) + '\\n' for e in edges))\n"
+                 "assert 'json' in sys.modules and '_label_columns' in vars(h)\n"
+                 "assert h.edge_vertex_masks() == [sum(1 << v - 1 for v in e) for e in edges]\n"
+                 "assert h.covered_vertices() == tuple(range(1, 13))\n")
+        for code_text in ("import bergeturan.core", probe):
+            code, loaded = _loaded_modules(cwd=tmp_path, entry=("-c", code_text))
+            assert code == 0
+            assert {name for name in loaded if name.split(".")[0] == "bergeturan"} == {
+                "bergeturan", "bergeturan.core", "bergeturan.errors"}
 
     def test_symmetry_loads_no_other_package_module(self, tmp_path):
         # the kernel and orbits import symmetry, never the reverse
