@@ -10,6 +10,10 @@ Every invocation assembles a run manifest (arguments, input digests, tool
 version, wall time, result summary).  The manifest is embedded in JSON
 output and written as ``<output>.manifest.json`` beside the first output
 file; ``--manifest PATH`` overrides the location.
+
+The handlers of the search commands (``check``, ``find``, ``cycle``,
+``longest-path`` and ``turan``) are here; those of the other commands are
+in :mod:`bergeturan.cli_extra`, which only they import.
 """
 
 from __future__ import annotations
@@ -49,12 +53,6 @@ __getattr__ = _lazy_getattr(__name__, {
     "construction_audit": "constructions",
     "exact_turan": "search",
 })
-
-
-def _frac(x):
-    """An exact rational (an int or a ``Fraction``) as JSON: an integer when
-    whole, else the string 'p/q'."""
-    return int(x) if x.denominator == 1 else str(x)
 
 
 def _integer(text):
@@ -155,98 +153,6 @@ class _Run:
             Path(manifest_path).write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _cmd_construct(ns, run):
-    from .constructions import extremal_construction
-    from .core import FormulaParams, write_hypergraph
-    from .formulas import berge_kpl_turan
-
-    params = FormulaParams(n=ns.n, r=ns.r, ell=ns.ell, k=ns.k)
-    h, layout = extremal_construction(params)
-    doc = {
-        "n": ns.n, "r": ns.r, "ell": ns.ell, "k": ns.k,
-        "edges": h.m,
-        "formula_value": berge_kpl_turan(params).value,
-        "layout": layout.to_json_dict(),
-        "hg_file": ns.output,
-    }
-    if ns.output:
-        run.write_file(ns.output, write_hypergraph(h))
-        run.write_file(ns.output + ".layout.json",
-                       json.dumps(layout.to_json_dict(), indent=2) + "\n")
-    run.summary = {"edges": h.m}
-    human = [f"built construction on {ns.n} vertices: {h.m} edges"]
-    if not ns.output and ns.json is None:
-        human.append(write_hypergraph(h).rstrip("\n"))
-    run.emit(doc, human)
-    return EXIT_OK
-
-
-def _cmd_block(ns, run):
-    from .constructions import block_construction
-    from .core import write_hypergraph
-
-    h = block_construction(ns.n, ns.block, ns.r)
-    doc = {"n": ns.n, "r": ns.r, "block": ns.block, "edges": h.m, "hg_file": ns.output}
-    if ns.output:
-        run.write_file(ns.output, write_hypergraph(h))
-    run.summary = {"edges": h.m}
-    human = [f"built {ns.n // ns.block} complete blocks: {h.m} edges"]
-    if not ns.output and ns.json is None:
-        human.append(write_hypergraph(h).rstrip("\n"))
-    run.emit(doc, human)
-    return EXIT_OK
-
-
-def _cmd_formula(ns, run):
-    from .core import FormulaParams
-    from .formulas import (
-        berge_kpl_turan,
-        berge_path_bound,
-        conjecture_values,
-        connected_berge_path_turan,
-        erdos_gallai_bound,
-        kpl_graph_turan,
-        two_path_turan,
-    )
-
-    name = ns.name
-    if name == "conjecture":
-        if not ns.ells:
-            raise BergeTuranError("--ells is required for the conjecture formula")
-    elif ns.ell is None:
-        raise BergeTuranError(f"-l/--ell is required for {name}")
-    if name == "erdos-gallai":
-        value = erdos_gallai_bound(ns.n, ns.ell)
-        doc = {"formula": name, "value": _frac(value)}
-    elif name == "kpl-graph":
-        res = kpl_graph_turan(ns.n, ns.k, ns.ell)
-        doc = {"formula": name, "value": res.value,
-               "threshold_n0": res.threshold_n0, "valid": res.valid}
-    elif name == "berge-path":
-        res = berge_path_bound(ns.n, ns.r, ns.ell)
-        doc = {"formula": name, "value": _frac(res.value), "case": res.case}
-    elif name == "connected-berge-path":
-        res = connected_berge_path_turan(ns.n, ns.r, ns.ell)
-        doc = {"formula": name, "value": res.value, "large_n_required": res.large_n_required}
-    elif name == "two-path":
-        res = two_path_turan(ns.n, ns.r, ns.ell, ns.ell2)
-        doc = {"formula": name, "value": _frac(res.value), "case": res.case,
-               "binomial_part": res.binomial_part, "path_bound_part": _frac(res.path_bound_part)}
-    elif name == "berge-kpl":
-        res = berge_kpl_turan(FormulaParams(n=ns.n, r=ns.r, ell=ns.ell, k=ns.k))
-        doc = {"formula": name, "value": res.value, "hypothesis_ok": res.hypothesis_ok,
-               "hypothesis_failures": list(res.hypothesis_failures),
-               "large_n_required": res.large_n_required}
-    else:  # conjecture
-        res = conjecture_values(ns.n, ns.r, ns.ells)
-        doc = {"formula": name, "value": res.forest_value,
-               "indicator": res.forest_indicator,
-               "uniform_value": res.uniform_value, "notes": list(res.notes)}
-    run.summary = {"value": doc["value"]}
-    run.emit(doc, [f"{name}: {doc['value']}"])
-    return EXIT_OK
-
-
 # the exit code and human verdict of ``find`` and ``cycle``, then those of
 # ``check``, by ``berge.Status`` value, so that building the parser loads no
 # kernel
@@ -305,48 +211,6 @@ def _cmd_longest_path(ns, run):
     return EXIT_OK if result.exact else EXIT_TRUNCATED
 
 
-def _cmd_good_order(ns, run):
-    from .berge import good_order
-
-    h = _load_host(run, ns.host)
-    order = good_order(h, ns.first)
-    doc = {"host": ns.host, "first": ns.first, "ordering": list(order.ordering)}
-    run.summary = {"length": len(order.ordering)}
-    run.emit(doc, [" ".join(str(v) for v in order.ordering)])
-    return EXIT_OK
-
-
-def _cmd_bcn(ns, run):
-    from .berge import berge_common_neighbours
-
-    h = _load_host(run, ns.host)
-    result = sorted(berge_common_neighbours(h, ns.vertices))
-    doc = {"host": ns.host, "base_set": sorted(set(ns.vertices)), "common_neighbours": result}
-    run.summary = {"count": len(result)}
-    run.emit(doc, [" ".join(str(v) for v in result) if result else "(none)"])
-    return EXIT_OK
-
-
-def _cmd_star(ns, run):
-    from .berge import berge_star_exists
-
-    h = _load_host(run, ns.host)
-    result = berge_star_exists(h, ns.centre, ns.size)
-    doc = {
-        "host": ns.host,
-        "centre": ns.centre,
-        "size": ns.size,
-        "exists": result.exists,
-        "degree": result.degree,
-        "degree_threshold": result.degree_threshold,
-        "degree_condition_holds": result.degree_condition_holds,
-        "certificate": _certificate_doc(result.certificate),
-    }
-    run.summary = {"exists": result.exists}
-    run.emit(doc, [f"exists: {result.exists} (degree {result.degree}, threshold {result.degree_threshold})"])
-    return EXIT_OK if result.exists else EXIT_PROPERTY_FAILS
-
-
 def _cmd_turan(ns, run):
     from .core import parse_pattern, write_hypergraph
     from .search import SearchOptions, exact_turan
@@ -384,76 +248,6 @@ def _cmd_turan(ns, run):
     return EXIT_OK if result.exact else EXIT_TRUNCATED
 
 
-def _cmd_verify_lemmas(ns, run):
-    import csv
-
-    from .formulas import LEMMAS, verify_lemma
-
-    ids = sorted(LEMMAS) if ns.lemma == "all" else [ns.lemma]
-    reports = [verify_lemma(lid) for lid in ids]
-    if ns.csv:
-        # one column per parameter name of any lemma; a lemma's row leaves
-        # the others empty
-        with open(ns.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, ["lemma", "r", "k", "l", "L", "lhs", "rhs", "slack"],
-                                    restval="")
-            writer.writeheader()
-            for rep in reports:
-                names = LEMMAS[rep.lemma_id].params
-                for pt, lhs, rhs, slack in rep.rows:
-                    writer.writerow({"lemma": rep.lemma_id, **dict(zip(names, pt)),
-                                     "lhs": lhs, "rhs": rhs, "slack": slack})
-        run.outputs.append(ns.csv)
-    total_violations = sum(len(r.violations) for r in reports)
-    doc = {
-        "lemmas": [
-            {
-                "lemma_id": r.lemma_id,
-                "statement": LEMMAS[r.lemma_id].statement,
-                "points": len(r.grid),
-                "violations": [list(v) for v in r.violations],
-                "margin_min": str(r.margin_min),
-                "strict": r.strict,
-            }
-            for r in reports
-        ],
-        "total_violations": total_violations,
-        "csv_file": ns.csv,
-    }
-    run.summary = {"total_violations": total_violations}
-    lines = [
-        f"{r.lemma_id}: {len(r.grid)} points, {len(r.violations)} violations, min slack {r.margin_min}"
-        for r in reports
-    ]
-    run.emit(doc, lines)
-    return EXIT_OK if total_violations == 0 else EXIT_PROPERTY_FAILS
-
-
-def _cmd_audit(ns, run):
-    from .constructions import ConstructionLayout, construction_audit
-
-    h = _load_host(run, ns.host)
-    layout_path = ns.layout or ns.host + ".layout.json"
-    layout = ConstructionLayout.from_json(run.read_input(layout_path))
-    report = construction_audit(h, layout)
-    doc = {
-        "host": ns.host,
-        "layout": str(layout_path),
-        "passed": report.passed,
-        "unexpected_edges": report.unexpected_edges,
-        "classes": {
-            name: {"expected": exp, "recounted": got, "ok": ok}
-            for name, (exp, got, ok) in report.class_results.items()
-        },
-    }
-    run.summary = {"passed": report.passed}
-    lines = [f"{name}: expected {exp}, recounted {got}, {'ok' if ok else 'MISMATCH'}"
-             for name, (exp, got, ok) in report.class_results.items()]
-    lines.append("PASS" if report.passed else "FAIL")
-    run.emit(doc, lines)
-    return EXIT_OK if report.passed else EXIT_PROPERTY_FAILS
-
-
 _REQUIRED_INT = {"type": _integer, "required": True}
 _HOST = (("host",), {})
 _PATTERN = (("-F", "--pattern"), {"required": True})
@@ -468,10 +262,11 @@ _COMMON_BUDGET = [_MANIFEST,
                   _JSON]
 
 # One row per subcommand, in the order the usage line lists them: its help,
-# its function, and its arguments as (flags, add_argument keywords) in the
-# order its --help lists them.
+# its handler as "module.function" in the package, which :func:`main`
+# imports when the subcommand runs (building the parser imports none), and its arguments as (flags,
+# add_argument keywords) in the order its --help lists them.
 _COMMANDS = {
-    "construct": ("build the core extremal construction", _cmd_construct, [
+    "construct": ("build the core extremal construction", "cli_extra._cmd_construct", [
         (("-n",), _REQUIRED_INT),
         (("-r",), _REQUIRED_INT),
         (("-l", "--ell"), _REQUIRED_INT),
@@ -479,14 +274,14 @@ _COMMANDS = {
         (("-o", "--output"), {"help": "write .hg here (plus .layout.json sidecar)"}),
         *_COMMON,
     ]),
-    "block": ("disjoint complete blocks construction", _cmd_block, [
+    "block": ("disjoint complete blocks construction", "cli_extra._cmd_block", [
         (("-n",), _REQUIRED_INT),
         (("-l", "--block"), _REQUIRED_INT),
         (("-r",), _REQUIRED_INT),
         (("-o", "--output"), {}),
         *_COMMON,
     ]),
-    "formula": ("evaluate a closed-form bound exactly", _cmd_formula, [
+    "formula": ("evaluate a closed-form bound exactly", "cli_extra._cmd_formula", [
         (("--name",), {"required": True,
                        "choices": ["erdos-gallai", "kpl-graph", "berge-path",
                                    "connected-berge-path", "two-path", "berge-kpl",
@@ -500,36 +295,36 @@ _COMMANDS = {
                        "help": "comma-separated path lengths for the forest conjecture"}),
         *_COMMON,
     ]),
-    "check": ("prove or refute freeness from a Berge pattern", _cmd_embedding,
+    "check": ("prove or refute freeness from a Berge pattern", "cli._cmd_embedding",
               [_HOST, _PATTERN, *_COMMON_BUDGET]),
-    "find": ("find a Berge copy with a certificate", _cmd_embedding,
+    "find": ("find a Berge copy with a certificate", "cli._cmd_embedding",
              [_HOST, _PATTERN, *_COMMON_BUDGET]),
-    "longest-path": ("longest Berge path with witness", _cmd_longest_path,
+    "longest-path": ("longest Berge path with witness", "cli._cmd_longest_path",
                      [_HOST, *_COMMON_BUDGET]),
-    "cycle": ("find a Berge cycle of a given length", _cmd_embedding, [
+    "cycle": ("find a Berge cycle of a given length", "cli._cmd_embedding", [
         _HOST,
         (("--length",), _REQUIRED_INT),
         *_COMMON_BUDGET,
     ]),
-    "good-order": ("vertex order whose consecutive pairs are good", _cmd_good_order, [
+    "good-order": ("vertex order whose consecutive pairs are good", "cli_extra._cmd_good_order", [
         _HOST,
         (("--first",), _REQUIRED_INT),
         *_COMMON,
     ]),
-    "bcn": ("Berge-common neighbours of a vertex set", _cmd_bcn, [
+    "bcn": ("Berge-common neighbours of a vertex set", "cli_extra._cmd_bcn", [
         _HOST,
         (("--vertices",), {"type": _integer_list, "required": True,
                            "help": "comma-separated base set"}),
         *_COMMON,
     ]),
-    "star": ("Berge star with a given centre", _cmd_star, [
+    "star": ("Berge star with a given centre", "cli_extra._cmd_star", [
         _HOST,
         (("--centre",), _REQUIRED_INT),
         (("--size",), _REQUIRED_INT),
         *_COMMON,
     ]),
     "turan": ("exact Turan number by levels up to isomorphism, witnesses by branch and bound",
-              _cmd_turan, [
+              "cli._cmd_turan", [
         (("-n",), _REQUIRED_INT),
         (("-r",), _REQUIRED_INT),
         _PATTERN,
@@ -543,12 +338,12 @@ _COMMANDS = {
                                  "truncated run is inexact, with free witnesses"}),
         *_COMMON,
     ]),
-    "verify-lemmas": ("verify the binomial inequalities exactly", _cmd_verify_lemmas, [
+    "verify-lemmas": ("verify the binomial inequalities exactly", "cli_extra._cmd_verify_lemmas", [
         (("--lemma",), {"default": "all", "choices": ["all", *_LEMMA_IDS]}),
         (("--csv",), {"help": "write one row per grid point here"}),
         *_COMMON,
     ]),
-    "audit": ("recount a construction's edge classes", _cmd_audit, [
+    "audit": ("recount a construction's edge classes", "cli_extra._cmd_audit", [
         _HOST,
         (("--layout",), {"help": "layout JSON (default: <host>.layout.json)"}),
         *_COMMON,
@@ -590,8 +385,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     run = _Run(ns)
+    module, _, name = ns.func.partition(".")
+    # the route of an import statement, which ``-X importtime`` reports
+    handler = getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
     try:
-        return ns.func(ns, run)
+        return handler(ns, run)
     except (BergeTuranError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

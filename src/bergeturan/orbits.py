@@ -1,13 +1,19 @@
 """Orbits for the Turán search: orbits of r-sets under the twin group of a
 host, and a canonical form of a host.
 
-Twin classes.  ``symmetry.twin_classes``, imported here, reads the twin
-classes of a host off the kernel's lazy classifier, unpinned, so twin
-classification is written once; :mod:`bergeturan.symmetry` gives the
-test and the argument that twins form classes.  A host that repeats an
-edge gets a singleton class per covered vertex, a refinement of its twin
-classes; everything below holds for any refinement, where it costs only
-more checks.
+Twin classes.  ``symmetry.twin_classes``, imported here for ``search``,
+reads the twin classes of a host off the kernel's lazy classifier,
+unpinned, so twin classification is written once;
+:mod:`bergeturan.symmetry` gives the test and the argument that twins
+form classes.  A host that repeats an edge gets a singleton class per
+covered vertex, a refinement of its twin classes; everything below holds
+for any refinement, where it costs only more checks.  The functions here
+take the partition from their caller, so a caller that knows a
+refinement already need not classify the host again.  The twin classes
+of a host R, or a refinement of them, each split by an r-set e into its
+members inside and outside e, refine the twin classes of R + e: a swap
+of two twins of R that are both in e or both out of it maps R onto
+itself and fixes e.
 
 Orbits of r-sets.  The transpositions inside a class generate the
 symmetric group on it, and transpositions of different classes commute, so
@@ -78,6 +84,11 @@ def _bits(mask):
         mask ^= low
 
 
+def _relabel(mask, labels):
+    """The vertex bitmask ``mask`` with vertex v renamed ``labels[v]``."""
+    return sum([1 << labels[v] for v in _bits(mask)])
+
+
 def _refine(colour, edges, through):
     """The coarsest refinement of ``colour`` (one int per vertex) in which
     vertices of one colour meet equally many hyperedges of each colour, a
@@ -103,7 +114,7 @@ def _refine(colour, edges, through):
         classes = rank + 1
 
 
-def _leaves(n, edge_masks):
+def _leaves(n, edge_masks, classes):
     """The discrete colourings of the individualisation-refinement tree of
     the host on vertices 0..n-1, each a list that gives every vertex its
     own colour in 0..n-1.
@@ -111,19 +122,22 @@ def _leaves(n, edge_masks):
     The root is the refined colouring with every vertex alike.  A node that
     is not discrete individualises, one child each, the vertices of its
     first non-singleton cell (the one of least colour), but only one
-    member of each twin class there, the smallest (:func:`twin_classes`):
-    the swap of two twins u and w maps the host onto itself and fixes every
+    member of each class of ``classes`` there, the smallest: the caller's
+    partition of 0..n-1 into vertex bitmasks, which must be the host's
+    twin classes or a refinement of them (see the module docstring).  The
+    swap of two twins u and w maps the host onto itself and fixes every
     vertex individualised above, none of which is in the cell, so it maps
     the subtree of u onto that of w, and both yield the same relabelled
-    hosts.  Individualising v gives it a colour of its own just below its
-    cell, then refines (:func:`_refine`)."""
+    hosts.  A finer partition only keeps more of these subtrees.
+    Individualising v gives it a colour of its own just below its cell,
+    then refines (:func:`_refine`)."""
     edges = [tuple(_bits(mask)) for mask in edge_masks]
     through = [[] for _ in range(n)]
     for j, e in enumerate(edges):
         for v in e:
             through[v].append(j)
     twin = [0] * n
-    for i, cls in enumerate(twin_classes(n, edge_masks)):
+    for i, cls in enumerate(classes):
         for v in _bits(cls):
             twin[v] = i
     pending = [_refine([0] * n, edges, through)]
@@ -144,13 +158,16 @@ def _leaves(n, edge_masks):
                 pending.append(_refine(split, edges, through))
 
 
-def canonical_form(n, edge_masks):
+def canonical_form(n, edge_masks, classes):
     """The canonical form of the host on vertices 0..n-1 with the given
     hyperedges (vertex bitmasks, no edge repeated), and a labelling that
     produces it: ``(form, labelling)``, where ``labelling[v]`` is the new
     label of vertex v and ``form`` is the ascending tuple of the relabelled
     hyperedge masks.  Two hosts get one form exactly when they are
-    isomorphic.
+    isomorphic.  ``classes`` is the caller's partition of 0..n-1: the
+    host's twin classes or any refinement of them (see the module
+    docstring), such as singletons.  It decides only which subtrees of the
+    tree are searched, not the form; the labelling may differ.
 
     The form is the least relabelled tuple over the leaves of the
     individualisation-refinement tree (:func:`_leaves`; McKay and Piperno,
@@ -158,13 +175,14 @@ def canonical_form(n, edge_masks):
     the cell to split depend on no label, so relabelling the host by sigma
     relabels every node of the tree by sigma, and the set of relabelled
     hosts at the leaves, hence its least member, is the same; where only
-    one twin per class is individualised, the skipped subtrees yield the
-    same hosts as the kept one.  Every leaf labelling relabels the host
-    isomorphically, so isomorphic hosts are also the only ones that share
-    a form."""
+    one vertex per class of ``classes`` is individualised, the skipped
+    subtrees yield the same hosts as the kept one, whatever refinement of
+    the twin classes the caller passes.  Every leaf labelling relabels the
+    host isomorphically, so isomorphic hosts are also the only ones that
+    share a form."""
     best = labelling = None
-    for colour in _leaves(n, edge_masks):
-        form = tuple(sorted([sum([1 << colour[v] for v in _bits(mask)]) for mask in edge_masks]))
+    for colour in _leaves(n, edge_masks, classes):
+        form = tuple(sorted([_relabel(mask, colour) for mask in edge_masks]))
         if best is None or form < best:
             best, labelling = form, tuple(colour)
     return best, labelling

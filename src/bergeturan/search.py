@@ -25,6 +25,24 @@ passes ``_LEVEL_CAP`` classes (weak patterns, whose free hosts are many),
 the instance goes to the branch and bound alone, which then proves the
 value as well.
 
+Inherited dead extensions.  Each listed class C keeps a record of every
+class R of the level above and absent r-set e that produced it, with the
+labelling lambda that maps R + e onto C.  Let f be an orbit
+representative of C and d = lambda^-1(f), which is absent from R + e.  If
+R's listing found d's orbit under R's twin group dead, a twin swap maps
+R + d onto R + g for the orbit's representative g, so R + d has a Berge
+copy.  Then lambda(R + e + d) = C + f contains lambda(R + d), so it has
+one too, and f is dead without a kernel call.  The orbit key of d on R's
+twin classes is that of f on their images under lambda, which the record
+keeps.  Either way f's orbit joins C's dead orbits, for C's own children.
+A record skips only checks whose answer is a copy, so every level,
+``lower`` and the node count are those of one check per orbit
+representative; only ``pinned_calls`` falls.  The canonical form of
+R + e takes R's twin classes split by e, which refine the twin classes of
+R + e (:mod:`bergeturan.orbits`), so the kept hosts are not classified
+again; each listed class is classified once, for its own orbit
+representatives.
+
 Branch and bound.  The search walks candidate r-sets in lexicographic
 order, include branch first, keeping the current set free at all times.
 Each node carries its live candidates: the later r-sets that the chosen set
@@ -70,7 +88,14 @@ from ._engine_py import FOUND
 from .berge import Status, find_berge_embedding, solve_raw
 from .core import FormulaParams, Hypergraph, PatternGraph, Record, disjoint_paths_pattern
 from .errors import HostNotFree, ParamsOutOfRange, ScaleGuardExceeded
-from .orbits import _orbit_key, _orbit_representatives, _refine, canonical_form, twin_classes
+from .orbits import (
+    _orbit_key,
+    _orbit_representatives,
+    _refine,
+    _relabel,
+    canonical_form,
+    twin_classes,
+)
 
 # The functions that ``compare_with_formula`` imports from their defining
 # module when it runs.  They resolve on this module too, as they did when
@@ -334,34 +359,51 @@ class _Searcher:
     def list_levels(self):
         """List the free hosts level by level, one per isomorphism class
         (see the module docstring), keeping ``lower`` up to date.  Returns
-        False as soon as a level passes ``_LEVEL_CAP`` classes."""
+        False as soon as a level passes ``_LEVEL_CAP`` classes.
+
+        Each listed class keeps a record of every parent R and extension e
+        that produced it: R's twin classes, relabelled as R + e is onto
+        the class, and R's dead orbit keys, a set that R's own listing
+        fills before the class is grown.  An orbit representative that a
+        record puts in a dead orbit of its parent is dead without a
+        kernel call (see the module docstring)."""
         n, connected = self.n, self.opts.connected_only
         index = {mask: j for j, mask in enumerate(self.cand_masks)}
         self.count_node()
         if not connected:
             self.lower = ()
-        level = [()]
+        # canonical form -> [(a parent's twin classes in the form's labels,
+        # the parent's dead orbit keys)], in the order listed
+        level = {(): []}
         while level:
-            grown = {}  # canonical form -> None, in the order first listed
-            for host in level:
+            grown = {}
+            for host, parents in level.items():
                 masks = list(host)
                 present = set(host)
-                for e in _orbit_representatives(twin_classes(n, masks), self.r):
+                classes = twin_classes(n, masks)
+                dead = set()
+                for e in _orbit_representatives(classes, self.r):
                     if e in present:
                         continue
                     masks.append(e)
-                    if not _pinned_copy(masks, self.pattern, self):
-                        form, _ = canonical_form(n, masks)
-                        if form not in grown:
+                    inherited = any(_orbit_key(up, e) in gone for up, gone in parents)
+                    if inherited or _pinned_copy(masks, self.pattern, self):
+                        dead.add(_orbit_key(classes, e))
+                    else:
+                        split = [part for c in classes for part in (c & e, c & ~e) if part]
+                        form, labelling = canonical_form(n, masks, split)
+                        records = grown.get(form)
+                        if records is None:
                             self.count_node()
-                            grown[form] = None
+                            records = grown[form] = []
                             if len(grown) > _LEVEL_CAP:
                                 return False
                             if len(form) > len(self.lower or ()) and (
                                     not connected or _spans_one_component(n, form)):
                                 self.lower = tuple(sorted(index[mask] for mask in form))
+                        records.append(([_relabel(c, labelling) for c in classes], dead))
                     masks.pop()
-            level = list(grown)
+            level = grown
         return True
 
     def start(self):

@@ -81,6 +81,25 @@ def _loaded_submodules(*argv, cwd):
     return code, {name for name in names if name.split(".")[0] == "bergeturan"}
 
 
+# a run of every subcommand: its arguments, exit code, and whether it
+# loads cli_extra
+EVERY_COMMAND = [
+    (("check", "h.hg", "-F", "P2"), 1, False),
+    (("find", "h.hg", "-F", "P2"), 0, False),
+    (("cycle", "h.hg", "--length", "3"), 1, False),
+    (("longest-path", "h.hg"), 0, False),
+    (("turan", "-n", "4", "-r", "3", "-F", "P2"), 0, False),
+    (("construct", "-n", "10", "-r", "3", "-l", "5", "-k", "2", "-o", "c.hg"), 0, True),
+    (("block", "-n", "8", "-l", "4", "-r", "3"), 0, True),
+    (("formula", "--name", "erdos-gallai", "-n", "10", "-l", "3"), 0, True),
+    (("good-order", "h.hg", "--first", "1"), 0, True),
+    (("bcn", "h.hg", "--vertices", "1,2"), 0, True),
+    (("star", "h.hg", "--centre", "3", "--size", "4"), 1, True),
+    (("verify-lemmas", "--lemma", "I1"), 0, True),
+    (("audit", "c.hg", "--layout", "c.hg.layout.json"), 0, True),
+]
+
+
 class TestSubcommandImports:
     def test_check_loads_only_the_kernel_path(self, tmp_path):
         host = tmp_path / "h.hg"
@@ -153,7 +172,8 @@ class TestSubcommandImports:
                                           cwd=tmp_path)
         assert code == 0
         assert {"bergeturan.search", "bergeturan.orbits"} <= loaded
-        assert not loaded & {"bergeturan.formulas", "bergeturan.constructions"}
+        assert not loaded & {"bergeturan.formulas", "bergeturan.constructions",
+                             "bergeturan.cli_extra"}
 
     @pytest.mark.parametrize("argv,expected", [
         (("--help",), 0),
@@ -166,7 +186,7 @@ class TestSubcommandImports:
         assert code == expected
         assert "bergeturan.cli" in loaded
         assert not loaded & {"bergeturan.berge", "bergeturan.core", "bergeturan.symmetry",
-                             "bergeturan._engine_py"}
+                             "bergeturan._engine_py", "bergeturan.cli_extra"}
 
     @pytest.mark.parametrize("argv", [
         ("formula", "--name", "erdos-gallai", "-n", "10", "-l", "3"),
@@ -175,7 +195,7 @@ class TestSubcommandImports:
     def test_commands_without_a_host_load_no_kernel(self, tmp_path, argv):
         code, loaded = _loaded_submodules(*argv, cwd=tmp_path)
         assert code == 0
-        assert "bergeturan.formulas" in loaded
+        assert {"bergeturan.formulas", "bergeturan.cli_extra"} <= loaded
         assert not loaded & {"bergeturan.berge", "bergeturan._engine_py",
                              "bergeturan.symmetry"}
 
@@ -198,7 +218,21 @@ class TestSubcommandImports:
         code, loaded = _loaded_modules(*argv, cwd=tmp_path)
         assert code == expected
         assert loaded & {"_sha2", "_sha256"}
-        assert not loaded & {"hashlib", "_hashlib", "bergeturan.orbits", "bergeturan.engine"}
+        assert not loaded & {"hashlib", "_hashlib", "bergeturan.orbits", "bergeturan.engine",
+                             "bergeturan.cli_extra"}
+
+    @pytest.mark.parametrize("argv,expected,extra", EVERY_COMMAND,
+                             ids=[row[0][0] for row in EVERY_COMMAND])
+    def test_only_the_other_commands_load_cli_extra(self, tmp_path, argv, expected, extra):
+        # the handlers of the commands that search no host for a pattern
+        # live in cli_extra, which the parser and the search commands never
+        # import; audit reads the construction that construct writes
+        (tmp_path / "h.hg").write_text("3 5 2\n1 2 3\n3 4 5\n")
+        assert main(["construct", "-n", "10", "-r", "3", "-l", "5", "-k", "2",
+                     "-o", str(tmp_path / "c.hg")]) == 0
+        code, loaded = _loaded_submodules(*argv, cwd=tmp_path)
+        assert code == expected
+        assert ("bergeturan.cli_extra" in loaded) is extra
 
     def test_no_command_loads_dataclasses(self, tmp_path):
         # the result types are Records: importing dataclasses would bring in

@@ -5,6 +5,7 @@ import random
 from itertools import combinations, islice, permutations, product
 
 from bergeturan.orbits import _leaves, _orbit_key, _orbit_representatives, canonical_form
+from bergeturan.symmetry import twin_classes
 
 
 def _class_preserving_orbits(n, classes, r):
@@ -51,6 +52,11 @@ def _relabel(masks, sigma):
     return [sum(1 << sigma[v] for v in range(len(sigma)) if mask >> v & 1) for mask in masks]
 
 
+def _form(n, masks):
+    """The canonical form and labelling, by the host's own twin classes."""
+    return canonical_form(n, masks, twin_classes(n, masks))
+
+
 def _random_host(rng, n, r, most):
     rsets = [sum(1 << v for v in s) for s in combinations(range(n), r)]
     return rng.sample(rsets, rng.randint(0, min(most, len(rsets))))
@@ -74,7 +80,7 @@ def test_refinement_and_twins_keep_the_tree_small():
         (10, [], 1),
     ]
     for n, masks, leaves in hosts:
-        assert len(list(islice(_leaves(n, masks), 1000))) == leaves, masks
+        assert len(list(islice(_leaves(n, masks, twin_classes(n, masks)), 1000))) == leaves, masks
 
 
 def _cycles(*lengths):
@@ -104,13 +110,13 @@ def test_canonical_form_is_invariant_and_produced_by_its_labelling():
             n, masks = REGULAR_HOSTS[i % len(REGULAR_HOSTS)]
         # refinement and twins keep the tree small: no random host comes
         # near 1,000 leaves, where 10 vertices could give 10! without them
-        assert len(list(islice(_leaves(n, masks), 1000))) < 1000, masks
-        form, labelling = canonical_form(n, masks)
+        assert len(list(islice(_leaves(n, masks, twin_classes(n, masks)), 1000))) < 1000, masks
+        form, labelling = _form(n, masks)
         assert sorted(labelling) == list(range(n))
         assert tuple(sorted(_relabel(masks, labelling))) == form
         sigma = list(range(n))
         rng.shuffle(sigma)
-        moved, moved_labelling = canonical_form(n, _relabel(masks, sigma))
+        moved, moved_labelling = _form(n, _relabel(masks, sigma))
         assert moved == form, (n, masks, sigma)
         seen.add(labelling != moved_labelling)
     assert seen == {True, False}
@@ -154,7 +160,7 @@ def test_canonical_form_separates_exactly_the_isomorphism_classes():
         rng.shuffle(sigma)
         b = _relabel(b, sigma)
         same = _isomorphic(n, a, b)
-        assert (canonical_form(n, a)[0] == canonical_form(n, b)[0]) is same, (n, a, b)
+        assert (_form(n, a)[0] == _form(n, b)[0]) is same, (n, a, b)
         seen.add(same)
     assert seen == {True, False}
 
@@ -164,6 +170,32 @@ def test_canonical_form_lists_the_isomorphism_classes():
     # the 3-sets, of 3-graphs; 11 graphs on 4 vertices
     for n, r, classes in ((4, 2, 11), (5, 2, 34), (5, 3, 34)):
         rsets = [sum(1 << v for v in s) for s in combinations(range(n), r)]
-        forms = {canonical_form(n, [e for j, e in enumerate(rsets) if pick >> j & 1])[0]
+        forms = {_form(n, [e for j, e in enumerate(rsets) if pick >> j & 1])[0]
                  for pick in range(1 << len(rsets))}
         assert len(forms) == classes
+
+
+def test_canonical_form_is_the_same_under_any_refinement_of_the_twins():
+    # a host R plus an absent r-set e, by three partitions: the twin
+    # classes of R + e, singletons, and the twin classes of R split by e,
+    # which refine those of R + e
+    rng = random.Random(26)
+    seen = set()
+    for i in range(300):
+        r = rng.choice((2, 3, 4))
+        n = rng.randint(r + 1, 8)
+        rsets = [sum(1 << v for v in s) for s in combinations(range(n), r)]
+        parent = rng.sample(rsets, rng.randint(0, min(12, len(rsets) - 1)))
+        e = rng.choice([rset for rset in rsets if rset not in parent])
+        masks = parent + [e]
+        twins = twin_classes(n, masks)
+        split = [part for c in twin_classes(n, parent) for part in (c & e, c & ~e) if part]
+        assert all(any(part & c == part for c in twins) for part in split), (n, masks)
+        forms = []
+        for classes in (twins, [1 << v for v in range(n)], split):
+            form, labelling = canonical_form(n, masks, classes)
+            assert tuple(sorted(_relabel(masks, labelling))) == form
+            forms.append(form)
+        assert forms[0] == forms[1] == forms[2], (n, masks)
+        seen.add((len(split) > len(twins), len(twins) < n))
+    assert seen >= {(True, True), (False, True)}
