@@ -224,9 +224,10 @@ class TestSubcommandImports:
     @pytest.mark.parametrize("argv,expected,extra", EVERY_COMMAND,
                              ids=[row[0][0] for row in EVERY_COMMAND])
     def test_only_the_other_commands_load_cli_extra(self, tmp_path, argv, expected, extra):
-        # the handlers of the commands that search no host for a pattern
-        # live in cli_extra, which the parser and the search commands never
-        # import; audit reads the construction that construct writes
+        # the handlers of construct, block, formula, good-order, bcn, star,
+        # verify-lemmas and audit live in cli_extra, which the parser and
+        # the other commands never import; audit reads the construction
+        # that construct writes
         (tmp_path / "h.hg").write_text("3 5 2\n1 2 3\n3 4 5\n")
         assert main(["construct", "-n", "10", "-r", "3", "-l", "5", "-k", "2",
                      "-o", str(tmp_path / "c.hg")]) == 0
