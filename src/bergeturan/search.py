@@ -7,23 +7,38 @@ is free.  If it is, the value is C(n, r) and that host is the only witness.
 
 Levels.  Level k holds one host per isomorphism class of free hosts with k
 edges.  Level 0 is the empty host.  For each class R of level k, one absent
-r-set e is taken per orbit of R's twin group (:mod:`bergeturan.orbits`),
-R + e is kept when no Berge copy uses e (R is free, so a copy of R + e must
-use it), and the kept hosts are reduced to one per class by their canonical
-form (:func:`bergeturan.orbits.canonical_form`).  This lists every class
-of free hosts with k + 1 edges.  Freeness is downward closed in the edge
-set, so deleting an edge f from a free host H with k + 1 edges leaves a
-free host isomorphic to some listed R, by a map sigma; then sigma(H) is
-R + sigma(f), and sigma(f) is absent from R.  A twin swap is an
-automorphism of R, so it maps R + sigma(f) onto R + e for the orbit's
-listed representative e, and H is isomorphic to a kept host.  The value is
-the last nonempty level; under ``connected_only`` it is the last level
-holding a class that covers 1..n in one component, since a disconnected
-free host can grow into a connected one and every class is listed.
-Classes are listed in a fixed order, so the counts repeat.  Once a level
-passes ``_LEVEL_CAP`` classes (weak patterns, whose free hosts are many),
-the instance goes to the branch and bound alone, which then proves the
-value as well.
+r-set e is taken per orbit of Aut(R), R + e is kept when no Berge copy
+uses e (R is free, so a copy of R + e must use it), and the kept hosts are
+reduced to one per class by their canonical form
+(:func:`bergeturan.orbits.canonical_form`).  This lists every class of
+free hosts with k + 1 edges.  Freeness is downward closed in the edge set,
+so deleting an edge f from a free host H with k + 1 edges leaves a free
+host isomorphic to some listed R, by a map sigma; then sigma(H) is
+R + sigma(f), and sigma(f) is absent from R.  An automorphism of R maps
+R + sigma(f) onto R + e for the representative e of sigma(f)'s orbit, and
+H is isomorphic to a kept host.  The value is the last nonempty level;
+under ``connected_only`` it is the last level holding a class that covers
+1..n in one component, since a disconnected free host can grow into a
+connected one and every class is listed.  Classes are listed in a fixed
+order, so the counts repeat.  Once a level passes ``_LEVEL_CAP`` classes
+(weak patterns, whose free hosts are many), the instance goes to the
+branch and bound alone, which then proves the value as well.
+
+Orbits of Aut(R).  Each listed class keeps the generators that its
+canonical form gives, which with the twin swaps generate Aut(R)
+(:mod:`bergeturan.orbits`).  Before they are used, each must map R's
+edges onto themselves, or the listing raises, since a wrong generator
+would skip extensions that the listing needs.  The absent orbit
+representatives of R's twin group are joined into groups, the orbits of
+Aut(R) (:func:`bergeturan.orbits._orbit_groups`), and each group gets
+one check, on its first member e, and one canonical form if R + e is
+free.  Every member f of the group gives a host R + f isomorphic to
+R + e, so the group is dead or free as one.  Forms appear in the order of
+a listing that tries every representative: the first representative that
+gives a form is the first member of its group, since its whole group gives
+that form, and the skipped members give only forms seen before.  So the
+levels, ``lower`` and ``nodes_explored`` are those of one check per twin
+orbit; only ``pinned_calls`` falls.
 
 Inherited dead extensions.  Each listed class C keeps a record of every
 class R of the level above and absent r-set e that produced it, with the
@@ -34,14 +49,10 @@ R + d onto R + g for the orbit's representative g, so R + d has a Berge
 copy.  Then lambda(R + e + d) = C + f contains lambda(R + d), so it has
 one too, and f is dead without a kernel call.  The orbit key of d on R's
 twin classes is that of f on their images under lambda, which the record
-keeps.  Either way f's orbit joins C's dead orbits, for C's own children.
-A record skips only checks whose answer is a copy, so every level,
-``lower`` and the node count are those of one check per orbit
-representative; only ``pinned_calls`` falls.  The canonical form of
-R + e takes R's twin classes split by e, which refine the twin classes of
-R + e (:mod:`bergeturan.orbits`), so the kept hosts are not classified
-again; each listed class is classified once, for its own orbit
-representatives.
+keeps.  A group of C is dead when any member is, and a dead group puts
+every member's orbit key among C's dead orbits, for C's own children, so
+inheritance stays on twin orbits.  A record skips only checks whose answer
+is a copy, so it changes nothing but ``pinned_calls`` either.
 
 Branch and bound.  The search walks candidate r-sets in lexicographic
 order, include branch first, keeping the current set free at all times.
@@ -60,7 +71,12 @@ full, and it returns the witnesses of the search that does not know it
 Filter checks are answered once per orbit of the chosen set's twin group
 (:mod:`bergeturan.orbits`): later candidates with one orbit key share
 one check.  The live lists, the tree and the answer are those of one
-check per candidate, and only the count of kernel calls falls.
+check per candidate, and only the count of kernel calls falls.  The tree
+and :func:`is_maximal_free` keep twin orbits, not those of the whole
+automorphism group: the chosen set changes at every include, and its
+twin classes come from the kernel's classifier, where Aut orbits would
+cost a canonical form walk per include.  A twin orbit lies inside an Aut
+orbit, so this costs only checks, never an answer.
 
 Orbits of pattern edges.  If a Berge copy (phi, psi) puts pattern edge e
 on hyperedge j and sigma in Aut(F) maps e to e', then (phi o sigma^-1,
@@ -89,6 +105,8 @@ from .berge import Status, find_berge_embedding, solve_raw
 from .core import FormulaParams, Hypergraph, PatternGraph, Record, disjoint_paths_pattern
 from .errors import HostNotFree, ParamsOutOfRange, ScaleGuardExceeded
 from .orbits import (
+    _find,
+    _orbit_groups,
     _orbit_key,
     _orbit_representatives,
     _refine,
@@ -177,16 +195,9 @@ def _pattern_edge_orbits(pattern):
     keys = [sorted((colour[a], colour[b])) for a, b in edges0]
     masks = [1 << a | 1 << b for a, b in edges0]
     root = list(range(len(edges0)))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
     reps = []
     for j in range(len(edges0)):
-        if find(j) != j:
+        if _find(root, j) != j:
             continue
         for i in reps:
             if keys[i] != keys[j]:
@@ -194,14 +205,14 @@ def _pattern_edge_orbits(pattern):
             status, _, assignment, _ = solve_raw(masks, pattern, pinned=(i, j))
             if status == FOUND:
                 for k, image in enumerate(assignment):
-                    s, t = find(k), find(image)
+                    s, t = _find(root, k), _find(root, image)
                     root[max(s, t)] = min(s, t)
                 break
         else:
             reps.append(j)
     orbits = {}
     for k in range(len(edges0)):
-        orbits.setdefault(find(k), []).append(k)
+        orbits.setdefault(_find(root, k), []).append(k)
     return tuple(tuple(orbits[i]) for i in sorted(orbits))
 
 
@@ -361,47 +372,51 @@ class _Searcher:
         (see the module docstring), keeping ``lower`` up to date.  Returns
         False as soon as a level passes ``_LEVEL_CAP`` classes.
 
-        Each listed class keeps a record of every parent R and extension e
-        that produced it: R's twin classes, relabelled as R + e is onto
-        the class, and R's dead orbit keys, a set that R's own listing
-        fills before the class is grown.  An orbit representative that a
-        record puts in a dead orbit of its parent is dead without a
-        kernel call (see the module docstring)."""
+        Each listed class keeps the generators that its canonical form
+        gives, in its own labels, and a record of every parent R and
+        extension e that produced it: R's twin classes, relabelled as
+        R + e is onto the class, and R's dead orbit keys, a set that R's
+        own listing fills before the class is grown.  A class's absent
+        orbit representatives are joined into groups by its generators,
+        each of which must map its edges onto themselves.  A group that a
+        record puts in a dead orbit of its parent is dead without a kernel
+        call; otherwise its first member is checked, and a free one is
+        grown (see the module docstring)."""
         n, connected = self.n, self.opts.connected_only
         index = {mask: j for j, mask in enumerate(self.cand_masks)}
         self.count_node()
         if not connected:
             self.lower = ()
-        # canonical form -> [(a parent's twin classes in the form's labels,
-        # the parent's dead orbit keys)], in the order listed
-        level = {(): []}
+        # canonical form -> (its generators, [(a parent's twin classes in
+        # the form's labels, the parent's dead orbit keys)]), in the order
+        # listed
+        level = {(): ((), [])}
         while level:
             grown = {}
-            for host, parents in level.items():
+            for host, (generators, parents) in level.items():
                 masks = list(host)
-                present = set(host)
+                for g in generators:
+                    if sorted([_relabel(mask, g) for mask in host]) != masks:
+                        raise RuntimeError(f"internal error: {g} is no automorphism of {host}")
                 classes = twin_classes(n, masks)
                 dead = set()
-                for e in _orbit_representatives(classes, self.r):
-                    if e in present:
-                        continue
-                    masks.append(e)
-                    inherited = any(_orbit_key(up, e) in gone for up, gone in parents)
-                    if inherited or _pinned_copy(masks, self.pattern, self):
-                        dead.add(_orbit_key(classes, e))
+                for group in _orbit_groups(classes, self.r, set(host), generators):
+                    masks.append(group[0])
+                    if any(_orbit_key(up, e) in gone for e in group for up, gone in parents) \
+                            or _pinned_copy(masks, self.pattern, self):
+                        dead.update(_orbit_key(classes, e) for e in group)
                     else:
-                        split = [part for c in classes for part in (c & e, c & ~e) if part]
-                        form, labelling = canonical_form(n, masks, split)
-                        records = grown.get(form)
-                        if records is None:
+                        form, labelling, automorphisms = canonical_form(n, masks)
+                        entry = grown.get(form)
+                        if entry is None:
                             self.count_node()
-                            records = grown[form] = []
+                            entry = grown[form] = (automorphisms, [])
                             if len(grown) > _LEVEL_CAP:
                                 return False
                             if len(form) > len(self.lower or ()) and (
                                     not connected or _spans_one_component(n, form)):
                                 self.lower = tuple(sorted(index[mask] for mask in form))
-                        records.append(([_relabel(c, labelling) for c in classes], dead))
+                        entry[1].append(([_relabel(c, labelling) for c in classes], dead))
                     masks.pop()
             level = grown
         return True

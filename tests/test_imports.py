@@ -62,22 +62,30 @@ class TestLazyPublicApi:
         assert not hasattr(bergeturan, "no_such_name")
 
 
+# the child prints the names in its sys.modules to stderr as it exits
+_REPORT = ("import atexit, sys\n"
+           "atexit.register(lambda: sys.stderr.write('\\nloaded: ' + ' '.join(sys.modules)))\n")
+
+
 def _loaded_modules(*argv, cwd, entry=("-m", "bergeturan")):
-    """The modules that ``python -m bergeturan ARGV`` imports, read from the
-    interpreter's own ``-X importtime`` report; ``entry`` replaces
+    """The modules that ``python -m bergeturan ARGV`` has loaded when it
+    exits, read from the child's own ``sys.modules``, so a module that
+    ``importlib.import_module`` loads counts as well; ``entry`` replaces
     ``-m bergeturan``, so ``entry=("-c", "pass")`` gives the modules a bare
-    interpreter loads, site hooks included."""
+    interpreter loads, site hooks included.  ``-m`` runs through
+    ``runpy``, as the interpreter's own ``-m`` does."""
+    flag, target = entry
+    if flag == "-m":
+        target = f"import runpy; runpy.run_module({target!r}, run_name='__main__', alter_sys=True)"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-B", "-X", "importtime", *entry, *argv],
+    proc = subprocess.run([sys.executable, "-B", "-c", _REPORT + target, *argv],
                           capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
-    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-             if line.startswith("import time:")}
-    return proc.returncode, names
+    return proc.returncode, set(proc.stderr.rsplit("\nloaded: ", 1)[1].split())
 
 
-def _loaded_submodules(*argv, cwd):
+def _loaded_submodules(*argv, cwd, entry=("-m", "bergeturan")):
     """The package modules among :func:`_loaded_modules`."""
-    code, names = _loaded_modules(*argv, cwd=cwd)
+    code, names = _loaded_modules(*argv, cwd=cwd, entry=entry)
     return code, {name for name in names if name.split(".")[0] == "bergeturan"}
 
 
@@ -199,6 +207,17 @@ class TestSubcommandImports:
         assert not loaded & {"bergeturan.berge", "bergeturan._engine_py",
                              "bergeturan.symmetry"}
 
+    def test_lazy_names_show_the_modules_they_load(self, tmp_path):
+        # the package's __getattr__ loads search by importlib.import_module,
+        # which the interpreter's -X importtime report does not list
+        code, loaded = _loaded_submodules(cwd=tmp_path, entry=("-c", "import bergeturan"))
+        assert code == 0
+        assert "bergeturan.search" not in loaded
+        code, loaded = _loaded_submodules(
+            cwd=tmp_path, entry=("-c", "import bergeturan; bergeturan.SearchOptions"))
+        assert code == 0
+        assert {"bergeturan.search", "bergeturan.orbits"} <= loaded
+
     def test_verify_lemmas_loads_formulas(self, tmp_path):
         # the control: the report does show a module a command imports late
         code, loaded = _loaded_submodules("verify-lemmas", "--lemma", "I1", cwd=tmp_path)
@@ -267,7 +286,8 @@ TRACED_ON_SEARCH = {"extremal_construction": constructions, "berge_kpl_turan": f
 
 # runs the commands named in argv[2] under the benchmark's tracer, with
 # bench/ (argv[1]) on sys.path, and prints each one's exit code and the
-# names of the spans it recorded
+# names of the spans it recorded, and the totals that the benchmark's
+# aggregation, which buckets every span by its module, makes of them all
 _TRACED_COMMANDS = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -281,6 +301,7 @@ for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     report[argv[0]] = [code, sorted({span[0] for span in t.spans[start:]})]
+report["totals"] = tracer.aggregate(t.spans)[0]
 print(json.dumps(report))
 """
 
@@ -288,10 +309,14 @@ print(json.dumps(report))
 class TestLateImports:
     def test_the_benchmark_tracer_finds_every_name_it_wraps(self, tmp_path):
         # tracer.install looks up every name it wraps, so a renamed one
-        # fails here; the traced commands record kernel and embedding spans
+        # fails here; the traced commands record kernel and embedding
+        # spans, a traced Turán search its own span, and the aggregation
+        # raises for a span of a module it does not bucket, such as a
+        # wrapped function moved out of search
         host = tmp_path / "h.hg"
         host.write_text("3 5 3\n1 2 3\n2 3 4\n3 4 5\n")
-        commands = [["check", str(host), "-F", "P2"], ["cycle", str(host), "--length", "3"]]
+        commands = [["check", str(host), "-F", "P2"], ["cycle", str(host), "--length", "3"],
+                    ["turan", "-n", "6", "-r", "3", "-F", "P4", "--witnesses", "2"]]
         proc = subprocess.run(
             [sys.executable, "-B", "-c", _TRACED_COMMANDS, str(SRC.parent / "bench"),
              json.dumps(commands)],
@@ -299,9 +324,12 @@ class TestLateImports:
             env={**os.environ, "PYTHONPATH": str(SRC)})
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
-        assert report["check"][0] == 1 and report["cycle"][0] == 0
+        totals = report.pop("totals")
+        assert report["check"][0] == 1 and report["cycle"][0] == report["turan"][0] == 0
         for _, names in report.values():
             assert {"engine.pure", "berge.find_berge_embedding"} <= set(names)
+        assert "search.exact_turan" in report["turan"][1]
+        assert totals["search.tree_nodes"] > 0 and totals["search.pinned_calls"] > 0
 
     def test_traced_names_resolve_on_the_importing_module(self):
         for module, names in ((cli, TRACED_ON_CLI), (search, TRACED_ON_SEARCH)):

@@ -1,5 +1,6 @@
-"""The level search's inherited dead extensions against a plain listing
-that runs a kernel check on every orbit representative of every class."""
+"""The level search, which checks one extension per automorphism orbit
+and inherits dead extensions, against a plain listing that runs a kernel
+check on every twin orbit representative of every class."""
 
 import random
 
@@ -33,12 +34,11 @@ class _Calls:
 def reference_levels(n, r, pattern, connected_only, stats=None):
     """The plain listing: every class, every absent orbit representative
     of its twin classes, one pinned kernel check each (counted on
-    ``stats``), and one form per class of the kept hosts, by the host's
-    own twin classes.  Returns the levels, each a list of forms in the
-    order first listed, with the last one cut short where it passes
-    ``search._LEVEL_CAP`` classes, as the level search does; whether no
-    level passed the cap; and ``lower``, the first counting form of the
-    deepest level that has one, or None."""
+    ``stats``), and one form per class of the kept hosts.  Returns the
+    levels, each a list of forms in the order first listed, with the last
+    one cut short where it passes ``search._LEVEL_CAP`` classes, as the
+    level search does; whether no level passed the cap; and ``lower``, the
+    first counting form of the deepest level that has one, or None."""
     levels, finished = [[()]], True
     while levels[-1] and finished:
         grown = {}
@@ -48,7 +48,7 @@ def reference_levels(n, r, pattern, connected_only, stats=None):
                 if e in host or search._pinned_copy(masks + [e], pattern, stats):
                     continue
                 child = masks + [e]
-                grown.setdefault(canonical_form(n, child, twin_classes(n, child))[0], None)
+                grown.setdefault(canonical_form(n, child)[0], None)
                 if len(grown) > search._LEVEL_CAP:
                     finished = False
                     break
@@ -114,16 +114,39 @@ def test_inherited_dead_extensions_keep_every_level(monkeypatch):
 
 
 @pytest.mark.parametrize("n,r,expr,plain,calls", [
-    (7, 3, "P4", 249, 225),
-    (8, 3, "2P2", 942, 403),
-    (9, 3, "2P2", 1440, 446),
-])
+    (7, 3, "P4", 249, 160),
+    (8, 3, "2P2", 942, 300),
+    (9, 3, "2P2", 1440, 331),
+], ids=["7-3-P4", "8-3-2P2", "9-3-2P2"])
 def test_inherited_dead_extensions_cut_the_listing_calls(n, r, expr, plain, calls):
     # ``plain`` is the count of the listing with one check per orbit
-    # representative of every class
+    # representative of every class, and one check per twin orbit that no
+    # parent answers gives 225, 403 and 446
     pattern = parse_pattern(expr)
     searcher = search._Searcher(n, r, pattern, SearchOptions(max_candidates=84))
     assert searcher.list_levels()
     stats = _Calls()
     assert reference_levels(n, r, pattern, False, stats)[1]
     assert (stats.pinned_calls, searcher.pinned_calls) == (plain, calls)
+
+
+def test_a_generator_that_is_no_automorphism_stops_the_listing(monkeypatch):
+    # a canonical form that adds the cyclic shift of the labels to its
+    # generators: the shift moves the one edge of a class of level 1, so
+    # the listing raises before it joins any orbits by it
+    real = search.canonical_form
+    shifted = []
+
+    def patched(n, masks):
+        form, labelling, generators = real(n, masks)
+        shift = tuple(range(1, n)) + (0,)
+        shifted.append(form)
+        return form, labelling, generators + (shift,)
+
+    searcher = search._Searcher(6, 3, parse_pattern("P4"), SearchOptions())
+    assert searcher.list_levels()
+    monkeypatch.setattr(search, "canonical_form", patched)
+    searcher = search._Searcher(6, 3, parse_pattern("P4"), SearchOptions())
+    with pytest.raises(RuntimeError, match="no automorphism"):
+        searcher.list_levels()
+    assert shifted[0] == (0b111000,)

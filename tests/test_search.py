@@ -226,11 +226,13 @@ class TestExactTuran:
 
     @pytest.mark.parametrize("n,r,expr,cap,tree_calls,calls", [
         # one check per candidate: 6,387 in the tree; 283 with a check per
-        # orbit representative of every listed class
-        (7, 3, "P4", 64, 3644, 259),
+        # orbit representative of every listed class, 259 with one per
+        # twin orbit that no parent answers
+        (7, 3, "P4", 64, 3644, 194),
         # one check per candidate: 27,763 in the tree; 979 with a check per
-        # orbit representative of every listed class
-        (8, 3, "2P2", 100, 12491, 440),
+        # orbit representative of every listed class, 440 with one per
+        # twin orbit that no parent answers
+        (8, 3, "2P2", 100, 12491, 337),
     ], ids=["7-3-P4-64-3644", "8-3-2P2-100-12491"])
     def test_twin_orbits_cut_the_pinned_calls(self, n, r, expr, cap, tree_calls, calls):
         opts = SearchOptions(max_candidates=cap)
@@ -240,12 +242,13 @@ class TestExactTuran:
         assert res.exact and res.pinned_calls == calls
 
     def test_inherited_dead_extensions_answer_9_3_2P2(self):
-        # the listing makes 446 checks, 1,440 with a check per orbit
-        # representative of every class, and the tree that knows the value
-        # 38 more; the value and witness are those of 8 3 2P2 and 10 3 2P2
+        # the listing makes 331 checks, 1,440 with a check per orbit
+        # representative of every class and 446 with one per twin orbit,
+        # and the tree that knows the value 38 more; the value and witness
+        # are those of 8 3 2P2 and 10 3 2P2
         res = exact_turan(9, 3, parse_pattern("2P2"), SearchOptions(max_candidates=84))
         assert (res.max_edges, res.exact, res.answered_by) == (11, True, "levels")
-        assert (res.nodes_explored, res.pinned_calls) == (105, 484)
+        assert (res.nodes_explored, res.pinned_calls) == (105, 369)
         assert [w.edges for w in res.witnesses] == [(
             (1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5), (1, 4, 5), (2, 3, 4),
             (2, 3, 5), (2, 4, 5), (3, 4, 5), (6, 7, 8))]

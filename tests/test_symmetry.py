@@ -2,9 +2,12 @@
 against brute force over permutations."""
 
 import random
-from itertools import combinations, islice, permutations, product
+import sys
+from itertools import combinations, permutations, product
 
-from bergeturan.orbits import _leaves, _orbit_key, _orbit_representatives, canonical_form
+from bergeturan import orbits
+from bergeturan.orbits import (_orbit_groups, _orbit_key, _orbit_representatives, _refine,
+                               canonical_form)
 from bergeturan.symmetry import twin_classes
 
 
@@ -53,8 +56,26 @@ def _relabel(masks, sigma):
 
 
 def _form(n, masks):
-    """The canonical form and labelling, by the host's own twin classes."""
-    return canonical_form(n, masks, twin_classes(n, masks))
+    """The canonical form and labelling."""
+    return canonical_form(n, masks)[:2]
+
+
+def _leaves(n, masks):
+    """The number of leaves that the canonical form's walk visits: the
+    discrete colourings that its refinements return."""
+    real, discrete = orbits._refine, []
+
+    def counting(*args):
+        colour = real(*args)
+        discrete.append(len(set(colour)) == len(colour))
+        return colour
+
+    orbits._refine = counting
+    try:
+        canonical_form(n, masks)
+    finally:
+        orbits._refine = real
+    return sum(discrete)
 
 
 def _random_host(rng, n, r, most):
@@ -70,17 +91,35 @@ def test_refinement_and_twins_keep_the_tree_small():
     # leaves of the individualisation-refinement tree: refinement splits
     # the tight path into its two ends' orbits, and twins leave one choice
     # per triangle; without refinement the tight path alone would give
-    # thousands of leaves.  The 6-cycle has no twins, so its 12
-    # automorphisms give 12 leaves.
+    # thousands of leaves.  The 6-cycle has no twins, so twins alone would
+    # leave one leaf per automorphism, 12, and the three triangles one per
+    # order of the triangles, 6; the automorphisms that the leaves reveal
+    # prune both to 4.
     hosts = [
         (8, _masks((0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (5, 6, 7)), 2),
         (6, _masks((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)), 2),
-        (6, _masks((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)), 12),
-        (9, _masks((0, 1, 2), (3, 4, 5), (6, 7, 8)), 6),
+        (6, _masks((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)), 4),
+        (9, _masks((0, 1, 2), (3, 4, 5), (6, 7, 8)), 4),
         (10, [], 1),
     ]
     for n, masks, leaves in hosts:
-        assert len(list(islice(_leaves(n, masks, twin_classes(n, masks)), 1000))) == leaves, masks
+        assert _leaves(n, masks) == leaves, masks
+
+
+def test_a_deep_tree_needs_no_recursion():
+    # one edge and 297 isolated vertices, which are twins: the walk
+    # individualises them one level at a time, 297 levels deep, with room
+    # for 100 frames above this one
+    limit, depth, frame = sys.getrecursionlimit(), 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    sys.setrecursionlimit(depth + 100)
+    try:
+        form, labelling, generators = canonical_form(300, [0b111])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert form == (0b111 << 297,) and generators == ()
+    assert sorted(labelling) == list(range(300))
 
 
 def _cycles(*lengths):
@@ -110,7 +149,7 @@ def test_canonical_form_is_invariant_and_produced_by_its_labelling():
             n, masks = REGULAR_HOSTS[i % len(REGULAR_HOSTS)]
         # refinement and twins keep the tree small: no random host comes
         # near 1,000 leaves, where 10 vertices could give 10! without them
-        assert len(list(islice(_leaves(n, masks, twin_classes(n, masks)), 1000))) < 1000, masks
+        assert _leaves(n, masks) < 1000, masks
         form, labelling = _form(n, masks)
         assert sorted(labelling) == list(range(n))
         assert tuple(sorted(_relabel(masks, labelling))) == form
@@ -175,27 +214,102 @@ def test_canonical_form_lists_the_isomorphism_classes():
         assert len(forms) == classes
 
 
-def test_canonical_form_is_the_same_under_any_refinement_of_the_twins():
-    # a host R plus an absent r-set e, by three partitions: the twin
-    # classes of R + e, singletons, and the twin classes of R split by e,
-    # which refine those of R + e
-    rng = random.Random(26)
+def _unpruned_form(n, masks):
+    """The least relabelled host over every leaf of the tree that splits
+    the first non-singleton cell by each of its members: no twin or
+    automorphism pruning."""
+    edges = [tuple(v for v in range(n) if mask >> v & 1) for mask in masks]
+    through = [[j for j, e in enumerate(edges) if v in e] for v in range(n)]
+    best, pending = None, [_refine([0] * n, edges, through)]
+    while pending:
+        colour = pending.pop()
+        cell = min((c for c in colour if colour.count(c) > 1), default=None)
+        if cell is None:
+            form = tuple(sorted(_relabel(masks, colour)))
+            best = form if best is None else min(best, form)
+            continue
+        for v in range(n):
+            if colour[v] == cell:
+                split = [2 * c + (u != v) for u, c in enumerate(colour)]
+                pending.append(_refine(split, edges, through))
+    return best
+
+
+def _group_order(n, generators):
+    """The order of the permutation group that ``generators`` generate."""
+    group, frontier = {tuple(range(n))}, [tuple(range(n))]
+    while frontier:
+        p = frontier.pop()
+        for g in generators:
+            q = tuple(g[p[v]] for v in range(n))
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return len(group)
+
+
+FANO = (7, _masks((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)))
+PETERSEN = (10, _masks((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 6), (2, 7), (3, 8),
+                       (4, 9), (5, 7), (7, 9), (6, 9), (6, 8), (5, 8)))
+
+
+def test_pruning_keeps_the_least_form_of_the_unpruned_tree():
+    # twin, automorphism and first-path pruning skip only subtrees whose
+    # relabelled hosts the walk meets elsewhere
+    rng = random.Random(27)
     seen = set()
-    for i in range(300):
-        r = rng.choice((2, 3, 4))
-        n = rng.randint(r + 1, 8)
-        rsets = [sum(1 << v for v in s) for s in combinations(range(n), r)]
-        parent = rng.sample(rsets, rng.randint(0, min(12, len(rsets) - 1)))
-        e = rng.choice([rset for rset in rsets if rset not in parent])
-        masks = parent + [e]
-        twins = twin_classes(n, masks)
-        split = [part for c in twin_classes(n, parent) for part in (c & e, c & ~e) if part]
-        assert all(any(part & c == part for c in twins) for part in split), (n, masks)
-        forms = []
-        for classes in (twins, [1 << v for v in range(n)], split):
-            form, labelling = canonical_form(n, masks, classes)
-            assert tuple(sorted(_relabel(masks, labelling))) == form
-            forms.append(form)
-        assert forms[0] == forms[1] == forms[2], (n, masks)
-        seen.add((len(split) > len(twins), len(twins) < n))
-    assert seen >= {(True, True), (False, True)}
+    hosts = [FANO, _cycles(6), _cycles(3, 3), _cycles(3, 4)]
+    hosts += [(n, _random_host(rng, n, r, 10))
+              for r in (2, 3) for n in (4, 5, 6, 7) for _ in range(8)]
+    for n, masks in hosts:
+        form, labelling, generators = canonical_form(n, masks)
+        assert form == _unpruned_form(n, masks), (n, masks)
+        assert tuple(sorted(_relabel(masks, labelling))) == form
+        for g in generators:
+            assert sorted(_relabel(form, g)) == list(form), (n, masks, g)
+        seen.add(bool(generators))
+    assert seen == {True, False}
+
+
+def test_fano_and_petersen_walk_few_leaves():
+    # neither has twins, so twin pruning alone walked one leaf per
+    # automorphism: 168 and 120; the generators give the whole group
+    rng = random.Random(27)
+    for (n, masks), order in ((FANO, 168), (PETERSEN, 120)):
+        assert twin_classes(n, masks) == [1 << v for v in range(n)]
+        form, _, generators = canonical_form(n, masks)
+        assert _leaves(n, masks) < 20
+        assert _group_order(n, generators) == order
+        for _ in range(10):
+            sigma = list(range(n))
+            rng.shuffle(sigma)
+            moved = _relabel(masks, sigma)
+            assert canonical_form(n, moved)[0] == form, sigma
+            assert _leaves(n, moved) < 20
+
+
+def test_orbit_groups_are_the_orbits_of_the_automorphism_group():
+    # the twin orbits joined by the canonical form's generators against
+    # the orbits of the absent r-sets under all n! permutations that keep
+    # the host
+    rng = random.Random(27)
+    seen = set()
+    for i in range(60):
+        r = 2 + i % 2
+        n = rng.randint(r + 1, 7)
+        form, _, generators = canonical_form(n, _random_host(rng, n, r, 10))
+        present = set(form)
+        autos = [sigma for sigma in permutations(range(n))
+                 if set(_relabel(form, sigma)) == present]
+        absent = [e for e in (sum(1 << v for v in s) for s in combinations(range(n), r))
+                  if e not in present]
+        orbits = {frozenset(_relabel([e], sigma)[0] for sigma in autos) for e in absent}
+        classes = twin_classes(n, list(form))
+        groups = _orbit_groups(classes, r, present, generators)
+        assert sorted(next(k for k, orbit in enumerate(orbits) if group[0] in orbit)
+                      for group in groups) == list(range(len(orbits)))
+        for group in groups:
+            assert len({next(k for k, orbit in enumerate(orbits) if e in orbit)
+                        for e in group}) == 1
+        seen.add(len(groups) < sum(map(len, groups)))
+    assert seen == {True, False}
