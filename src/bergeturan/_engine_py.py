@@ -9,10 +9,10 @@ Deterministic contract:
 
 * pattern vertices are assigned in the caller-supplied ``order``;
 * host candidates are the covered vertices (those in some hyperedge of
-  ``edge_masks``), tried in ascending order; no pattern vertex can map to
-  an isolated vertex, and a host with fewer covered vertices than the
-  pattern has vertices (or fewer hyperedges than it has edges) is refuted
-  after 0 nodes;
+  the host, a ``symmetry.HostView``), tried in ascending order; no
+  pattern vertex can map to an isolated vertex, and a host with fewer
+  covered vertices than the pattern has vertices (or fewer hyperedges
+  than it has edges) is refuted after 0 nodes;
 * host twins are pruned: a candidate is skipped while a smaller twin of it
   is still unused (the twin rule below);
 * a "node" is one vertex-assignment attempt: each host candidate examined
@@ -44,11 +44,10 @@ earlier twins are among those smaller members: when all of them are
 used, no twin can skip it, and it passes as classifying it would let it
 pass.  Groups are classified in ascending order, so every class and every
 node count is that of classifying every vertex first.  Set-up is one call
-to ``symmetry._candidates``, after the edge-count refutation and before
-the covered-vertex one: it finds the covered vertices and their incidence
-masks (``symmetry.incidence``, linear in the edge masks, converting a mask
-only when it is first read, or the tables that the masks keep) and builds
-the candidate records.
+to ``symmetry._candidates``, after the edge-count refutation, which
+builds no table, and before the covered-vertex one: it builds the
+candidate records from the view's tables (``symmetry.incidence``, built
+once per view, converting a mask only when it is first read).
 
 Pin rule.  Under a pin, the positions of both endpoints of the pinned
 pattern edge take their candidates from a list holding only the vertices
@@ -121,20 +120,20 @@ def augment(pe, cand, match_of, owner, log):
         remaining = cand[pe]
 
 
-def solve(edge_masks, pat_edges, order, budget=0, pinned_pe=-1, pinned_he=-1):
-    """Run the embedding search.
+def solve(host, pat_edges, order, budget=0, pinned_pe=-1, pinned_he=-1):
+    """Run the embedding search in ``host``, a ``symmetry.HostView``.
 
     Returns (status, images, assignment, nodes) where images maps pattern
     vertex -> host vertex and assignment maps pattern edge index -> host
     edge index (both None unless status == FOUND).
     """
-    m = len(edge_masks)
+    m = len(host.masks)
     # pattern vertices are never isolated, so the plan lists all of them
     p = len(order)
     q = len(pat_edges)
     if q > m:
         return (NOT_FOUND, None, None, 0)
-    pinned_mask = edge_masks[pinned_he] if pinned_he >= 0 else 0
+    pinned_mask = host.masks[pinned_he] if pinned_he >= 0 else 0
     # inc[v] is the hyperedges through vertex v as a bitmask, so a pair's
     # shared edges are inc[a] & inc[b], and cands holds a record per
     # covered vertex.  Candidate v passes the used-vertex and twin filters
@@ -142,8 +141,7 @@ def solve(edge_masks, pat_edges, order, budget=0, pinned_pe=-1, pinned_he=-1):
     # an unclassified record also has bit unclassified in its guard, so
     # that it passes the used-vertex filter alone and is then classified
     # if some smaller member of its group, smaller[v], is unused
-    inc, unclassified, cands, inside, smaller, twins_through = _candidates(
-        edge_masks, pinned_mask)
+    inc, unclassified, cands, inside, smaller, twins_through = _candidates(host, pinned_mask)
     if p > len(cands):
         return (NOT_FOUND, None, None, 0)
     pos_of = [-1] * p

@@ -40,7 +40,7 @@ from .errors import (
     VertexNotInHost,
     VertexOutOfRange,
 )
-from .symmetry import incidence, keep_tables, label_masks
+from .symmetry import HostView, label_masks
 
 
 class Status(Enum):
@@ -174,37 +174,34 @@ def _pattern_plan(pattern: PatternGraph):
     return edges0, tuple(order)
 
 
-def _host_prep(h: Hypergraph):
-    """The kernel's view of the host: one vertex bitmask per hyperedge.
-    On a host of at least ``_LARGE_HOST_EDGES`` edges with labels up to 64
-    the masks carry the kernel's vertex tables, built with them at each
-    call in one transpose of the host's label columns
-    (``symmetry.label_masks``): those the bulk reader left on the host,
-    which serve one call, or else those of its edges.  Every query of
-    this module takes its masks and vertex tables from here.  A named
-    step, so the benchmark tracer can time host preparation."""
+def _host_prep(h: Hypergraph) -> HostView:
+    """A fresh ``symmetry.HostView`` of the host for every query of this
+    module.  From ``_LARGE_HOST_EDGES`` edges with labels up to 64 it comes
+    with its vertex tables, built with the masks in one transpose of the
+    label columns (``symmetry.label_masks``) that the bulk reader left on
+    the host, or else of its edges.  A named step, so the benchmark tracer
+    can time host preparation."""
     if len(h.edges) >= _LARGE_HOST_EDGES:
-        masks = label_masks(vars(h).pop("_label_columns", None) or list(zip(*h.edges)))
-        if masks is not None:
-            return masks
-    return h.edge_vertex_masks()
+        view = label_masks(getattr(h, "_label_columns", None) or list(zip(*h.edges)))
+        if view is not None:
+            return view
+    return HostView(h.edge_vertex_masks())
 
 
 def _vertex_rows(h: Hypergraph) -> dict[int, int]:
     """Per covered vertex of ``h``, the bitmask over edge indices (bit j
-    set when v is in edge j): the covered vertices and rows of
-    ``symmetry.incidence`` on the kernel's view of the host, relabelled
-    from 1."""
-    vertices, rows, _ = incidence(_host_prep(h))
+    set when v is in edge j), from the tables of its view, relabelled."""
+    vertices, rows, _ = _host_prep(h).tables
     return {v + 1: rows[v] for v in vertices}
 
 
-def solve_raw(edge_masks, pattern, budget=0, pinned=None):
-    """Low-level search over raw edge masks; called by find_berge_embedding,
-    longest_berge_path and search's _pinned_copy and _pattern_edge_orbits."""
+def solve_raw(host, pattern, budget=0, pinned=None):
+    """Low-level search in a ``symmetry.HostView``; called by
+    find_berge_embedding, longest_berge_path and search's _pinned_copy and
+    _pattern_edge_orbits."""
     edges0, order = _pattern_plan(pattern)
     pinned_pe, pinned_he = pinned if pinned else (-1, -1)
-    return _engine_py.solve(edge_masks, edges0, order, budget, pinned_pe, pinned_he)
+    return _engine_py.solve(host, edges0, order, budget, pinned_pe, pinned_he)
 
 
 def _result_from_engine(pattern, raw):
@@ -270,16 +267,16 @@ def longest_berge_path(h: Hypergraph, budget: int = 0) -> PathSearchResult:
         raise ParamsOutOfRange(f"budget must be >= 0, got {budget}")
     if h.m == 0:
         raise EmptyHypergraph("host has no hyperedges")
-    # every length's search shares one build of the host's vertex tables
-    masks = keep_tables(_host_prep(h))
-    upper = min(h.m, len(incidence(masks)[0]) - 1)
+    # every length's search shares one view, so one build of its tables
+    view = _host_prep(h)
+    upper = min(h.m, len(view.tables[0]) - 1)
     best = None
     total_nodes = 0
     exact = True
     length = 0
     for ell in range(1, upper + 1):
         pattern = path_pattern(ell)
-        raw = solve_raw(masks, pattern, budget)
+        raw = solve_raw(view, pattern, budget)
         total_nodes += raw[3]
         result = _result_from_engine(pattern, raw)
         if result.status is Status.FOUND:

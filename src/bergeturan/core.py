@@ -166,7 +166,7 @@ def _assemble(r, n, edges, label_columns=None) -> Hypergraph:
     ascending r-tuples inside 1..n.  A generator of edges is consumed after
     the r and n checks; a list was checked before them.  ``label_columns``,
     the edges' labels place by place, stay on a host that keeps the order
-    of ``edges``, for the first transpose of them (``berge._host_prep``)."""
+    of ``edges``, for each transpose of them (``berge._host_prep``)."""
     if r < 2:
         raise ParamsOutOfRange(f"uniformity r must be >= 2, got {r}")
     if n < r:

@@ -4,7 +4,7 @@ host with generators of that group.
 
 Twin classes.  ``symmetry.twin_classes``, imported here for ``search``,
 reads the twin classes of a host off the kernel's lazy classifier,
-unpinned, so twin classification is written once;
+unpinned, and :func:`canonical_form` returns those its swap tests find;
 :mod:`bergeturan.symmetry` gives the test and the argument that twins
 form classes.  A host that repeats an edge gets a singleton class per
 covered vertex, a refinement of its twin classes; the orbits of r-sets
@@ -226,14 +226,16 @@ def _meets(v, tried, automorphisms, prefix):
 def canonical_form(n, edge_masks):
     """The canonical form of the host on vertices 0..n-1 with the given
     hyperedges (vertex bitmasks, no edge repeated), a labelling that
-    produces it, and generators of its automorphisms beyond the twin
-    swaps: ``(form, labelling, generators)``.  ``labelling[v]`` is the new
-    label of vertex v, and ``form`` is the ascending tuple of the
-    relabelled hyperedge masks.  Two hosts get one form exactly when they
-    are isomorphic.  Each generator g is a tuple, written in the form's
-    labels: g[v] is the image of vertex v, and g maps ``form`` onto itself.
-    With the swaps of twins, the generators generate the whole
-    automorphism group.
+    produces it, generators of its automorphisms beyond the twin swaps,
+    and its twin classes: ``(form, labelling, generators, classes)``.
+    ``labelling[v]`` is the new label of vertex v, and ``form`` is the
+    ascending tuple of the relabelled hyperedge masks.  Two hosts get one
+    form exactly when they are isomorphic.  Each generator g is a tuple,
+    written in the form's labels: g[v] is the image of vertex v, and g
+    maps ``form`` onto itself.  With the swaps of twins, the generators
+    generate the whole automorphism group.  ``classes`` are those of
+    ``symmetry.twin_classes`` on ``form``, found by the swap tests inside
+    each root cell.
 
     The form is the least relabelled tuple over the leaves of the
     individualisation-refinement tree (McKay and Piperno, *Practical graph
@@ -313,7 +315,8 @@ def canonical_form(n, edge_masks):
                 best = form, colour
     form, labelling = best
     order = sorted(range(n), key=labelling.__getitem__)
-    return form, tuple(labelling), tuple(
-        tuple([labelling[sigma[v]] for v in order]) for sigma in automorphisms)
+    generators = tuple(tuple([labelling[sigma[v]] for v in order]) for sigma in automorphisms)
+    classes = [sum([1 << labelling[v] for v in range(n) if twin[v] == u]) for u in set(twin)]
+    return form, tuple(labelling), generators, sorted(classes, key=lambda c: c & -c)
 
 

@@ -114,6 +114,7 @@ from .orbits import (
     canonical_form,
     twin_classes,
 )
+from .symmetry import HostView
 
 # The functions that ``compare_with_formula`` imports from their defining
 # module when it runs.  They resolve on this module too, as they did when
@@ -134,8 +135,9 @@ class SearchOptions(Record):
     kernel calls, since listing a class or including a candidate can run
     many pinned checks (``SearchResult.pinned_calls`` counts them).  0
     means unlimited.  A truncated result is inexact, and its witnesses are
-    free.  ``initial_witness`` is a free host that seeds the lower bound;
-    when its size is the value, it is the first witness."""
+    free.  ``initial_witness`` is a free host that seeds the lower bound,
+    covering 1..n in one component under ``connected_only``; when its size
+    is the value, it is the first witness."""
 
     connected_only: bool = False
     node_budget: int = 0
@@ -193,7 +195,7 @@ def _pattern_edge_orbits(pattern):
             through[v].append(j)
     colour = _refine([0] * pattern.num_vertices, edges0, through)
     keys = [sorted((colour[a], colour[b])) for a, b in edges0]
-    masks = [1 << a | 1 << b for a, b in edges0]
+    view = HostView([1 << a | 1 << b for a, b in edges0])
     root = list(range(len(edges0)))
     reps = []
     for j in range(len(edges0)):
@@ -202,7 +204,7 @@ def _pattern_edge_orbits(pattern):
         for i in reps:
             if keys[i] != keys[j]:
                 continue
-            status, _, assignment, _ = solve_raw(masks, pattern, pinned=(i, j))
+            status, _, assignment, _ = solve_raw(view, pattern, pinned=(i, j))
             if status == FOUND:
                 for k, image in enumerate(assignment):
                     s, t = _find(root, k), _find(root, image)
@@ -220,13 +222,14 @@ def _pinned_copy(masks, pattern, stats=None):
     """Does some Berge copy in ``masks`` use its last hyperedge?  One pinned
     search per orbit of pattern edges under Aut(F), which answers for its
     orbit (see the module docstring), on the orbit's smallest edge index,
-    in index order, stopping at the first copy.  Each search adds one to
-    ``stats.pinned_calls`` where ``stats`` is given."""
+    in index order, stopping at the first copy, all on one view of
+    ``masks``.  Each adds one to ``stats.pinned_calls`` if ``stats`` is given."""
     new_idx = len(masks) - 1
+    view = HostView(masks)
     for orbit in _pattern_edge_orbits(pattern):
         if stats is not None:
             stats.pinned_calls += 1
-        status, _, _, _ = solve_raw(masks, pattern, pinned=(orbit[0], new_idx))
+        status, _, _, _ = solve_raw(view, pattern, pinned=(orbit[0], new_idx))
         if status == FOUND:
             return True
     return False
@@ -347,7 +350,7 @@ class _Searcher:
         self.chosen.append(idx)
         self.chosen_masks.append(self.cand_masks[idx])
         room = len(self.chosen) + len(later)
-        classes = twin_classes(self.n, self.chosen_masks)
+        classes = twin_classes(self.n, HostView(self.chosen_masks))
         answers = {}  # orbit key -> does chosen + j have a Berge copy
         alive = []
         for j in later:
@@ -372,33 +375,31 @@ class _Searcher:
         (see the module docstring), keeping ``lower`` up to date.  Returns
         False as soon as a level passes ``_LEVEL_CAP`` classes.
 
-        Each listed class keeps the generators that its canonical form
-        gives, in its own labels, and a record of every parent R and
-        extension e that produced it: R's twin classes, relabelled as
-        R + e is onto the class, and R's dead orbit keys, a set that R's
-        own listing fills before the class is grown.  A class's absent
-        orbit representatives are joined into groups by its generators,
-        each of which must map its edges onto themselves.  A group that a
-        record puts in a dead orbit of its parent is dead without a kernel
-        call; otherwise its first member is checked, and a free one is
-        grown (see the module docstring)."""
+        Each listed class keeps the generators and twin classes that its
+        canonical form gives, in its own labels, and a record of every
+        parent R and extension e that produced it: R's twin classes,
+        relabelled as R + e is onto the class, and R's dead orbit keys, a
+        set that R's own listing fills before the class is grown.  A
+        class's absent orbit representatives are joined into groups by its
+        generators, each of which must map its edges onto themselves.  A
+        group that a record puts in a dead orbit of its parent is dead
+        without a kernel call; otherwise its first member is checked, and a
+        free one is grown (see the module docstring)."""
         n, connected = self.n, self.opts.connected_only
         index = {mask: j for j, mask in enumerate(self.cand_masks)}
         self.count_node()
         if not connected:
             self.lower = ()
-        # canonical form -> (its generators, [(a parent's twin classes in
-        # the form's labels, the parent's dead orbit keys)]), in the order
-        # listed
-        level = {(): ((), [])}
+        # form -> (its generators, its twin classes, [(a parent's classes in
+        # the form's labels, its dead orbit keys)]), in the order listed
+        level = {(): ((), [(1 << n) - 1], [])}
         while level:
             grown = {}
-            for host, (generators, parents) in level.items():
+            for host, (generators, classes, parents) in level.items():
                 masks = list(host)
                 for g in generators:
                     if sorted([_relabel(mask, g) for mask in host]) != masks:
                         raise RuntimeError(f"internal error: {g} is no automorphism of {host}")
-                classes = twin_classes(n, masks)
                 dead = set()
                 for group in _orbit_groups(classes, self.r, set(host), generators):
                     masks.append(group[0])
@@ -406,17 +407,17 @@ class _Searcher:
                             or _pinned_copy(masks, self.pattern, self):
                         dead.update(_orbit_key(classes, e) for e in group)
                     else:
-                        form, labelling, automorphisms = canonical_form(n, masks)
+                        form, labelling, automorphisms, twins = canonical_form(n, masks)
                         entry = grown.get(form)
                         if entry is None:
                             self.count_node()
-                            entry = grown[form] = (automorphisms, [])
+                            entry = grown[form] = (automorphisms, twins, [])
                             if len(grown) > _LEVEL_CAP:
                                 return False
                             if len(form) > len(self.lower or ()) and (
                                     not connected or _spans_one_component(n, form)):
                                 self.lower = tuple(sorted(index[mask] for mask in form))
-                        entry[1].append(([_relabel(c, labelling) for c in classes], dead))
+                        entry[2].append(([_relabel(c, labelling) for c in classes], dead))
                     masks.pop()
             level = grown
         return True
@@ -429,6 +430,8 @@ class _Searcher:
         if w is not None:
             if w.n != self.n or w.r != self.r:
                 raise ParamsOutOfRange("initial witness has mismatched n or r")
+            if self.opts.connected_only and not _spans_one_component(self.n, w.edge_vertex_masks()):
+                raise ParamsOutOfRange("initial witness does not cover 1..n in one component")
             if find_berge_embedding(w, self.pattern, budget=0).status is not Status.NOT_FOUND:
                 raise HostNotFree("initial witness contains the forbidden pattern")
             self.best = w.m
@@ -549,7 +552,7 @@ def is_maximal_free(h: Hypergraph, pattern: PatternGraph) -> bool:
         raise HostNotFree("host already contains the pattern")
     masks = h.edge_vertex_masks()
     present = set(masks)
-    for e in _orbit_representatives(twin_classes(h.n, masks), h.r):
+    for e in _orbit_representatives(twin_classes(h.n, HostView(masks)), h.r):
         if e not in present and not _pinned_copy(masks + [e], pattern):
             return False
     return True

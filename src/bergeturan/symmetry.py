@@ -16,17 +16,17 @@ twins: each covered vertex is a class of its own, which refines its twin
 classes.  Everything below holds for any such refinement, where it costs
 only more checks.
 
-Every query runs this code.  :func:`incidence` finds a host's covered
-vertices and builds its incidence rows and degrees for every reader: the
-kernel's set-up is one call to :func:`_candidates`, which builds on it,
-:func:`twin_classes` reads a host's classes off that, and the
-neighbourhood tools of ``berge`` read its rows.  The kernel's view of a
-large host builds its edge masks and its tables together, from its label
-columns (:func:`label_masks`), and the masks keep the tables;
-:func:`incidence` then returns them.  Both byte transposes, of the label
-columns and of the packed masks, end in the same tables
-(:func:`_column_tables`).  The orbits and the canonical form, which only
-the Turán search uses, are in :mod:`bergeturan.orbits`.
+Every query runs this code.  The kernel reads a host only through its
+view (:class:`HostView`): its edge masks, and tables of them built once
+per view.  :func:`incidence` finds the covered vertices and builds the
+incidence rows and degrees; the kernel's set-up is one call to
+:func:`_candidates`, which builds on them, :func:`twin_classes` reads a
+host's classes off that, and the neighbourhood tools of ``berge`` read
+the rows.  The view of a large host comes with its tables, built with its
+masks from its label columns (:func:`label_masks`); both byte
+transposes, of the label columns and of the packed masks, end in the same
+tables (:func:`_column_tables`).  The orbits and the canonical form,
+which only the Turán search uses, are in :mod:`bergeturan.orbits`.
 
 This module imports no other module of the package; the kernel,
 ``berge`` and ``orbits`` import it, and ``core`` never does.  Vertices
@@ -65,27 +65,36 @@ class _LazyRows(dict):
         return row
 
 
-class _KeptMasks(list):
-    """A host's edge masks that keep its vertex tables: ``tables`` is what
-    :func:`incidence` returns for them, built once."""
+class HostView:
+    """A host as the kernel reads it: ``masks``, one vertex bitmask per
+    hyperedge, and two tables of them, built at first read and kept:
+    ``tables``, what :func:`incidence` returns, and ``members``, the twin
+    test's membership dict, faster to build than a set of such masks."""
 
-    __slots__ = ("tables",)
+    __slots__ = ("masks", "_tables", "_members")
 
+    def __init__(self, masks, tables=None):
+        self.masks = masks
+        self._tables = tables
+        self._members = None
 
-def keep_tables(edge_masks):
-    """``edge_masks`` as a list that keeps its incidence tables, so that
-    the kernel calls on it share one build of them."""
-    if edge_masks.__class__ is _KeptMasks:
-        return edge_masks
-    kept = _KeptMasks(edge_masks)
-    kept.tables = incidence(edge_masks)
-    return kept
+    @property
+    def tables(self):
+        if self._tables is None:
+            self._tables = incidence(self.masks)
+        return self._tables
+
+    @property
+    def members(self):
+        if self._members is None:
+            self._members = dict.fromkeys(self.masks)
+        return self._members
 
 
 def label_masks(columns):
-    """The edge masks of a host, built with its incidence tables in one
-    byte transpose of its label columns and kept with them
-    (:func:`keep_tables`); None where a label exceeds 64.
+    """The view of a host, its edge masks with their incidence tables
+    filled, built in one byte transpose of its label columns; None where
+    a label exceeds 64.
 
     ``columns[i][j]`` is the (i+1)-th smallest label of edge j, so the
     last column holds the largest labels.  Byte lane k of the edge masks,
@@ -122,9 +131,7 @@ def label_masks(columns):
     words.reverse()
     if sys.byteorder == "big":
         words.byteswap()
-    masks = _KeptMasks(words)
-    masks.tables = _column_tables(lanes, top)
-    return masks
+    return HostView(words.tolist(), _column_tables(lanes, top))
 
 
 def _column_tables(columns, n):
@@ -161,15 +168,11 @@ def incidence(edge_masks):
     than ``int.to_bytes`` per edge (0.6 against 1.5 ms at m = 14,157).
     The choices change no result.
 
-    Masks that keep their tables (:func:`keep_tables`, :func:`label_masks`)
-    skip all of this.  On the 14,157-edge host, where this function took
-    about 2.2 ms after the masks were built, 0.5 of them the OR of the
-    masks and 0.5 their re-pack into words, the transpose of the reader's
-    label columns builds masks and tables in about 2.5 ms (medians on one
+    A view from :func:`label_masks` comes with its tables: on the
+    14,157-edge host this function took 2.2 ms after the masks were built,
+    where the transpose builds masks and tables in 2.5 ms (medians on one
     core).
     """
-    if edge_masks.__class__ is _KeptMasks:
-        return edge_masks.tables
     covered = reduce(or_, edge_masks, 0)
     n = covered.bit_length()
     m = len(edge_masks)
@@ -242,9 +245,9 @@ def _join_class(edge_masks, edge_set, inc, classes, w):
     return 0
 
 
-def _candidates(edge_masks, pinned_mask):
-    """The kernel's set-up: the incidence rows, the candidate records and
-    the lazy classifier of twins.
+def _candidates(host, pinned_mask):
+    """The kernel's set-up on a :class:`HostView`: the incidence rows, the
+    candidate records and the lazy classifier of twins.
 
     Returns (rows, unclassified, cands, inside, smaller, through).
     ``rows`` is that of :func:`incidence`.  ``cands`` holds a record (v,
@@ -266,12 +269,11 @@ def _candidates(edge_masks, pinned_mask):
     twins form classes, so every vertex gets the earlier twins that
     classifying all vertices at once gives it: its smaller twins.  A
     caller that stops early skips the tests of the vertices it never
-    reached.  The first call builds a membership table of the edge masks,
-    a dict, which builds faster than a set from masks that share their low
-    bits; each test then costs one pass over an m-bit mask and a lookup per
-    hyperedge through one vertex of the pair but not the other.
+    reached.  The first call reads the view's membership table; each test
+    then costs one pass over an m-bit mask and a lookup per hyperedge
+    through one vertex of the pair but not the other.
     """
-    vertices, inc, degree = incidence(edge_masks)
+    vertices, inc, degree = host.tables
     # a bit above every covered vertex: the tables end at the last one
     unclassified = 1 << len(degree)
     cands = []
@@ -294,21 +296,17 @@ def _candidates(edge_masks, pinned_mask):
         cands.append(record)
         if pinned_mask & vbit:
             inside.append(record)
-    edge_set = None
-    simple = True
 
     def through(v):
-        nonlocal edge_set, simple
-        if edge_set is None:
-            edge_set = dict.fromkeys(edge_masks)
-            simple = len(edge_set) == len(edge_masks)
+        edge_set = host.members
+        simple = len(edge_set) == len(host.masks)
         group = groups[degree[v] << 1 | pinned_mask >> v & 1]
         pending, classes = group[0], group[1]
         while True:
             w, i, j = pending[group[2]]
             group[2] += 1
             wbit = 1 << w
-            earlier = _join_class(edge_masks, edge_set, inc, classes, w) if simple else 0
+            earlier = _join_class(host.masks, edge_set, inc, classes, w) if simple else 0
             cands[i] = record = (w, wbit, earlier | wbit, earlier)
             if j >= 0:
                 inside[j] = record
@@ -318,11 +316,12 @@ def _candidates(edge_masks, pinned_mask):
     return inc, unclassified, cands, inside, smaller, through
 
 
-def twin_classes(n, edge_masks):
-    """The twin classes of the host on vertices 0..n-1, as vertex bitmasks
-    ordered by smallest member: the uncovered vertices, and the classes of
-    the covered ones read off the unpinned classifier's records."""
-    _, unclassified, cands, _, _, through = _candidates(edge_masks, 0)
+def twin_classes(n, host):
+    """The twin classes of the host on vertices 0..n-1, a
+    :class:`HostView`, as vertex bitmasks ordered by smallest member: the
+    uncovered vertices, and the classes of the covered ones read off the
+    unpinned classifier's records."""
+    _, unclassified, cands, _, _, through = _candidates(host, 0)
     classes = {}  # smallest member -> the class
     uncovered = (1 << n) - 1
     for v, vbit, guard, earlier in cands:

@@ -474,13 +474,14 @@ class TestLargeHostNeighbourhoods:
     def test_hosts_take_both_mask_routes(self):
         text, made, spread = self._hosts()
         assert min(h.m for h in (text, made, spread)) >= 64
-        # the transpose's masks carry their tables; the per-edge masks are a
-        # list.  The text host's first query takes the reader's label columns
+        # the transpose's view comes with its tables; the view of the
+        # per-edge masks builds them at its first read.  The text host's
+        # queries take the reader's label columns, which stay on the host
         assert "_label_columns" in vars(text)
-        assert _host_prep(text).__class__ is not list
-        assert "_label_columns" not in vars(text)
-        assert _host_prep(made).__class__ is not list
-        assert max(map(max, spread.edges)) > 64 and _host_prep(spread).__class__ is list
+        assert _host_prep(text)._tables is not None
+        assert "_label_columns" in vars(text)
+        assert _host_prep(made)._tables is not None
+        assert max(map(max, spread.edges)) > 64 and _host_prep(spread)._tables is None
 
     def test_common_neighbours_agree_with_brute_force(self):
         rng = random.Random(4)

@@ -26,6 +26,7 @@ from bergeturan.core import FormulaParams
 from bergeturan.constructions import block_construction, extremal_construction
 from bergeturan.errors import ParamsOutOfRange
 from bergeturan.search import _pattern_edge_orbits
+from bergeturan.symmetry import HostView
 from oracles import naive_contains, naive_twin_classes, random_hypergraph, symmetric_hypergraph
 
 CORPUS_PATTERNS = [parse_pattern(e) for e in
@@ -125,10 +126,10 @@ def test_short_covered_hosts_stop_at_zero_nodes(monkeypatch):
     calls = []
     real = _engine_py.solve
 
-    def recording(edge_masks, *args):
-        out = real(edge_masks, *args)
+    def recording(host, *args):
+        out = real(host, *args)
         covered = 0
-        for em in edge_masks:
+        for em in host.masks:
             covered |= em
         calls.append((covered.bit_count(), out[3]))
         return out
@@ -154,19 +155,19 @@ def test_solve_keeps_its_positional_contract():
     # out[0] (status) and out[3] (nodes)
     params = list(inspect.signature(_engine_py.solve).parameters.values())
     assert [p.name for p in params] == [
-        "edge_masks", "pat_edges", "order", "budget", "pinned_pe", "pinned_he"]
+        "host", "pat_edges", "order", "budget", "pinned_pe", "pinned_he"]
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
     assert [p.default for p in params[3:]] == [0, -1, -1]
     h, _ = extremal_construction(FormulaParams(n=13, r=3, ell=5, k=2))
     edges0, order = _pattern_plan(parse_pattern("2P5"))
-    masks = h.edge_vertex_masks()
-    out = _engine_py.solve(masks, edges0, order)
+    host = HostView(h.edge_vertex_masks())
+    out = _engine_py.solve(host, edges0, order)
     assert type(out) is tuple and len(out) == 4
     assert out[:3] == (_engine_py.NOT_FOUND, None, None) and out[3] > 0
-    status, images, assignment, nodes = _engine_py.solve(masks, edges0, order, 10, -1, -1)
+    status, images, assignment, nodes = _engine_py.solve(host, edges0, order, 10, -1, -1)
     assert (status, images, assignment, nodes) == (_engine_py.INDETERMINATE, None, None, 11)
     status, images, assignment, nodes = _engine_py.solve(
-        masks, *_pattern_plan(parse_pattern("P5")), 0, 2, 7)
+        host, *_pattern_plan(parse_pattern("P5")), 0, 2, 7)
     assert status == _engine_py.FOUND and assignment[2] == 7
     assert len(images) == 6 and len(assignment) == 5 and nodes > 0
 
@@ -176,7 +177,7 @@ def test_twin_rule_agrees_with_naive_oracles():
     corpus = _twin_corpus(20261018, 1500)
     seen = set()
     for h, pattern, pinned in corpus:
-        status = solve_raw(h.edge_vertex_masks(), pattern, pinned=pinned)[0]
+        status = solve_raw(HostView(h.edge_vertex_masks()), pattern, pinned=pinned)[0]
         expected = naive_contains(h, pattern, pinned)
         assert (status == _engine_py.FOUND) == expected, (h, pattern.expr, pinned)
         assert status != _engine_py.INDETERMINATE
@@ -192,7 +193,7 @@ def test_twin_rule_keeps_first_certificates():
     digest = hashlib.sha256()
     pinned = 0
     for h, pattern, pin in corpus:
-        out = solve_raw(h.edge_vertex_masks(), pattern, pinned=pin)
+        out = solve_raw(HostView(h.edge_vertex_masks()), pattern, pinned=pin)
         digest.update(repr(out[:3]).encode() + b"\n")
         pinned += pin is not None
     assert pinned >= 1000
@@ -205,7 +206,7 @@ def test_lazy_twin_classes_keep_node_counts():
     # before the search began
     digest = hashlib.sha256()
     for h, pattern, pin in _twin_corpus(7, 2400):
-        out = solve_raw(h.edge_vertex_masks(), pattern, pinned=pin)
+        out = solve_raw(HostView(h.edge_vertex_masks()), pattern, pinned=pin)
         digest.update(repr(out).encode() + b"\n")
     assert digest.hexdigest() == "f1b2a28d78e1c6270c1db9372a6548cdefc14f2ce65a3640040c8b5d6d598a4b"
 
@@ -219,9 +220,9 @@ def test_repeated_edge_hosts_run_no_twin_tests(monkeypatch):
 
     monkeypatch.setattr(symmetry, "_join_class", no_twin_test)
     blocks = [sum(1 << v for v in e) for b in (0, 4) for e in combinations(range(b, b + 4), 3)]
-    masks = blocks + blocks[:1]
-    assert solve_raw(masks, parse_pattern("C5")) == (_engine_py.NOT_FOUND, None, None, 640)
-    assert solve_raw(masks, parse_pattern("2P2")) == (
+    host = HostView(blocks + blocks[:1])
+    assert solve_raw(host, parse_pattern("C5")) == (_engine_py.NOT_FOUND, None, None, 640)
+    assert solve_raw(host, parse_pattern("2P2")) == (
         _engine_py.FOUND, [1, 0, 2, 5, 4, 6], [1, 0, 5, 4], 13)
 
 
@@ -267,7 +268,7 @@ def test_large_hosts_keep_answers_and_node_counts(monkeypatch):
     monkeypatch.setattr(symmetry, "_swap_is_automorphism", counting_test)
     digest = hashlib.sha256()
     for masks, pattern, pinned in _large_host_queries(LARGE_HOSTS):
-        out = solve_raw(masks, pattern, pinned=pinned)
+        out = solve_raw(HostView(masks), pattern, pinned=pinned)
         assert out[0] == _engine_py.FOUND
         digest.update(repr(out).encode() + b"\n")
     assert digest.hexdigest() == "bab0b7572ed4ae077520b1ed69670edd8fc44f03b3e8cc2c4f21a90b5ce9b174"
@@ -287,7 +288,7 @@ def test_large_host_queries_classify_only_when_a_group_mate_is_unused(monkeypatc
     assert sorted({len(masks) for masks, _, _ in queries}) == [7084, 12144]
     assert sum(pinned is not None for _, _, pinned in queries) == 6
     for masks, pattern, pinned in queries:
-        assert solve_raw(masks, pattern, pinned=pinned)[0] == _engine_py.FOUND
+        assert solve_raw(HostView(masks), pattern, pinned=pinned)[0] == _engine_py.FOUND
 
 
 def test_large_host_queries_convert_only_the_rows_they_read(monkeypatch):
@@ -306,7 +307,7 @@ def test_large_host_queries_convert_only_the_rows_they_read(monkeypatch):
     monkeypatch.setattr(symmetry, "incidence", recording)
     h = _relabelled_construction(LARGE_HOSTS[2], random.Random(8))
     assert h.m == 14157
-    out = solve_raw(h.edge_vertex_masks(), parse_pattern("P3"))
+    out = solve_raw(HostView(h.edge_vertex_masks()), parse_pattern("P3"))
     assert out[0] == _engine_py.FOUND
     (rows,) = built
     assert 4 <= len(rows) < len(h.covered_vertices()) == 60
@@ -323,8 +324,8 @@ def test_solve_leaves_no_reference_cycles():
     gc.disable()
     try:
         for budget, pin in ((0, (-1, -1)), (0, (1, 5)), (3, (-1, -1))):
-            _engine_py.solve(masks, *plan, budget, *pin)
-        _engine_py.solve(masks, *_pattern_plan(parse_pattern("2P5")), 0)
+            _engine_py.solve(HostView(masks), *plan, budget, *pin)
+        _engine_py.solve(HostView(masks), *_pattern_plan(parse_pattern("2P5")), 0)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -441,7 +442,7 @@ def test_twin_classes_agree_with_naive_oracle(monkeypatch):
         repeated = rng.random() < 0.2
         if repeated:
             masks.append(rng.choice(masks))
-        classes = symmetry.twin_classes(n, masks)
+        classes = symmetry.twin_classes(n, HostView(masks))
         got = [frozenset(v for v in range(n) if c >> v & 1) for c in classes]
         expected = naive_twin_classes(n, [[v for v in range(n) if em >> v & 1] for em in masks])
         covered = {v for em in masks for v in range(n) if em >> v & 1}
@@ -465,7 +466,7 @@ def test_pin_rule_starts_inside_the_pinned_hyperedge():
     # candidates complete the copy
     h = make_hypergraph(3, 6, [list(e) for e in combinations(range(1, 7), 3)])
     status, images, assignment, nodes = solve_raw(
-        h.edge_vertex_masks(), parse_pattern("P1"), pinned=(0, h.m - 1))
+        HostView(h.edge_vertex_masks()), parse_pattern("P1"), pinned=(0, h.m - 1))
     assert (status, images, assignment, nodes) == (_engine_py.FOUND, [3, 4], [h.m - 1], 2)
 
 
@@ -541,7 +542,7 @@ def test_large_host_twin_classes_agree_with_naive_oracle():
         if repeated:
             masks.append(rng.choice(masks))
         assert len(masks) >= 64
-        classes = symmetry.twin_classes(n, masks)
+        classes = symmetry.twin_classes(n, HostView(masks))
         got = [frozenset(v for v in range(n) if c >> v & 1) for c in classes]
         expected = naive_twin_classes(n, [[v for v in range(n) if em >> v & 1] for em in masks])
         if repeated:

@@ -1,6 +1,7 @@
-"""The tables a large host keeps for the kernel: the transpose of its label
-columns gives what the packing of its edge masks gives, and it runs where
-it should and nowhere else."""
+"""The host view that carries a host to the kernel: the transpose of a
+large host's label columns gives the tables that the packing of its edge
+masks gives, it runs where it should and nowhere else, and a view builds
+its tables once, and not at all for a call refuted by edge count."""
 
 import hashlib
 import os
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from bergeturan import _engine_py, berge, core, symmetry
 from bergeturan.berge import _host_prep, find_berge_embedding, longest_berge_path, solve_raw
 from bergeturan.constructions import construction_audit, extremal_construction
+from bergeturan.symmetry import HostView
 from bergeturan.core import (
     FormulaParams,
     make_hypergraph,
@@ -33,10 +35,10 @@ def _naive_masks(edges):
     return [sum(1 << (v - 1) for v in e) for e in edges]
 
 
-def _tables(edge_masks):
+def _tables(view):
     """The covered vertices, every covered vertex's row and the degrees
-    that ``symmetry.incidence`` returns for ``edge_masks``."""
-    vertices, rows, degree = symmetry.incidence(edge_masks)
+    of a host view's tables."""
+    vertices, rows, degree = view.tables
     return vertices, [rows[v] for v in vertices], degree
 
 
@@ -77,24 +79,25 @@ def test_transpose_gives_the_tables_of_the_packing(host):
     if max(map(max, edges)) > 64:
         assert kept is None
     else:
-        assert kept == naive
-        assert _tables(kept) == _tables(naive)
-        assert symmetry.incidence(kept) is symmetry.incidence(kept)
+        assert kept.masks == naive
+        assert _tables(kept) == _tables(HostView(naive))
+        assert kept.tables is kept.tables
     # and through the host the text reads to, whichever route it takes
     h = read_hypergraph(text)
     naive = _naive_masks(h.edges)
     large = h.m >= CUT and max(map(max, h.edges)) <= 64
     # the reader leaves its label columns only where the edges kept their order
     assert ("_label_columns" in vars(h)) == (h.m >= CUT and list(h.edges) == edges)
-    masks = _host_prep(h)
-    assert masks == naive and h.edge_vertex_masks() == naive
-    assert (masks.__class__ is not list) == large
-    assert "_label_columns" not in vars(h)
-    assert _tables(masks) == _tables(naive)
-    # a later call takes the columns of the edges, and builds afresh
+    columns = vars(h).get("_label_columns")
+    view = _host_prep(h)
+    assert view.masks == naive and h.edge_vertex_masks() == naive
+    assert (view._tables is not None) == large
+    assert vars(h).get("_label_columns") is columns
+    assert _tables(view) == _tables(HostView(naive))
+    # a later call takes the same columns, and builds a view afresh
     again = _host_prep(h)
-    assert again == naive and again is not masks
-    assert _tables(again) == _tables(naive)
+    assert again.masks == naive and again is not view
+    assert _tables(again) == _tables(HostView(naive))
     covered = sorted(set().union(*h.edges))
     assert h.covered_vertices() == tuple(covered)
     expected = {v: sum(1 << j for j, e in enumerate(h.edges) if v in e) for v in covered}
@@ -125,10 +128,10 @@ def test_large_constructions_answer_alike_from_text_and_from_make_hypergraph():
             pins = (None, (rng.randrange(pattern.num_edges), rng.randrange(made.m)))
             for pinned in pins:
                 for route, masks in (("text", _host_prep(read)), ("make", _host_prep(made)),
-                                     ("plain", made.edge_vertex_masks())):
+                                     ("plain", HostView(made.edge_vertex_masks()))):
                     out = solve_raw(masks, pattern, pinned=pinned)
                     digests[route].update(repr(out).encode() + b"\n")
-        assert _host_prep(read).__class__ is _host_prep(made).__class__ is not list
+        assert _host_prep(read)._tables is not None and _host_prep(made)._tables is not None
     assert digests["text"].hexdigest() == digests["make"].hexdigest() \
         == digests["plain"].hexdigest()
 
@@ -203,23 +206,38 @@ def test_reading_without_querying_builds_no_tables(monkeypatch):
 
 
 def test_longest_path_scan_builds_the_tables_once(monkeypatch):
-    # every length's search takes the tables of one build, and the scan's
-    # answer, certificate and node count are those of plain masks per length
-    builds = []
-    real_incidence = symmetry.incidence
+    # every length's search reads one view, which builds its tables once
+    # and its membership table once, at the first twin test; the scan's
+    # answer, certificate and node count are those of a fresh view per
+    # length, each of which builds its own tables
+    builds, views, member_tables = [], [], []
+    real_incidence, real_solve = symmetry.incidence, _engine_py.solve
+    real_join = symmetry._join_class
 
     def counting(edge_masks):
-        if edge_masks.__class__ is list:
-            builds.append(len(edge_masks))
+        builds.append(len(edge_masks))
         return real_incidence(edge_masks)
 
+    def recording(host, *args):
+        views.append(host)
+        return real_solve(host, *args)
+
+    def joining(edge_masks, edge_set, *args):
+        member_tables.append(edge_set)
+        return real_join(edge_masks, edge_set, *args)
+
     monkeypatch.setattr(symmetry, "incidence", counting)
+    monkeypatch.setattr(_engine_py, "solve", recording)
+    monkeypatch.setattr(symmetry, "_join_class", joining)
     h = make_hypergraph(3, 14, [(i, i + 1, i + 2) for i in range(1, 13)] + [(1, 5, 9), (2, 7, 12)])
     res = longest_berge_path(h)
     assert builds == [h.m]
+    # a path of 13 edges covers all 14 vertices, so the scan ends there
+    assert len(views) == res.length == 13 and all(view is views[0] for view in views)
+    assert member_tables and all(table is member_tables[0] for table in member_tables)
     nodes = 0
     for ell in range(1, res.length + 2):
-        out = solve_raw(h.edge_vertex_masks(), path_pattern(ell))
+        out = solve_raw(HostView(h.edge_vertex_masks()), path_pattern(ell))
         nodes += out[3]
         if out[0] == _engine_py.FOUND:
             found = out
@@ -228,3 +246,21 @@ def test_longest_path_scan_builds_the_tables_once(monkeypatch):
     assert found[1:3] == ([v - 1 for v in cert.defining_vertices], list(cert.edge_assignment))
     assert len(cert.edge_assignment) == res.length >= 5
     assert len(builds) == res.length + 2
+
+
+def test_refuted_kernel_calls_build_no_tables(monkeypatch):
+    # a call with more pattern edges than hyperedges returns after 0 nodes,
+    # before it reads the view's tables or its membership table, pinned or
+    # not; P2 fits, and its search tests the twins 2 and 3, so it builds both
+    def no_build(edge_masks):
+        raise AssertionError("tables built for a refuted call")
+
+    monkeypatch.setattr(symmetry, "incidence", no_build)
+    host = HostView([0b0111, 0b1110])
+    for expr, pinned in (("P3", None), ("2P2", None), ("C3", (0, 1))):
+        out = solve_raw(host, parse_pattern(expr), pinned=pinned)
+        assert out == (_engine_py.NOT_FOUND, None, None, 0)
+    assert host._tables is None and host._members is None
+    monkeypatch.undo()
+    assert solve_raw(host, parse_pattern("P2"))[0] == _engine_py.FOUND
+    assert host._tables is not None and host._members is not None

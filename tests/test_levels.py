@@ -9,7 +9,7 @@ import pytest
 from bergeturan import parse_pattern, search
 from bergeturan.orbits import _orbit_representatives, canonical_form
 from bergeturan.search import SearchOptions
-from bergeturan.symmetry import twin_classes
+from bergeturan.symmetry import HostView, twin_classes
 
 
 def _connected_cover(n, masks):
@@ -44,7 +44,7 @@ def reference_levels(n, r, pattern, connected_only, stats=None):
         grown = {}
         for host in levels[-1]:
             masks = list(host)
-            for e in _orbit_representatives(twin_classes(n, masks), r):
+            for e in _orbit_representatives(twin_classes(n, HostView(masks)), r):
                 if e in host or search._pinned_copy(masks + [e], pattern, stats):
                     continue
                 child = masks + [e]
@@ -138,10 +138,10 @@ def test_a_generator_that_is_no_automorphism_stops_the_listing(monkeypatch):
     shifted = []
 
     def patched(n, masks):
-        form, labelling, generators = real(n, masks)
+        form, labelling, generators, classes = real(n, masks)
         shift = tuple(range(1, n)) + (0,)
         shifted.append(form)
-        return form, labelling, generators + (shift,)
+        return form, labelling, generators + (shift,), classes
 
     searcher = search._Searcher(6, 3, parse_pattern("P4"), SearchOptions())
     assert searcher.list_levels()

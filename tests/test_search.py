@@ -175,6 +175,25 @@ class TestExactTuran:
         with pytest.raises(HostNotFree):
             exact_turan(6, 3, parse_pattern("P2"), SearchOptions(initial_witness=bad))
 
+    def test_connected_search_refuses_a_seed_that_does_not_span(self):
+        # two disjoint triples are free of P2 but not connected: taken as a
+        # seed they gave max_edges 2 as exact, where the connected search
+        # without a seed proves 0
+        pattern = parse_pattern("P2")
+        apart = make_hypergraph(3, 7, [[1, 2, 3], [4, 5, 6]])
+        opts = SearchOptions(connected_only=True, initial_witness=apart)
+        with pytest.raises(ParamsOutOfRange, match="one component"):
+            exact_turan(7, 3, pattern, opts)
+        # a seed that leaves vertex 7 uncovered does not span either
+        short = make_hypergraph(3, 7, [[1, 2, 3]])
+        with pytest.raises(ParamsOutOfRange, match="one component"):
+            exact_turan(7, 3, pattern, SearchOptions(connected_only=True, initial_witness=short))
+        res = exact_turan(7, 3, pattern, SearchOptions(connected_only=True))
+        assert (res.max_edges, res.exact) == (0, True)
+        # without connected_only the same seed is a witness of the value
+        res = exact_turan(7, 3, pattern, SearchOptions(initial_witness=apart))
+        assert (res.max_edges, res.exact, res.witnesses[0]) == (2, True, apart)
+
     def test_warm_start_of_the_value_stays_first(self):
         # a seed as large as the value leads the witness list, and the
         # witnesses after it are those of the branch and bound
@@ -211,11 +230,19 @@ class TestExactTuran:
     def test_twin_orbits_keep_every_answer(self, monkeypatch, instance):
         # singleton classes give every later candidate a check of its own,
         # which is the search with one check per candidate: every field
-        # but the count of checks, and the elapsed time, is the same
+        # but the count of checks, and the elapsed time, is the same.  The
+        # tree takes its classes from twin_classes, and the listing those
+        # of every class it grows from canonical_form
         n, r, expr, connected, limit, cap = instance
         opts = SearchOptions(connected_only=connected, witness_limit=limit, max_candidates=cap)
         reduced = exact_turan(n, r, parse_pattern(expr), opts)
-        monkeypatch.setattr(search, "twin_classes", lambda n, masks: [1 << v for v in range(n)])
+        real_form = search.canonical_form
+
+        def singleton_form(n, masks):
+            return real_form(n, masks)[:3] + ([1 << v for v in range(n)],)
+
+        monkeypatch.setattr(search, "twin_classes", lambda n, host: [1 << v for v in range(n)])
+        monkeypatch.setattr(search, "canonical_form", singleton_form)
         plain = exact_turan(n, r, parse_pattern(expr), opts)
 
         def answer(res):

@@ -8,7 +8,7 @@ from itertools import combinations, permutations, product
 from bergeturan import orbits
 from bergeturan.orbits import (_orbit_groups, _orbit_key, _orbit_representatives, _refine,
                                canonical_form)
-from bergeturan.symmetry import twin_classes
+from bergeturan.symmetry import HostView, twin_classes
 
 
 def _class_preserving_orbits(n, classes, r):
@@ -115,7 +115,7 @@ def test_a_deep_tree_needs_no_recursion():
         depth, frame = depth + 1, frame.f_back
     sys.setrecursionlimit(depth + 100)
     try:
-        form, labelling, generators = canonical_form(300, [0b111])
+        form, labelling, generators, _ = canonical_form(300, [0b111])
     finally:
         sys.setrecursionlimit(limit)
     assert form == (0b111 << 297,) and generators == ()
@@ -262,7 +262,7 @@ def test_pruning_keeps_the_least_form_of_the_unpruned_tree():
     hosts += [(n, _random_host(rng, n, r, 10))
               for r in (2, 3) for n in (4, 5, 6, 7) for _ in range(8)]
     for n, masks in hosts:
-        form, labelling, generators = canonical_form(n, masks)
+        form, labelling, generators, _ = canonical_form(n, masks)
         assert form == _unpruned_form(n, masks), (n, masks)
         assert tuple(sorted(_relabel(masks, labelling))) == form
         for g in generators:
@@ -276,8 +276,8 @@ def test_fano_and_petersen_walk_few_leaves():
     # automorphism: 168 and 120; the generators give the whole group
     rng = random.Random(27)
     for (n, masks), order in ((FANO, 168), (PETERSEN, 120)):
-        assert twin_classes(n, masks) == [1 << v for v in range(n)]
-        form, _, generators = canonical_form(n, masks)
+        assert twin_classes(n, HostView(masks)) == [1 << v for v in range(n)]
+        form, _, generators, _ = canonical_form(n, masks)
         assert _leaves(n, masks) < 20
         assert _group_order(n, generators) == order
         for _ in range(10):
@@ -286,6 +286,22 @@ def test_fano_and_petersen_walk_few_leaves():
             moved = _relabel(masks, sigma)
             assert canonical_form(n, moved)[0] == form, sigma
             assert _leaves(n, moved) < 20
+
+
+def test_canonical_form_returns_the_twin_classes_of_its_form():
+    # the classes that the walk's swap tests find, relabelled into the
+    # form's labels, against the kernel's classifier on the form; random
+    # hosts leave some vertices uncovered, which are one class
+    rng = random.Random(28)
+    seen = set()
+    hosts = [FANO, PETERSEN, _cycles(3, 3), (6, _masks((0, 1, 2), (0, 1, 3), (0, 1, 4)))]
+    hosts += [(n, _random_host(rng, n, r, 12))
+              for r in (2, 3) for n in range(r, 9) for _ in range(40)]
+    for n, masks in hosts:
+        form, _, _, classes = canonical_form(n, masks)
+        assert classes == twin_classes(n, HostView(list(form))), (n, masks)
+        seen.add((len(classes) < n, any(c & -c != c for c in classes[1:])))
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 def test_orbit_groups_are_the_orbits_of_the_automorphism_group():
@@ -297,14 +313,14 @@ def test_orbit_groups_are_the_orbits_of_the_automorphism_group():
     for i in range(60):
         r = 2 + i % 2
         n = rng.randint(r + 1, 7)
-        form, _, generators = canonical_form(n, _random_host(rng, n, r, 10))
+        form, _, generators, _ = canonical_form(n, _random_host(rng, n, r, 10))
         present = set(form)
         autos = [sigma for sigma in permutations(range(n))
                  if set(_relabel(form, sigma)) == present]
         absent = [e for e in (sum(1 << v for v in s) for s in combinations(range(n), r))
                   if e not in present]
         orbits = {frozenset(_relabel([e], sigma)[0] for sigma in autos) for e in absent}
-        classes = twin_classes(n, list(form))
+        classes = twin_classes(n, HostView(list(form)))
         groups = _orbit_groups(classes, r, present, generators)
         assert sorted(next(k for k, orbit in enumerate(orbits) if group[0] in orbit)
                       for group in groups) == list(range(len(orbits)))
