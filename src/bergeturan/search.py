@@ -402,10 +402,10 @@ class _Searcher:
                         raise RuntimeError(f"internal error: {g} is no automorphism of {host}")
                 dead = set()
                 for group in _orbit_groups(classes, self.r, set(host), generators):
-                    masks.append(group[0])
-                    if any(_orbit_key(up, e) in gone for e in group for up, gone in parents) \
+                    masks.append(group[0][0])
+                    if any(_orbit_key(up, e) in gone for e, _ in group for up, gone in parents) \
                             or _pinned_copy(masks, self.pattern, self):
-                        dead.update(_orbit_key(classes, e) for e in group)
+                        dead.update(key for _, key in group)
                     else:
                         form, labelling, automorphisms, twins = canonical_form(n, masks)
                         entry = grown.get(form)
@@ -552,7 +552,7 @@ def is_maximal_free(h: Hypergraph, pattern: PatternGraph) -> bool:
         raise HostNotFree("host already contains the pattern")
     masks = h.edge_vertex_masks()
     present = set(masks)
-    for e in _orbit_representatives(twin_classes(h.n, HostView(masks)), h.r):
+    for e, _ in _orbit_representatives(twin_classes(h.n, HostView(masks)), h.r):
         if e not in present and not _pinned_copy(masks + [e], pattern):
             return False
     return True

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from bergeturan import parse_pattern, search
+from bergeturan import orbits, parse_pattern, search
 from bergeturan.orbits import _orbit_representatives, canonical_form
 from bergeturan.search import SearchOptions
 from bergeturan.symmetry import HostView, twin_classes
@@ -44,7 +44,7 @@ def reference_levels(n, r, pattern, connected_only, stats=None):
         grown = {}
         for host in levels[-1]:
             masks = list(host)
-            for e in _orbit_representatives(twin_classes(n, HostView(masks)), r):
+            for e, _ in _orbit_representatives(twin_classes(n, HostView(masks)), r):
                 if e in host or search._pinned_copy(masks + [e], pattern, stats):
                     continue
                 child = masks + [e]
@@ -128,6 +128,35 @@ def test_inherited_dead_extensions_cut_the_listing_calls(n, r, expr, plain, call
     stats = _Calls()
     assert reference_levels(n, r, pattern, False, stats)[1]
     assert (stats.pinned_calls, searcher.pinned_calls) == (plain, calls)
+
+
+@pytest.mark.parametrize("n,r,expr,forms,nodes,calls,refinements", [
+    (7, 3, "P4", 30, 21, 160, 54),
+    (6, 3, "2P2", 89, 41, 120, 145),
+    (9, 3, "2P2", 221, 84, 331, 402),
+], ids=["7-3-P4", "6-3-2P2", "9-3-2P2"])
+def test_cells_of_twins_cut_the_refinements(monkeypatch, n, r, expr, forms, nodes, calls,
+                                            refinements):
+    # canonical forms, listed classes (with the root) and pinned calls are
+    # those of a walk that refines at every node; splitting cells of twins
+    # without refining cut the refinements from 152, 294 and 1,302
+    counts = {"forms": 0, "refinements": 0}
+    real_form, real_refine = search.canonical_form, orbits._refine
+
+    def form(*args):
+        counts["forms"] += 1
+        return real_form(*args)
+
+    def refine(*args):
+        counts["refinements"] += 1
+        return real_refine(*args)
+
+    monkeypatch.setattr(search, "canonical_form", form)
+    monkeypatch.setattr(orbits, "_refine", refine)
+    searcher = search._Searcher(n, r, parse_pattern(expr), SearchOptions(max_candidates=84))
+    assert searcher.list_levels()
+    assert (counts["forms"], searcher.nodes, searcher.pinned_calls, counts["refinements"]) == (
+        forms, nodes, calls, refinements)
 
 
 def test_a_generator_that_is_no_automorphism_stops_the_listing(monkeypatch):

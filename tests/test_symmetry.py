@@ -1,6 +1,7 @@
 """The orbit helpers and the canonical form of ``bergeturan.orbits``
 against brute force over permutations."""
 
+import hashlib
 import random
 import sys
 from itertools import combinations, permutations, product
@@ -38,7 +39,11 @@ def test_orbit_helpers_match_every_class_preserving_permutation():
         rng.shuffle(classes)
         r = rng.randint(1, 4)
         orbits = _class_preserving_orbits(n, classes, r)
-        reps = list(_orbit_representatives(classes, r))
+        pairs = _orbit_representatives(classes, r)
+        reps = [rset for rset, _ in pairs]
+        # each with its key, in descending order of the keys
+        assert [key for _, key in pairs] == [_orbit_key(classes, rset) for rset in reps]
+        assert [key for _, key in pairs] == sorted({key for _, key in pairs}, reverse=True)
         # exactly one representative per orbit
         assert sorted(sum(rset in orbit for rset in reps) for orbit in orbits) == [1] * len(orbits)
         assert len(reps) == len(orbits)
@@ -62,20 +67,20 @@ def _form(n, masks):
 
 def _leaves(n, masks):
     """The number of leaves that the canonical form's walk visits: the
-    discrete colourings that its refinements return."""
-    real, discrete = orbits._refine, []
+    relabelled hosts that it builds, one per leaf, whether a refinement
+    or a split of a cell of twins made the leaf discrete."""
+    real, leaves = orbits._relabelled, []
 
     def counting(*args):
-        colour = real(*args)
-        discrete.append(len(set(colour)) == len(colour))
-        return colour
+        leaves.append(args)
+        return real(*args)
 
-    orbits._refine = counting
+    orbits._relabelled = counting
     try:
         canonical_form(n, masks)
     finally:
-        orbits._refine = real
-    return sum(discrete)
+        orbits._relabelled = real
+    return len(leaves)
 
 
 def _random_host(rng, n, r, most):
@@ -107,9 +112,10 @@ def test_refinement_and_twins_keep_the_tree_small():
 
 
 def test_a_deep_tree_needs_no_recursion():
-    # one edge and 297 isolated vertices, which are twins: the walk
-    # individualises them one level at a time, 297 levels deep, with room
-    # for 100 frames above this one
+    # one edge and 297 isolated vertices, which are twins: the tree
+    # individualises them one level at a time, 297 levels deep, and the
+    # walk splits their cells without refining, with room for 100 frames
+    # above this one
     limit, depth, frame = sys.getrecursionlimit(), 0, sys._getframe()
     while frame:
         depth, frame = depth + 1, frame.f_back
@@ -120,6 +126,25 @@ def test_a_deep_tree_needs_no_recursion():
         sys.setrecursionlimit(limit)
     assert form == (0b111 << 297,) and generators == ()
     assert sorted(labelling) == list(range(300))
+
+
+def test_one_edge_and_isolated_vertices_take_one_refinement(monkeypatch):
+    # the isolated vertices and the edge's vertices are two cells of
+    # twins, which the walk splits without refining: only the root is
+    # refined, however many isolated vertices there are
+    real, calls = orbits._refine, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(orbits, "_refine", counting)
+    for k in (0, 1, 2, 10, 100, 297):
+        calls.clear()
+        form, labelling, generators, classes = canonical_form(k + 3, [0b111])
+        assert len(calls) == 1, k
+        assert form == (0b111 << k,) and generators == ()
+        assert classes == [(1 << k) - 1, 0b111 << k][k == 0:]
 
 
 def _cycles(*lengths):
@@ -288,6 +313,40 @@ def test_fano_and_petersen_walk_few_leaves():
             assert _leaves(n, moved) < 20
 
 
+def _digest_corpus():
+    """Random hosts (n <= 10, r in {2, 3, 4}, many with isolated vertices,
+    randomly relabelled), complete r-graphs, cycles, three disjoint
+    triangles, the Fano plane, the Petersen graph and one edge with 297
+    isolated vertices."""
+    rng = random.Random(29)
+    for _ in range(3000):
+        r = rng.choice((2, 3, 4))
+        n = rng.randint(r, 10)
+        masks = _random_host(rng, rng.randint(r, n), r, 16)
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        yield n, _relabel(masks, sigma)
+    for r in (2, 3, 4):
+        for n in range(r, 9):
+            yield n, [sum(1 << v for v in s) for s in combinations(range(n), r)]
+    for length in range(4, 9):
+        yield _cycles(length)
+    yield _cycles(3, 3, 3)
+    yield FANO
+    yield PETERSEN
+    yield 300, [0b111]
+
+
+def test_canonical_form_output_is_pinned():
+    # a sha256 over every item canonical_form returns on a seeded corpus:
+    # a faster walk must give the same forms, labellings, generators and
+    # classes, not only forms of the same isomorphism classes
+    digest = hashlib.sha256()
+    for n, masks in _digest_corpus():
+        digest.update(repr(canonical_form(n, masks)).encode())
+    assert digest.hexdigest() == "6d24b131a008119701b21744cc9e77b28f9070740002671d285e3d00ed468e48"
+
+
 def test_canonical_form_returns_the_twin_classes_of_its_form():
     # the classes that the walk's swap tests find, relabelled into the
     # form's labels, against the kernel's classifier on the form; random
@@ -322,10 +381,11 @@ def test_orbit_groups_are_the_orbits_of_the_automorphism_group():
         orbits = {frozenset(_relabel([e], sigma)[0] for sigma in autos) for e in absent}
         classes = twin_classes(n, HostView(list(form)))
         groups = _orbit_groups(classes, r, present, generators)
-        assert sorted(next(k for k, orbit in enumerate(orbits) if group[0] in orbit)
+        assert sorted(next(k for k, orbit in enumerate(orbits) if group[0][0] in orbit)
                       for group in groups) == list(range(len(orbits)))
         for group in groups:
             assert len({next(k for k, orbit in enumerate(orbits) if e in orbit)
-                        for e in group}) == 1
+                        for e, _ in group}) == 1
+            assert all(key == _orbit_key(classes, e) for e, key in group)
         seen.add(len(groups) < sum(map(len, groups)))
     assert seen == {True, False}
