@@ -1,15 +1,20 @@
-"""Orbits for the Turán search: orbits of r-sets under the twin group of a
-host and under its whole automorphism group, and a canonical form of a
-host with generators of that group.
+"""Twin classes and orbits for the Turán search: the twin classes of a
+host, orbits of r-sets under its twin group and under its whole
+automorphism group, and a canonical form of a host with generators of
+that group.
 
-Twin classes.  ``symmetry.twin_classes``, imported here for ``search``,
-reads the twin classes of a host off the kernel's lazy classifier,
-unpinned, and :func:`canonical_form` returns those its swap tests find;
+Twin classes.  The Turán search has one twin classifier,
+:func:`_tables`, which tests each vertex against the earlier class roots
+of its degree by the swap test of ``symmetry._swap_is_automorphism``.
+:func:`canonical_form` walks by its classes, and :func:`twin_classes`
+gives them to the tree and the saturation check of ``search``;
 :mod:`bergeturan.symmetry` gives the test and the argument that twins
-form classes.  A host that repeats an edge gets a singleton class per
-covered vertex, a refinement of its twin classes; the orbits of r-sets
-below hold for any refinement, where it costs only more checks.  The
-orbit functions take the partition from their caller.
+form classes.  The test compares hyperedges as a set, so in a host that
+repeats an edge only uncovered vertices are tested, and each covered
+vertex is a class of its own, as in the kernel's classifier: a
+refinement of the twin classes.  The orbits of r-sets below hold for any
+refinement, where it costs only more checks.  The orbit functions take
+the partition from their caller.
 
 Orbits of r-sets.  The transpositions inside a class generate the
 symmetric group on it, and transpositions of different classes commute, so
@@ -46,11 +51,10 @@ leaf lambda gamma^-1 below gamma(u), which gives the same relabelled host.
 The walk of :func:`canonical_form` skips subtrees by two rules, and
 skips refinements whose result it knows by two more:
 
-* Twins.  Of the members of a cell, one per twin class is tried, found by
-  the swap test of ``symmetry._swap_is_automorphism``.  Twins share their
-  degree, so the classes come from tests inside each degree class.  The
-  swap of twins u and w fixes every vertex individualised above, none of
-  which is in the cell, so it maps the subtree of u onto that of w.
+* Twins.  Of the members of a cell, one per twin class of
+  :func:`_tables` is tried.  The swap of twins u and w fixes every
+  vertex individualised above, none of which is in the cell, so it maps
+  the subtree of u onto that of w.
 * Automorphisms.  Let zeta be the first leaf walked.  A later leaf mu of
   zeta's form gives the automorphism sigma with zeta = mu sigma, since
   both relabel the host to one form.  A member of a cell is skipped when
@@ -113,7 +117,7 @@ runs no Turán search never compiles it.  It imports no module of the
 package but ``symmetry``.  Vertices and indices are 0-based here.
 """
 
-from .symmetry import _swap_is_automorphism, twin_classes
+from .symmetry import _swap_is_automorphism
 
 
 def _orbit_key(classes, rset):
@@ -249,6 +253,56 @@ def _meets(v, tried, automorphisms, prefix):
     return not orbit.isdisjoint(tried)
 
 
+def _tables(n, edge_masks):
+    """The tables of the host on vertices 0..n-1 with the given hyperedges
+    (vertex bitmasks) that the Turán search reads, and its twins:
+    ``(edges, through, twin)``.  ``edges[j]`` lists the vertices of
+    hyperedge j in ascending order, ``through[v]`` the indices of the
+    hyperedges through v, and ``twin[v]`` is the smallest twin of v.
+
+    One bit loop builds the lists and the incidence rows of the swap test.
+    Then each vertex is tested against every earlier class root of its
+    degree, which twins share, and joins the first that is its twin;
+    twins form classes, so that is its own class.  The test compares
+    hyperedges as a set, so in a host that repeats an edge only the
+    uncovered vertices, whose swaps fix every edge, are tested: each
+    covered vertex is a class of its own, as in the kernel's
+    classifier."""
+    edges, through, inc = [], [[] for _ in range(n)], [0] * n
+    for j, mask in enumerate(edge_masks):
+        e = []
+        while mask:
+            low = mask & -mask
+            v = low.bit_length() - 1
+            e.append(v)
+            through[v].append(j)
+            inc[v] |= 1 << j
+            mask ^= low
+        edges.append(e)
+    edge_set = set(edge_masks)
+    degree = list(map(len, through))
+    tested = range(n) if len(edge_set) == len(edge_masks) else \
+        [v for v in range(n) if not degree[v]]
+    twin = list(range(n))
+    for v in tested:
+        for u in range(v):
+            if twin[u] == u and degree[u] == degree[v] and _swap_is_automorphism(
+                    edge_masks, edge_set, inc, u, v):
+                twin[v] = u
+                break
+    return edges, through, twin
+
+
+def twin_classes(n, edge_masks):
+    """The twin classes of the host on vertices 0..n-1 with the given
+    hyperedges (vertex bitmasks), those of :func:`_tables`, as vertex
+    bitmasks ordered by smallest member."""
+    classes = {}
+    for v, u in enumerate(_tables(n, edge_masks)[2]):
+        classes[u] = classes.get(u, 0) | 1 << v
+    return list(classes.values())
+
+
 def canonical_form(n, edge_masks):
     """The canonical form of the host on vertices 0..n-1 with the given
     hyperedges (vertex bitmasks, no edge repeated), a labelling that
@@ -260,8 +314,8 @@ def canonical_form(n, edge_masks):
     written in the form's labels: g[v] is the image of vertex v, and g
     maps ``form`` onto itself.  With the swaps of twins, the generators
     generate the whole automorphism group.  ``classes`` are those of
-    ``symmetry.twin_classes`` on ``form``, found by the swap tests inside
-    each degree class.
+    :func:`twin_classes` on ``form``: the classes of :func:`_tables` on
+    the host, which the walk prunes by, relabelled.
 
     The form is the least relabelled tuple over the leaves of the
     individualisation-refinement tree (McKay and Piperno, *Practical graph
@@ -282,27 +336,8 @@ def canonical_form(n, edge_masks):
     found are the maps from the first leaf walked to each later leaf of
     its form, and a generator is lambda sigma lambda^-1 for the labelling
     lambda and such a map sigma."""
-    edges, through, inc = [], [[] for _ in range(n)], [0] * n
-    for j, mask in enumerate(edge_masks):
-        e = []
-        while mask:
-            low = mask & -mask
-            v = low.bit_length() - 1
-            e.append(v)
-            through[v].append(j)
-            inc[v] |= 1 << j
-            mask ^= low
-        edges.append(e)
-    edge_set = set(edge_masks)
+    edges, through, twin = _tables(n, edge_masks)
     degree = list(map(len, through))
-    # twin[v] is the smallest twin of v, which has v's degree
-    twin = list(range(n))
-    for v in range(n):
-        for u in range(v):
-            if twin[u] == u and degree[u] == degree[v] and _swap_is_automorphism(
-                    edge_masks, edge_set, inc, u, v):
-                twin[v] = u
-                break
     # the first round of refinement from one colour ranks the degrees; the
     # twin classes are the orbits of the twin swaps
     ranks = sorted(degree)

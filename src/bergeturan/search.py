@@ -74,9 +74,10 @@ one check.  The live lists, the tree and the answer are those of one
 check per candidate, and only the count of kernel calls falls.  The tree
 and :func:`is_maximal_free` keep twin orbits, not those of the whole
 automorphism group: the chosen set changes at every include, and its
-twin classes come from the kernel's classifier, where Aut orbits would
-cost a canonical form walk per include.  A twin orbit lies inside an Aut
-orbit, so this costs only checks, never an answer.
+twin classes come from the swap tests of ``orbits.twin_classes`` alone,
+where Aut orbits would cost a canonical form walk per include.  A twin
+orbit lies inside an Aut orbit, so this costs only checks, never an
+answer.
 
 Orbits of pattern edges.  If a Berge copy (phi, psi) puts pattern edge e
 on hyperedge j and sigma in Aut(F) maps e to e', then (phi o sigma^-1,
@@ -108,9 +109,9 @@ from .orbits import (
     _find,
     _orbit_groups,
     _orbit_key,
-    _orbit_representatives,
     _refine,
     _relabel,
+    _tables,
     canonical_form,
     twin_classes,
 )
@@ -188,14 +189,11 @@ def _pattern_edge_orbits(pattern):
     the exhaustive searches make the representatives pairwise
     inequivalent.  kP_l has ceil(l/2) orbits.
     """
-    edges0 = [(u - 1, v - 1) for u, v in pattern.edges]
-    through = [[] for _ in range(pattern.num_vertices)]
-    for j, e in enumerate(edges0):
-        for v in e:
-            through[v].append(j)
+    masks = [1 << (u - 1) | 1 << (v - 1) for u, v in pattern.edges]
+    edges0, through, _ = _tables(pattern.num_vertices, masks)
     colour = _refine([0] * pattern.num_vertices, edges0, through)
     keys = [sorted((colour[a], colour[b])) for a, b in edges0]
-    view = HostView([1 << a | 1 << b for a, b in edges0])
+    view = HostView(masks)
     root = list(range(len(edges0)))
     reps = []
     for j in range(len(edges0)):
@@ -350,7 +348,7 @@ class _Searcher:
         self.chosen.append(idx)
         self.chosen_masks.append(self.cand_masks[idx])
         room = len(self.chosen) + len(later)
-        classes = twin_classes(self.n, HostView(self.chosen_masks))
+        classes = twin_classes(self.n, self.chosen_masks)
         answers = {}  # orbit key -> does chosen + j have a Berge copy
         alive = []
         for j in later:
@@ -551,9 +549,8 @@ def is_maximal_free(h: Hypergraph, pattern: PatternGraph) -> bool:
     if res.status is not Status.NOT_FOUND:
         raise HostNotFree("host already contains the pattern")
     masks = h.edge_vertex_masks()
-    present = set(masks)
-    for e, _ in _orbit_representatives(twin_classes(h.n, HostView(masks)), h.r):
-        if e not in present and not _pinned_copy(masks + [e], pattern):
+    for (e, _), in _orbit_groups(twin_classes(h.n, masks), h.r, set(masks), ()):
+        if not _pinned_copy(masks + [e], pattern):
             return False
     return True
 

@@ -1,6 +1,6 @@
 """A host's vertex tables and its twins: the covered vertices, incidence
-rows and degrees, the twin test, the embedding kernel's lazy classifier of
-twins and the twin classes it gives.
+rows and degrees, the twin test and the embedding kernel's lazy
+classifier of twins.
 
 Host vertices u and w are twins when swapping them maps the set of
 hyperedges onto itself and, when a hyperedge is pinned, u and w are both
@@ -20,13 +20,13 @@ Every query runs this code.  The kernel reads a host only through its
 view (:class:`HostView`): its edge masks, and tables of them built once
 per view.  :func:`incidence` finds the covered vertices and builds the
 incidence rows and degrees; the kernel's set-up is one call to
-:func:`_candidates`, which builds on them, :func:`twin_classes` reads a
-host's classes off that, and the neighbourhood tools of ``berge`` read
-the rows.  The view of a large host comes with its tables, built with its
-masks from its label columns (:func:`label_masks`); both byte
-transposes, of the label columns and of the packed masks, end in the same
-tables (:func:`_column_tables`).  The orbits and the canonical form,
-which only the Turán search uses, are in :mod:`bergeturan.orbits`.
+:func:`_candidates`, which builds on them, and the neighbourhood tools
+of ``berge`` read the rows.  The view of a large host comes with its
+tables, built with its masks from its label columns
+(:func:`label_masks`); both byte transposes, of the label columns and of
+the packed masks, end in the same tables (:func:`_column_tables`).  The
+twin classes, orbits and canonical form that only the Turán search uses
+are in :mod:`bergeturan.orbits`, which takes the twin test from here.
 
 This module imports no other module of the package; the kernel,
 ``berge`` and ``orbits`` import it, and ``core`` never does.  Vertices
@@ -314,22 +314,3 @@ def _candidates(host, pinned_mask):
                 return earlier
 
     return inc, unclassified, cands, inside, smaller, through
-
-
-def twin_classes(n, host):
-    """The twin classes of the host on vertices 0..n-1, a
-    :class:`HostView`, as vertex bitmasks ordered by smallest member: the
-    uncovered vertices, and the classes of the covered ones read off the
-    unpinned classifier's records."""
-    _, unclassified, cands, _, _, through = _candidates(host, 0)
-    classes = {}  # smallest member -> the class
-    uncovered = (1 << n) - 1
-    for v, vbit, guard, earlier in cands:
-        if guard >= unclassified:
-            earlier = through(v)
-        first = earlier & -earlier or vbit
-        classes[first] = classes.get(first, 0) | vbit
-        uncovered ^= vbit
-    if uncovered:
-        classes[uncovered & -uncovered] = uncovered
-    return [classes[first] for first in sorted(classes)]

@@ -4,7 +4,10 @@ Nothing here shares code with the package's search machinery: containment
 is decided by enumerating injective vertex maps and trying all edge
 assignments, and small Turan numbers come from sweeping every subset of
 the candidate edge set.  The inequalities I1-I5 are transcribed from their
-statements in ``fractions.Fraction`` arithmetic.
+statements in ``fractions.Fraction`` arithmetic.  One helper is no
+oracle: :func:`kernel_twin_classes` reads the twin classes off the
+embedding kernel's lazy classifier, so that tests can hold the Turán
+search's classifier against a second, independent one.
 """
 
 import random
@@ -241,6 +244,28 @@ def naive_twin_classes(n, edges):
 
     classes = {frozenset(w for w in range(n) if twins(u, w)) for u in range(n)}
     return sorted(classes, key=min)
+
+
+def kernel_twin_classes(n, masks):
+    """The twin classes of the host on vertices 0..n-1 with the given
+    hyperedges (vertex bitmasks), read off the unpinned records of the
+    embedding kernel's lazy classifier (``symmetry._candidates``), each
+    forced: the uncovered vertices, and each covered vertex with its
+    earlier twins.  Vertex bitmasks, ordered by smallest member."""
+    from bergeturan.symmetry import HostView, _candidates
+
+    _, unclassified, cands, _, _, through = _candidates(HostView(masks), 0)
+    classes = {}  # smallest member -> the class
+    uncovered = (1 << n) - 1
+    for v, vbit, guard, earlier in cands:
+        if guard >= unclassified:
+            earlier = through(v)
+        first = earlier & -earlier or vbit
+        classes[first] = classes.get(first, 0) | vbit
+        uncovered ^= vbit
+    if uncovered:
+        classes[uncovered & -uncovered] = uncovered
+    return [classes[first] for first in sorted(classes)]
 
 
 def naive_edge_orbits(pattern):

@@ -1,5 +1,6 @@
 """The benchmark's own answer checks: one pass of each workload, run on a
-copy of the checkout, must answer every job correctly."""
+copy of the checkout, must answer every job correctly, with the answers
+pinned by their digest."""
 
 import json
 import os
@@ -12,6 +13,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+# the ``answer_digest`` of a seed-1 pass, over every job's status,
+# certificate and witnesses: a change to any of them shows here
+ANSWER_DIGESTS = {
+    "turan": "dae2923a261d62794e85be2cd798534dd61862cb6c653558b64a3771c7621e0c",
+    "proofs": "a43028d3dd83b392abcd017b42791f7c26223b3d09cde8275af133d9cf25e813",
+    "queries": "d91027a77ade03e4c88c1a3e198105c334478848a09c06470e87c16597e5976b",
+}
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -32,3 +40,4 @@ def test_one_benchmark_pass_answers_correctly(tmp_path, workload):
     last = json.loads(proc.stdout.splitlines()[-1])
     assert last["correct"] is True, proc.stdout
     assert last["failed"] == 0 and last["attempted"] > 0
+    assert f"bench: answer_digest={ANSWER_DIGESTS[workload]}" in proc.stdout.splitlines()

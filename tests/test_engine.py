@@ -27,7 +27,8 @@ from bergeturan.constructions import block_construction, extremal_construction
 from bergeturan.errors import ParamsOutOfRange
 from bergeturan.search import _pattern_edge_orbits
 from bergeturan.symmetry import HostView
-from oracles import naive_contains, naive_twin_classes, random_hypergraph, symmetric_hypergraph
+from oracles import (kernel_twin_classes, naive_contains, naive_twin_classes, random_hypergraph,
+                     symmetric_hypergraph)
 
 CORPUS_PATTERNS = [parse_pattern(e) for e in
                    ("P1", "P2", "P3", "P4", "C3", "C4", "S2", "S3", "M2", "2P2", "P2+M1")]
@@ -424,15 +425,19 @@ def test_twin_classes_agree_with_naive_oracle(monkeypatch):
     # hosts full of twins and random hosts with r in {2, 3, 4}, with up to
     # two uncovered vertices past the last label, and some listing one edge
     # twice: those get a class per covered vertex, which refines the twin
-    # classes.  No vertex of degree 0 reaches a twin test.
+    # classes.  Both classifiers answer each host: the Turán search's, in
+    # orbits, and the kernel's lazy one, where no vertex of degree 0
+    # reaches a twin test.
     real_join = symmetry._join_class
+    joined = []
 
     def checked_join(edge_masks, edge_set, inc, classes, w):
         assert inc[w], w
+        joined.append(w)
         return real_join(edge_masks, edge_set, inc, classes, w)
 
-    # one definition, which the Turán search reaches through orbits
-    assert orbits.twin_classes is search.twin_classes is symmetry.twin_classes
+    # one definition, which the Turán search imports from orbits
+    assert search.twin_classes is orbits.twin_classes
     monkeypatch.setattr(symmetry, "_join_class", checked_join)
     rng = random.Random(13)
     seen = set()
@@ -442,18 +447,19 @@ def test_twin_classes_agree_with_naive_oracle(monkeypatch):
         repeated = rng.random() < 0.2
         if repeated:
             masks.append(rng.choice(masks))
-        classes = symmetry.twin_classes(n, HostView(masks))
-        got = [frozenset(v for v in range(n) if c >> v & 1) for c in classes]
         expected = naive_twin_classes(n, [[v for v in range(n) if em >> v & 1] for em in masks])
         covered = {v for em in masks for v in range(n) if em >> v & 1}
         uncovered = frozenset(range(n)) - covered
-        if repeated:
-            singletons = [frozenset((v,)) for v in covered]
-            assert got == sorted(singletons + ([uncovered] if uncovered else []), key=min)
-            assert all(any(c <= t for t in expected) for c in got)
-        else:
-            assert got == expected, (h, n)
+        for classify in (orbits.twin_classes, kernel_twin_classes):
+            got = [frozenset(v for v in range(n) if c >> v & 1) for c in classify(n, masks)]
+            if repeated:
+                singletons = [frozenset((v,)) for v in covered]
+                assert got == sorted(singletons + ([uncovered] if uncovered else []), key=min)
+                assert all(any(c <= t for t in expected) for c in got)
+            else:
+                assert got == expected, (classify.__name__, h, n)
         seen.add((h.r, repeated, bool(uncovered), any(len(c - uncovered) > 1 for c in expected)))
+    assert joined
     assert {(r, repeated) for r, repeated, _, _ in seen} == {
         (r, repeated) for r in (2, 3, 4) for repeated in (False, True)}
     assert {(bare, twins) for _, _, bare, twins in seen} == {
@@ -527,7 +533,7 @@ def test_large_host_twin_classes_agree_with_naive_oracle():
     # hosts of at least 64 edges, whose twin tests use a dict and no
     # per-bit walk: relabelled constructions, full of twins, and random
     # hosts, with up to two uncovered vertices and some listing one edge
-    # twice
+    # twice; the Turán search's classifier and the kernel's answer each
     rng = random.Random(15)
     seen = set()
     for i in range(24):
@@ -542,15 +548,15 @@ def test_large_host_twin_classes_agree_with_naive_oracle():
         if repeated:
             masks.append(rng.choice(masks))
         assert len(masks) >= 64
-        classes = symmetry.twin_classes(n, HostView(masks))
-        got = [frozenset(v for v in range(n) if c >> v & 1) for c in classes]
         expected = naive_twin_classes(n, [[v for v in range(n) if em >> v & 1] for em in masks])
-        if repeated:
-            # a class per covered vertex, which refines the twin classes
-            covered = {v for em in masks for v in range(n) if em >> v & 1}
-            assert all(len(c) == 1 for c in got if c & covered)
-            assert all(any(c <= t for t in expected) for c in got)
-        else:
-            assert got == expected, (h, n)
+        for classify in (orbits.twin_classes, kernel_twin_classes):
+            got = [frozenset(v for v in range(n) if c >> v & 1) for c in classify(n, masks)]
+            if repeated:
+                # a class per covered vertex, which refines the twin classes
+                covered = {v for em in masks for v in range(n) if em >> v & 1}
+                assert all(len(c) == 1 for c in got if c & covered)
+                assert all(any(c <= t for t in expected) for c in got)
+            else:
+                assert got == expected, (classify.__name__, h, n)
         seen.add((repeated, any(len(c) > 1 for c in expected)))
     assert seen == {(repeated, twins) for repeated in (False, True) for twins in (False, True)}

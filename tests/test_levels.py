@@ -9,7 +9,7 @@ import pytest
 from bergeturan import orbits, parse_pattern, search
 from bergeturan.orbits import _orbit_representatives, canonical_form
 from bergeturan.search import SearchOptions
-from bergeturan.symmetry import HostView, twin_classes
+from oracles import kernel_twin_classes
 
 
 def _connected_cover(n, masks):
@@ -33,18 +33,19 @@ class _Calls:
 
 def reference_levels(n, r, pattern, connected_only, stats=None):
     """The plain listing: every class, every absent orbit representative
-    of its twin classes, one pinned kernel check each (counted on
-    ``stats``), and one form per class of the kept hosts.  Returns the
-    levels, each a list of forms in the order first listed, with the last
-    one cut short where it passes ``search._LEVEL_CAP`` classes, as the
-    level search does; whether no level passed the cap; and ``lower``, the
-    first counting form of the deepest level that has one, or None."""
+    of its twin classes, read off the kernel's lazy classifier, one pinned
+    kernel check each (counted on ``stats``), and one form per class of
+    the kept hosts.  Returns the levels, each a list of forms in the order
+    first listed, with the last one cut short where it passes
+    ``search._LEVEL_CAP`` classes, as the level search does; whether no
+    level passed the cap; and ``lower``, the first counting form of the
+    deepest level that has one, or None."""
     levels, finished = [[()]], True
     while levels[-1] and finished:
         grown = {}
         for host in levels[-1]:
             masks = list(host)
-            for e, _ in _orbit_representatives(twin_classes(n, HostView(masks)), r):
+            for e, _ in _orbit_representatives(kernel_twin_classes(n, masks), r):
                 if e in host or search._pinned_copy(masks + [e], pattern, stats):
                     continue
                 child = masks + [e]

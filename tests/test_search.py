@@ -241,7 +241,7 @@ class TestExactTuran:
         def singleton_form(n, masks):
             return real_form(n, masks)[:3] + ([1 << v for v in range(n)],)
 
-        monkeypatch.setattr(search, "twin_classes", lambda n, host: [1 << v for v in range(n)])
+        monkeypatch.setattr(search, "twin_classes", lambda n, masks: [1 << v for v in range(n)])
         monkeypatch.setattr(search, "canonical_form", singleton_form)
         plain = exact_turan(n, r, parse_pattern(expr), opts)
 
