@@ -3,18 +3,18 @@ host, orbits of r-sets under its twin group and under its whole
 automorphism group, and a canonical form of a host with generators of
 that group.
 
-Twin classes.  The Turán search has one twin classifier,
-:func:`_tables`, which tests each vertex against the earlier class roots
-of its degree by the swap test of ``symmetry._swap_is_automorphism``.
-:func:`canonical_form` walks by its classes, and :func:`twin_classes`
-gives them to the tree and the saturation check of ``search``;
-:mod:`bergeturan.symmetry` gives the test and the argument that twins
-form classes.  The test compares hyperedges as a set, so in a host that
-repeats an edge only uncovered vertices are tested, and each covered
-vertex is a class of its own, as in the kernel's classifier: a
-refinement of the twin classes.  The orbits of r-sets below hold for any
-refinement, where it costs only more checks.  The orbit functions take
-the partition from their caller.
+Twin classes.  The Turán search finds a host's twin classes in
+:func:`_tables`, which runs the package's one join step,
+``symmetry._join_class``, on the incidence rows of ``symmetry.incidence``:
+each covered vertex joins the classes of its degree, and the uncovered
+vertices are one class.  :func:`canonical_form` walks by these classes,
+and :func:`twin_classes` gives them to the tree and the saturation check
+of ``search``; :mod:`bergeturan.symmetry` gives the test, the argument
+that twins form classes, and the join step's guard: a host that repeats
+an edge gets a class per covered vertex, a refinement of the twin
+classes.  The orbits of r-sets below hold for any refinement, where it
+costs only more checks.  The orbit functions take the partition from
+their caller.
 
 Orbits of r-sets.  The transpositions inside a class generate the
 symmetric group on it, and transpositions of different classes commute, so
@@ -117,7 +117,7 @@ runs no Turán search never compiles it.  It imports no module of the
 package but ``symmetry``.  Vertices and indices are 0-based here.
 """
 
-from .symmetry import _swap_is_automorphism
+from .symmetry import _join_class, incidence
 
 
 def _orbit_key(classes, rset):
@@ -260,15 +260,15 @@ def _tables(n, edge_masks):
     hyperedge j in ascending order, ``through[v]`` the indices of the
     hyperedges through v, and ``twin[v]`` is the smallest twin of v.
 
-    One bit loop builds the lists and the incidence rows of the swap test.
-    Then each vertex is tested against every earlier class root of its
-    degree, which twins share, and joins the first that is its twin;
-    twins form classes, so that is its own class.  The test compares
-    hyperedges as a set, so in a host that repeats an edge only the
-    uncovered vertices, whose swaps fix every edge, are tested: each
-    covered vertex is a class of its own, as in the kernel's
-    classifier."""
-    edges, through, inc = [], [[] for _ in range(n)], [0] * n
+    One bit loop builds the lists, which refinement reads.  The twins come
+    from the join step that the kernel runs too, ``symmetry._join_class``,
+    on the incidence rows of ``symmetry.incidence``: each covered vertex,
+    in ascending order, joins the first class of its degree, which twins
+    share, whose root is its twin; twins form classes, so that is its own
+    class.  A host that repeats an edge gets a class per covered vertex
+    there.  The uncovered vertices, whose swaps fix every edge, are one
+    class."""
+    edges, through = [], [[] for _ in range(n)]
     for j, mask in enumerate(edge_masks):
         e = []
         while mask:
@@ -276,20 +276,17 @@ def _tables(n, edge_masks):
             v = low.bit_length() - 1
             e.append(v)
             through[v].append(j)
-            inc[v] |= 1 << j
             mask ^= low
         edges.append(e)
+    vertices, inc, degree = incidence(edge_masks)
     edge_set = set(edge_masks)
-    degree = list(map(len, through))
-    tested = range(n) if len(edge_set) == len(edge_masks) else \
-        [v for v in range(n) if not degree[v]]
-    twin = list(range(n))
-    for v in tested:
-        for u in range(v):
-            if twin[u] == u and degree[u] == degree[v] and _swap_is_automorphism(
-                    edge_masks, edge_set, inc, u, v):
-                twin[v] = u
-                break
+    uncovered = [v for v in range(n) if not through[v]]
+    twin = [v if through[v] else uncovered[0] for v in range(n)]
+    classes = {}
+    for v in vertices:
+        earlier = _join_class(edge_masks, edge_set, inc, classes.setdefault(degree[v], []), v)
+        # the least of v's earlier twins, or v
+        twin[v] = (earlier & -earlier or 1 << v).bit_length() - 1
     return edges, through, twin
 
 
@@ -314,8 +311,9 @@ def canonical_form(n, edge_masks):
     written in the form's labels: g[v] is the image of vertex v, and g
     maps ``form`` onto itself.  With the swaps of twins, the generators
     generate the whole automorphism group.  ``classes`` are those of
-    :func:`twin_classes` on ``form``: the classes of :func:`_tables` on
-    the host, which the walk prunes by, relabelled.
+    :func:`twin_classes` on ``form``: the classes that :func:`_tables`
+    joins on the host through ``symmetry._join_class``, which the walk
+    prunes by, relabelled.
 
     The form is the least relabelled tuple over the leaves of the
     individualisation-refinement tree (McKay and Piperno, *Practical graph

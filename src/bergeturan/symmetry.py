@@ -1,6 +1,6 @@
 """A host's vertex tables and its twins: the covered vertices, incidence
-rows and degrees, the twin test and the embedding kernel's lazy
-classifier of twins.
+rows and degrees, the twin test, and the one step that joins a vertex to
+its twin class, with the embedding kernel's lazy loop over it.
 
 Host vertices u and w are twins when swapping them maps the set of
 hyperedges onto itself and, when a hyperedge is pinned, u and w are both
@@ -12,9 +12,19 @@ are in it, so is (u w) = (u v)(v w)(u v).  So twins fall into classes.
 Uncovered vertices are twins of each other, since their swap fixes every
 hyperedge.  The twin test (:func:`_swap_is_automorphism`) compares
 hyperedges as a set, so a host whose edge list repeats an edge gets no
-twins: each covered vertex is a class of its own, which refines its twin
-classes.  Everything below holds for any such refinement, where it costs
-only more checks.
+twins from the join step: each covered vertex is a class of its own,
+which refines its twin classes.  Everything below holds for any such
+refinement, where it costs only more checks.
+
+One routine decides twins for the whole package: :func:`_join_class`
+puts a covered vertex into the classes found so far among its group, or
+starts a class, and holds the guard for repeated edges.  Two loops
+run it.  The kernel's, in :func:`_candidates`, is lazy: it joins the
+members of a (degree, pinned membership) group only up to the vertex the
+search asks about.  The Turán search's, ``orbits._tables``, joins every
+covered vertex into the classes of its degree at once.  Both read the
+rows of :func:`incidence`, the only source of incidence bitmask rows
+in the package.
 
 Every query runs this code.  The kernel reads a host only through its
 view (:class:`HostView`): its edge masks, and tables of them built once
@@ -25,8 +35,9 @@ of ``berge`` read the rows.  The view of a large host comes with its
 tables, built with its masks from its label columns
 (:func:`label_masks`); both byte transposes, of the label columns and of
 the packed masks, end in the same tables (:func:`_column_tables`).  The
-twin classes, orbits and canonical form that only the Turán search uses
-are in :mod:`bergeturan.orbits`, which takes the twin test from here.
+orbits and canonical form that only the Turán search uses are in
+:mod:`bergeturan.orbits`, which takes the join step and the rows from
+here.
 
 This module imports no other module of the package; the kernel,
 ``berge`` and ``orbits`` import it, and ``core`` never does.  Vertices
@@ -131,15 +142,17 @@ def label_masks(columns):
     words.reverse()
     if sys.byteorder == "big":
         words.byteswap()
-    return HostView(words.tolist(), _column_tables(lanes, top))
+    return HostView(words.tolist(), _column_tables(lanes, (1 << top) - 1))
 
 
-def _column_tables(columns, n):
+def _column_tables(columns, covered):
     """``(vertices, rows, degree)`` of :func:`incidence` from the byte
-    columns of a host whose last covered vertex is n-1; the covered
+    columns of a host, counting the degree of each vertex in the bitmask
+    ``covered``, whose top bit is the last covered vertex; the covered
     vertices are those of nonzero degree."""
-    degree = [len(columns[v >> 3].translate(None, _NO_BIT[v & 7])) for v in range(n)]
-    return list(compress(range(n), degree)), _LazyRows(columns), degree
+    degree = [len(columns[v >> 3].translate(None, _NO_BIT[v & 7])) if covered >> v & 1 else 0
+              for v in range(covered.bit_length())]
+    return list(compress(range(len(degree)), degree)), _LazyRows(columns), degree
 
 
 def incidence(edge_masks):
@@ -196,7 +209,7 @@ def incidence(edge_masks):
         width = (n + 7) >> 3
         matrix = b"".join(map(int.to_bytes, reversed(edge_masks), repeat(width),
                               repeat("little")))
-    return _column_tables([matrix[c::width] for c in range((n + 7) >> 3)], n)
+    return _column_tables([matrix[c::width] for c in range((n + 7) >> 3)], covered)
 
 
 def _swap_is_automorphism(edge_masks, edge_set, inc, u, w):
@@ -228,26 +241,32 @@ def _swap_is_automorphism(edge_masks, edge_set, inc, u, w):
 def _join_class(edge_masks, edge_set, inc, classes, w):
     """Put w in the first of ``classes`` whose representative is its twin,
     or in a new class of its own, and return w's earlier twins.  A class
-    is [representative, bitmask of its members so far]."""
+    is [representative, bitmask of its members so far], and ``classes``
+    hold earlier vertices of w's group, which twins share: its degree
+    and, in the kernel, its pinned membership.  w must be covered: the
+    first check reads w's first hyperedge.  Where ``edge_set`` holds fewer masks than
+    ``edge_masks``, the host repeats an edge, and w gets a class of its
+    own with no test (see the module docstring)."""
     wbit = 1 << w
-    # the swap must map w's first hyperedge onto a hyperedge, which settles
-    # most pairs that are not twins
-    first = edge_masks[(inc[w] & -inc[w]).bit_length() - 1]
-    for cls in classes:
-        u = cls[0]
-        if not first >> u & 1 and first - wbit + (1 << u) not in edge_set:
-            continue
-        if _swap_is_automorphism(edge_masks, edge_set, inc, u, w):
-            earlier = cls[1]
-            cls[1] |= wbit
-            return earlier
+    if len(edge_set) == len(edge_masks):
+        # the swap must map w's first hyperedge onto a hyperedge, which
+        # settles most pairs that are not twins
+        first = edge_masks[(inc[w] & -inc[w]).bit_length() - 1]
+        for cls in classes:
+            u = cls[0]
+            if not first >> u & 1 and first - wbit + (1 << u) not in edge_set:
+                continue
+            if _swap_is_automorphism(edge_masks, edge_set, inc, u, w):
+                earlier = cls[1]
+                cls[1] |= wbit
+                return earlier
     classes.append([w, wbit])
     return 0
 
 
 def _candidates(host, pinned_mask):
     """The kernel's set-up on a :class:`HostView`: the incidence rows, the
-    candidate records and the lazy classifier of twins.
+    candidate records and the lazy loop over the join step.
 
     Returns (rows, unclassified, cands, inside, smaller, through).
     ``rows`` is that of :func:`incidence`.  ``cands`` holds a record (v,
@@ -259,8 +278,8 @@ def _candidates(host, pinned_mask):
     The record of every other vertex starts with no earlier twins and the
     bit ``unclassified``, above every vertex, set in its guard, and
     ``smaller[v]`` is the bitmask of the smaller members of its group,
-    which hold its earlier twins.  ``through(v)`` classifies the members
-    of v's group in ascending order up to v (:func:`_join_class`),
+    which hold its earlier twins.  ``through(v)`` joins the members of
+    v's group in ascending order up to v (:func:`_join_class`),
     replaces their records in both lists with final ones, whose guard is
     a member's earlier twins and its own bit, and returns v's earlier
     twins.
@@ -298,15 +317,13 @@ def _candidates(host, pinned_mask):
             inside.append(record)
 
     def through(v):
-        edge_set = host.members
-        simple = len(edge_set) == len(host.masks)
         group = groups[degree[v] << 1 | pinned_mask >> v & 1]
         pending, classes = group[0], group[1]
         while True:
             w, i, j = pending[group[2]]
             group[2] += 1
             wbit = 1 << w
-            earlier = _join_class(host.masks, edge_set, inc, classes, w) if simple else 0
+            earlier = _join_class(host.masks, host.members, inc, classes, w)
             cands[i] = record = (w, wbit, earlier | wbit, earlier)
             if j >= 0:
                 inside[j] = record

@@ -214,17 +214,20 @@ def test_lazy_twin_classes_keep_node_counts():
 
 def test_repeated_edge_hosts_run_no_twin_tests(monkeypatch):
     # two disjoint complete 3-graphs on 4 vertices, one edge listed twice:
-    # such a host has no twins, so classifying a vertex tests no class;
-    # the answers and node counts are those of the eager classification
+    # such a host gets a class per covered vertex, so joining a vertex
+    # runs no swap test, in the kernel or in the Turán search; the answers
+    # and node counts are those of the eager classification
     def no_twin_test(*args):
         raise AssertionError("twin test on a host that repeats an edge")
 
-    monkeypatch.setattr(symmetry, "_join_class", no_twin_test)
+    monkeypatch.setattr(symmetry, "_swap_is_automorphism", no_twin_test)
     blocks = [sum(1 << v for v in e) for b in (0, 4) for e in combinations(range(b, b + 4), 3)]
-    host = HostView(blocks + blocks[:1])
+    masks = blocks + blocks[:1]
+    host = HostView(masks)
     assert solve_raw(host, parse_pattern("C5")) == (_engine_py.NOT_FOUND, None, None, 640)
     assert solve_raw(host, parse_pattern("2P2")) == (
         _engine_py.FOUND, [1, 0, 2, 5, 4, 6], [1, 0, 5, 4], 13)
+    assert orbits.twin_classes(8, masks) == [1 << v for v in range(8)]
 
 
 # relabelled extremal constructions with 7,084, 12,144 and 14,157 edges
@@ -404,6 +407,37 @@ def test_incidence_of_no_edges_is_empty():
     assert symmetry.incidence([]) == ([], [], [])
 
 
+def test_incidence_counts_degrees_only_of_covered_vertices(monkeypatch):
+    # dense hosts with uncovered labels below the last covered one, the
+    # byte transpose's tables against the definition: random triples of
+    # ten labels plus one edge far above them, and the same with gaps
+    # among the ten; each degree is counted by deleting the bytes of one
+    # byte column without its bit, a row converted by mapping them
+    counted = []
+
+    class Column(bytes):
+        def translate(self, table, *delete):
+            if delete:
+                counted.append(self)
+            return super().translate(table, *delete)
+
+    real_tables = symmetry._column_tables
+    monkeypatch.setattr(symmetry, "_column_tables",
+                        lambda columns, covered: real_tables(list(map(Column, columns)), covered))
+    rng = random.Random(21)
+    for top in (20, 63, 64, 999):
+        for labels in (range(10), rng.sample(range(top), 10)):
+            masks = [sum(1 << v for v in rng.sample(labels, 3)) for _ in range(110)]
+            masks.append(1 | 2 | 1 << top)
+            n = top + 1
+            covered = [v for v in range(n) if any(em >> v & 1 for em in masks)]
+            assert covered[-1] == top and len(covered) < n
+            del counted[:]
+            lazy, wide = _check_incidence(n, masks)
+            assert lazy and wide == (top >= 64)
+            assert len(counted) == len(covered)
+
+
 def test_vertex_rows_agree_with_their_definition():
     rng = random.Random(12)
     hosts = [random_hypergraph(rng, n, rng.randint(2, min(4, n)), rng.randint(1, 50))
@@ -427,23 +461,35 @@ def test_twin_classes_agree_with_naive_oracle(monkeypatch):
     # twice: those get a class per covered vertex, which refines the twin
     # classes.  Both classifiers answer each host: the Turán search's, in
     # orbits, and the kernel's lazy one, where no vertex of degree 0
-    # reaches a twin test.
+    # reaches a twin test.  Some hosts leave labels uncovered below the
+    # last covered one.
     real_join = symmetry._join_class
-    joined = []
+    joined = {symmetry: [], orbits: []}
 
-    def checked_join(edge_masks, edge_set, inc, classes, w):
-        assert inc[w], w
-        joined.append(w)
-        return real_join(edge_masks, edge_set, inc, classes, w)
+    def checked_join(module):
+        def join(edge_masks, edge_set, inc, classes, w):
+            assert inc[w], w
+            joined[module].append(w)
+            return real_join(edge_masks, edge_set, inc, classes, w)
+        return join
 
-    # one definition, which the Turán search imports from orbits
+    # one definition, which the Turán search imports from orbits, and one
+    # join step, which both classifiers import from symmetry
     assert search.twin_classes is orbits.twin_classes
-    monkeypatch.setattr(symmetry, "_join_class", checked_join)
+    assert orbits._join_class is real_join
+    for module in joined:
+        monkeypatch.setattr(module, "_join_class", checked_join(module))
     rng = random.Random(13)
     seen = set()
     for h, _, _ in _twin_corpus(1313, 500):
         n = h.n + rng.randint(0, 2)
         masks = h.edge_vertex_masks()
+        if rng.random() < 0.2:
+            # move a label past the others, which may leave it uncovered
+            # below the last covered one
+            moved = rng.randrange(h.n)
+            masks = [em & ~(1 << moved) | (em >> moved & 1) << n for em in masks]
+            n += 1
         repeated = rng.random() < 0.2
         if repeated:
             masks.append(rng.choice(masks))
@@ -458,12 +504,16 @@ def test_twin_classes_agree_with_naive_oracle(monkeypatch):
                 assert all(any(c <= t for t in expected) for c in got)
             else:
                 assert got == expected, (classify.__name__, h, n)
-        seen.add((h.r, repeated, bool(uncovered), any(len(c - uncovered) > 1 for c in expected)))
-    assert joined
-    assert {(r, repeated) for r, repeated, _, _ in seen} == {
+        gap = any(v < max(covered, default=0) for v in uncovered)
+        seen.add((h.r, repeated, bool(uncovered), any(len(c - uncovered) > 1 for c in expected),
+                  gap))
+    # both classifiers reached the join step
+    assert joined[symmetry] and joined[orbits]
+    assert {(r, repeated) for r, repeated, _, _, _ in seen} == {
         (r, repeated) for r in (2, 3, 4) for repeated in (False, True)}
-    assert {(bare, twins) for _, _, bare, twins in seen} == {
+    assert {(bare, twins) for _, _, bare, twins, _ in seen} == {
         (bare, twins) for bare in (False, True) for twins in (False, True)}
+    assert {r for r, _, _, _, gap in seen if gap} == {2, 3, 4}
 
 
 def test_pin_rule_starts_inside_the_pinned_hyperedge():

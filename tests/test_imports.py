@@ -3,6 +3,7 @@ per-subcommand import sets of the command line."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -117,6 +118,17 @@ class TestSubcommandImports:
         assert loaded == {"bergeturan", "bergeturan.cli", "bergeturan.core",
                           "bergeturan.errors", "bergeturan.berge", "bergeturan._engine_py",
                           "bergeturan.symmetry"}
+        # the README's count of the lines a cold check compiles: ``wc -l``
+        # over the package modules it leaves loaded
+        lines = 0
+        for name in loaded:
+            path = SRC.joinpath(*name.split("."))
+            path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+            lines += path.read_bytes().count(b"\n")
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        stated = re.search(r"([\d,]+) lines of the package's source,\s+counted with\s+`wc -l`",
+                           readme)
+        assert int(stated[1].replace(",", "")) == lines
 
     def test_json_is_imported_by_the_first_large_read(self, tmp_path):
         # importing core loads no json; a read of fewer than 64 edges loads
