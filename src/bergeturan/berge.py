@@ -197,8 +197,8 @@ def _vertex_rows(h: Hypergraph) -> dict[int, int]:
 
 def solve_raw(host, pattern, budget=0, pinned=None):
     """Low-level search in a ``symmetry.HostView``; called by
-    find_berge_embedding, longest_berge_path and search's _pinned_copy and
-    _pattern_edge_orbits."""
+    find_berge_embedding, longest_berge_path and the pinned checks of
+    search's _pinned_copy."""
     edges0, order = _pattern_plan(pattern)
     pinned_pe, pinned_he = pinned if pinned else (-1, -1)
     return _engine_py.solve(host, edges0, order, budget, pinned_pe, pinned_he)

@@ -107,10 +107,12 @@ does gamma.
 Written in the form's labels, lambda sigma lambda^-1 for the labelling
 lambda maps the form onto itself; these are the generators that
 :func:`canonical_form` returns (McKay and Piperno, *Practical graph
-isomorphism, II*, 2014).  The level search of ``search`` keeps one free
-host per form, and grows it once per orbit of Aut(H).  Every automorphism
-keeps the refined colours, so ``search`` also uses them to tell pattern
-edges apart that no automorphism of the pattern can swap.
+isomorphism, II*, 2014).  They are the only automorphisms that ``search``
+uses, through :func:`_orbit_groups`, in two places.  Its level search
+keeps one free host per form, and grows it once per orbit of Aut(H) on
+the absent r-sets.  Its pinned checks run one kernel query per orbit of
+a pattern F's edges under Aut(F), where the edges, 2-vertex masks
+relabelled by the labelling of F's own form, are joined the same way.
 
 Of the package, only ``search`` imports this module, so a command that
 runs no Turán search never compiles it.  It imports no module of the
@@ -153,21 +155,22 @@ def _orbit_representatives(classes, r):
     return [rep[:2] for rep in reps]
 
 
-def _orbit_groups(classes, r, present, generators):
-    """The absent orbit representatives of a host, with their keys, as
-    :func:`_orbit_representatives` gives them, joined into one list per
-    orbit of the group generated by its twin swaps and ``generators``,
-    automorphisms of the host: ``classes`` are its twin classes (vertex
-    bitmasks), ``present`` holds its edges, and the lists are in the order
-    of their first members, each in the order of the representatives.
+def _orbit_groups(reps, classes, generators):
+    """The r-sets of ``reps``, pairs of an r-set (a vertex bitmask) and its
+    orbit key (:func:`_orbit_key`) on ``classes``, a host's twin classes,
+    joined into one list per orbit of the group generated by its twin
+    swaps and ``generators``, automorphisms of the host: the lists are in
+    the order of their first members, each in the order of ``reps``.
+    ``reps`` must hold a member of the twin orbit of every image that a
+    generator gives of a member, as the absent orbit representatives of
+    ``search``'s level search and the edges of a pattern do.
 
     Every automorphism maps twins onto twins, so it maps each orbit of the
     twin group onto one, the orbit of its image of any member.  The orbits
     of the whole group are therefore the unions of twin orbits that the
-    generators join, one twin orbit to that of its image at a time."""
-    reps = [rep for rep in _orbit_representatives(classes, r) if rep[0] not in present]
-    if not generators:
-        return [[rep] for rep in reps]
+    generators join, one twin orbit to that of its image at a time.
+    Members with one key share a twin orbit, hence a list, with or without
+    generators."""
     # a union-find forest on the orbit keys
     root = {key: key for _, key in reps}
     for g in generators:

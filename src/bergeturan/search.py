@@ -83,14 +83,9 @@ Orbits of pattern edges.  If a Berge copy (phi, psi) puts pattern edge e
 on hyperedge j and sigma in Aut(F) maps e to e', then (phi o sigma^-1,
 psi o sigma^-1) is a copy that puts e' on j.  So a search pinned at one
 edge answers for its orbit under Aut(F) (:func:`_pinned_copy`).  The
-kernel finds the orbits too.  A Berge copy of F in the 2-uniform host
-made of F's own edges is an automorphism of F: the images are an
-injective map of V(F) into itself, hence a bijection, and each pattern
-edge takes a distinct host edge, which holds its endpoints' images and
-nothing else, so the bijection maps E(F) onto E(F).  Every automorphism
-is such a copy.  So that search, with edge i pinned to edge j, finds an
-automorphism that maps i onto j or proves that none exists
-(:func:`_pattern_edge_orbits`).
+orbits come from F's own canonical form, whose generators are checked
+and join the twin orbits of F's edges as they join those of a class's
+absent r-sets (:func:`_pattern_edge_orbits`, :mod:`bergeturan.orbits`).
 """
 
 from __future__ import annotations
@@ -106,12 +101,10 @@ from .berge import Status, find_berge_embedding, solve_raw
 from .core import FormulaParams, Hypergraph, PatternGraph, Record, disjoint_paths_pattern
 from .errors import HostNotFree, ParamsOutOfRange, ScaleGuardExceeded
 from .orbits import (
-    _find,
     _orbit_groups,
     _orbit_key,
-    _refine,
+    _orbit_representatives,
     _relabel,
-    _tables,
     canonical_form,
     twin_classes,
 )
@@ -172,48 +165,33 @@ class _Budget(Exception):
     pass
 
 
+def _check_generators(form, generators):
+    """Raise unless each generator maps ``form``, a host as the ascending
+    tuple of its edge masks, onto itself: a wrong one would join orbits
+    whose checks are needed apart."""
+    for g in generators:
+        if tuple(sorted([_relabel(mask, g) for mask in form])) != form:
+            raise RuntimeError(f"internal error: {g} is no automorphism of {form}")
+
+
 @lru_cache(maxsize=512)
 def _pattern_edge_orbits(pattern):
     """The orbits of a ``PatternGraph``'s edges under its automorphism
     group Aut(F): tuples of 0-based edge indices, each ascending, ordered
     by their smallest index (the orbit's representative).
 
-    Edges are taken in index order.  An edge is tried against each earlier
-    representative whose endpoints have the same refined colours
-    (``orbits._refine``, which every automorphism keeps), by a kernel
-    search in F's own edges pinning the representative onto it (see the
-    module docstring).  The first automorphism found merges every edge
-    with its image under it, and with them the two orbits.  An edge that
-    no automorphism reaches from an earlier representative becomes one.
-    So two edges share an orbit only through explicit automorphisms, and
-    the exhaustive searches make the representatives pairwise
-    inequivalent.  kP_l has ceil(l/2) orbits.
+    F's edges, taken in index order as 2-vertex masks relabelled by its
+    canonical form's labelling, are joined by the form's generators, once
+    checked, into the orbits of Aut(F)
+    (:func:`bergeturan.orbits._orbit_groups`).  kP_l has ceil(l/2) orbits.
     """
     masks = [1 << (u - 1) | 1 << (v - 1) for u, v in pattern.edges]
-    edges0, through, _ = _tables(pattern.num_vertices, masks)
-    colour = _refine([0] * pattern.num_vertices, edges0, through)
-    keys = [sorted((colour[a], colour[b])) for a, b in edges0]
-    view = HostView(masks)
-    root = list(range(len(edges0)))
-    reps = []
-    for j in range(len(edges0)):
-        if _find(root, j) != j:
-            continue
-        for i in reps:
-            if keys[i] != keys[j]:
-                continue
-            status, _, assignment, _ = solve_raw(view, pattern, pinned=(i, j))
-            if status == FOUND:
-                for k, image in enumerate(assignment):
-                    s, t = _find(root, k), _find(root, image)
-                    root[max(s, t)] = min(s, t)
-                break
-        else:
-            reps.append(j)
-    orbits = {}
-    for k in range(len(edges0)):
-        orbits.setdefault(_find(root, k), []).append(k)
-    return tuple(tuple(orbits[i]) for i in sorted(orbits))
+    form, labelling, generators, classes = canonical_form(pattern.num_vertices, masks)
+    _check_generators(form, generators)
+    edges = [_relabel(mask, labelling) for mask in masks]
+    index = {mask: j for j, mask in enumerate(edges)}
+    groups = _orbit_groups([(e, _orbit_key(classes, e)) for e in edges], classes, generators)
+    return tuple(tuple([index[e] for e, _ in group]) for group in groups)
 
 
 def _pinned_copy(masks, pattern, stats=None):
@@ -395,11 +373,12 @@ class _Searcher:
             grown = {}
             for host, (generators, classes, parents) in level.items():
                 masks = list(host)
-                for g in generators:
-                    if sorted([_relabel(mask, g) for mask in host]) != masks:
-                        raise RuntimeError(f"internal error: {g} is no automorphism of {host}")
+                _check_generators(host, generators)
+                present = set(host)
+                reps = [rep for rep in _orbit_representatives(classes, self.r)
+                        if rep[0] not in present]
                 dead = set()
-                for group in _orbit_groups(classes, self.r, set(host), generators):
+                for group in _orbit_groups(reps, classes, generators):
                     masks.append(group[0][0])
                     if any(_orbit_key(up, e) in gone for e, _ in group for up, gone in parents) \
                             or _pinned_copy(masks, self.pattern, self):
@@ -549,8 +528,9 @@ def is_maximal_free(h: Hypergraph, pattern: PatternGraph) -> bool:
     if res.status is not Status.NOT_FOUND:
         raise HostNotFree("host already contains the pattern")
     masks = h.edge_vertex_masks()
-    for (e, _), in _orbit_groups(twin_classes(h.n, masks), h.r, set(masks), ()):
-        if not _pinned_copy(masks + [e], pattern):
+    present = set(masks)
+    for e, _ in _orbit_representatives(twin_classes(h.n, masks), h.r):
+        if e not in present and not _pinned_copy(masks + [e], pattern):
             return False
     return True
 

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -25,7 +26,7 @@ from bergeturan import (
 from bergeturan.berge import _host_prep
 from bergeturan.cli import main
 from bergeturan.core import FormulaParams, read_hypergraph, write_hypergraph
-from bergeturan.constructions import extremal_construction
+from bergeturan.constructions import block_construction, extremal_construction
 from bergeturan.errors import (
     BadParameters,
     EmptyHypergraph,
@@ -35,6 +36,7 @@ from bergeturan.errors import (
     ParamsOutOfRange,
     V0TooSmall,
 )
+from bergeturan import _engine_py, search
 from bergeturan.search import _pattern_edge_orbits
 from oracles import brute_bcn, brute_star, naive_contains, naive_edge_orbits, random_hypergraph
 
@@ -173,27 +175,56 @@ print(res.status.value, res.nodes, verify_certificate(path, res.certificate),
 
 
 class TestEdgeOrbits:
+    SMALL = ("P1", "P2", "P3", "P4", "P5", "P6", "C3", "C4", "C5", "C6",
+             "S3", "M3", "2P2", "2P3", "P2+M1", "C3+C3", "C3+C4")
+    # every vertex has degree 2, so colour refinement leaves one colour,
+    # and only the individualisations of the canonical form keep cycles
+    # of different lengths apart; more than 8 vertices, beyond
+    # naive_edge_orbits
+    CYCLE_UNIONS = {
+        "C4+C4+C8": (tuple(range(8)), tuple(range(8, 16))),
+        "C3+C3+C6": (tuple(range(6)), tuple(range(6, 12))),
+        "C5+C5+C5": (tuple(range(15)),),
+        "C3+C4+C5+C3": ((0, 1, 2, 12, 13, 14), (3, 4, 5, 6), (7, 8, 9, 10, 11)),
+    }
+
     def test_matches_naive_automorphism_group(self):
-        for expr in ("P1", "P2", "P3", "P4", "P5", "P6", "C3", "C4", "C5", "C6",
-                     "S3", "M3", "2P2", "2P3", "P2+M1", "C3+C3", "C3+C4"):
+        for expr in self.SMALL:
             pattern = parse_pattern(expr)
             assert _pattern_edge_orbits(pattern) == naive_edge_orbits(pattern), expr
 
     def test_unions_of_cycles_split_by_cycle_length(self):
-        # every vertex has degree 2, so colour refinement leaves one colour
-        # and only the kernel's NOT_FOUND answers keep cycles of different
-        # lengths apart; more than 8 vertices, beyond naive_edge_orbits
-        expected = {
-            "C4+C4+C8": (tuple(range(8)), tuple(range(8, 16))),
-            "C3+C3+C6": (tuple(range(6)), tuple(range(6, 12))),
-            "C5+C5+C5": (tuple(range(15)),),
-            "C3+C4+C5+C3": ((0, 1, 2, 12, 13, 14), (3, 4, 5, 6), (7, 8, 9, 10, 11)),
-        }
-        for expr, orbits in expected.items():
+        for expr, orbits in self.CYCLE_UNIONS.items():
             pattern = parse_pattern(expr)
             assert pattern.num_vertices > 8 and all(
                 sum(v in e for e in pattern.edges) == 2 for v in range(1, pattern.num_vertices + 1))
             assert _pattern_edge_orbits.__wrapped__(pattern) == orbits, expr
+
+    def test_orbits_make_no_kernel_call(self, monkeypatch):
+        # the canonical form's generators are the only automorphisms used
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel call")
+
+        monkeypatch.setattr(search, "solve_raw", refuse)
+        monkeypatch.setattr(_engine_py, "solve", refuse)
+        for expr in self.SMALL + tuple(self.CYCLE_UNIONS) + ("3P10", "4P12"):
+            pattern = parse_pattern(expr)
+            orbits = _pattern_edge_orbits.__wrapped__(pattern)
+            assert sorted(sum(orbits, ())) == list(range(pattern.num_edges)), expr
+
+    def test_a_generator_that_is_no_automorphism_raises(self, monkeypatch):
+        # the cyclic shift of the form's labels moves an edge of each of
+        # these patterns, so the orbits are never joined by it
+        real = search.canonical_form
+
+        def shifted(n, masks):
+            form, labelling, generators, classes = real(n, masks)
+            return form, labelling, generators + (tuple(range(1, n)) + (0,),), classes
+
+        monkeypatch.setattr(search, "canonical_form", shifted)
+        for expr in ("P2", "P4", "2P2", "S3", "C3+C4"):
+            with pytest.raises(RuntimeError, match="no automorphism"):
+                _pattern_edge_orbits.__wrapped__(parse_pattern(expr))
 
     def test_disjoint_paths_fold_to_half_a_path(self):
         # Aut(kP_l) swaps the paths and reverses each, so edge i of a path
@@ -272,6 +303,12 @@ class TestVerifyCertificate:
         with pytest.raises(FormatError):
             BergeCertificate.from_json(text)
 
+    def test_a_pair_that_is_no_pattern_edge_misses_one(self):
+        # as many triples as pattern edges, so the count check passes it
+        text = '{"pattern": "P2", "defining_vertices": [1, 2, 3], "edge_assignment": [[1, 2, 0], [1, 3, 1]]}'
+        with pytest.raises(FormatError, match=re.escape("edge_assignment misses pattern edge (2, 3)")):
+            BergeCertificate.from_json(text)
+
 
 class TestLongestPath:
     def test_complete_four_vertex_host(self):
@@ -297,6 +334,19 @@ class TestLongestPath:
         assert res.exact
         assert res.length == 10
         assert verify_certificate(h, res.certificate)
+
+    def test_budget_stops_the_scan(self, tmp_path, capsys):
+        # two disjoint complete 4-vertex blocks: a budget of 8 nodes runs
+        # out past length 3, before the proof that no P4 exists
+        h = block_construction(8, 4, 3)
+        cut, full = longest_berge_path(h, budget=8), longest_berge_path(h, budget=20)
+        assert (cut.length, cut.exact) == (3, False)
+        assert (full.length, full.exact) == (3, True)
+        assert verify_certificate(h, cut.certificate)
+        path = tmp_path / "blocks.hg"
+        path.write_text(write_hypergraph(h))
+        assert main(["longest-path", str(path), "--budget", "8"]) == 3
+        assert "lower bound" in capsys.readouterr().out
 
     def test_matches_embedding_scan_on_small_hosts(self):
         rng = random.Random(314)

@@ -19,7 +19,8 @@ from bergeturan import (
     verify_lemma,
 )
 from bergeturan.errors import GridOutsideHypotheses, OutsideTheoremRange, ParamsOutOfRange
-from bergeturan.formulas import LEMMAS, _i5_sides
+from bergeturan.cli import main
+from bergeturan.formulas import LEMMAS, Lemma, _i5_sides
 from oracles import LEMMA_SIDES, naive_verify
 
 
@@ -201,6 +202,23 @@ class TestLemmaGrids:
         assert verify_lemma("I3").margin_min == Fraction(3, 2)
         assert verify_lemma("I4").margin_min == 4
         assert verify_lemma("I5").margin_min == 2
+
+    def test_a_false_inequality_reports_its_violations(self, monkeypatch):
+        # I4 with its term C(kl-1, r-2) doubled fails at 12 points of its
+        # default grid
+        i4 = LEMMAS["I4"]
+
+        def doubled(r, k, l):
+            lhs, rhs, den = i4.sides(r, k, l)
+            return lhs, rhs + comb(k * l - 1, r - 2), den
+
+        monkeypatch.setitem(LEMMAS, "I4", Lemma(i4.lemma_id, i4.statement, i4.params, i4.strict,
+                                                i4.hypotheses, doubled))
+        report = verify_lemma("I4")
+        assert (len(report.violations), len(report.grid)) == (12, 765)
+        assert not report.holds and report.margin_min == -5312
+        assert all(doubled(*pt)[0] <= doubled(*pt)[1] for pt in report.violations)
+        assert main(["verify-lemmas", "--lemma", "I4"]) == 1
 
     def test_single_point_values(self):
         rep = verify_lemma("I1", [(3, 3)])

@@ -141,6 +141,10 @@ def test_cells_of_twins_cut_the_refinements(monkeypatch, n, r, expr, forms, node
     # canonical forms, listed classes (with the root) and pinned calls are
     # those of a walk that refines at every node; splitting cells of twins
     # without refining cut the refinements from 152, 294 and 1,302
+    # the pattern's edge orbits take a canonical form of their own, once
+    # per process, which a run of this test alone would otherwise count
+    pattern = parse_pattern(expr)
+    search._pattern_edge_orbits(pattern)
     counts = {"forms": 0, "refinements": 0}
     real_form, real_refine = search.canonical_form, orbits._refine
 
@@ -154,7 +158,7 @@ def test_cells_of_twins_cut_the_refinements(monkeypatch, n, r, expr, forms, node
 
     monkeypatch.setattr(search, "canonical_form", form)
     monkeypatch.setattr(orbits, "_refine", refine)
-    searcher = search._Searcher(n, r, parse_pattern(expr), SearchOptions(max_candidates=84))
+    searcher = search._Searcher(n, r, pattern, SearchOptions(max_candidates=84))
     assert searcher.list_levels()
     assert (counts["forms"], searcher.nodes, searcher.pinned_calls, counts["refinements"]) == (
         forms, nodes, calls, refinements)

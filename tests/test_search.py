@@ -175,6 +175,11 @@ class TestExactTuran:
         with pytest.raises(HostNotFree):
             exact_turan(6, 3, parse_pattern("P2"), SearchOptions(initial_witness=bad))
 
+    def test_seed_of_another_size_is_refused(self):
+        seed = make_hypergraph(3, 7, [[1, 2, 3]])
+        with pytest.raises(ParamsOutOfRange, match="mismatched n or r"):
+            exact_turan(6, 3, parse_pattern("P2"), SearchOptions(initial_witness=seed))
+
     def test_connected_search_refuses_a_seed_that_does_not_span(self):
         # two disjoint triples are free of P2 but not connected: taken as a
         # seed they gave max_edges 2 as exact, where the connected search
@@ -357,6 +362,29 @@ class TestExactTuran:
         second = exact_turan(6, 3, parse_pattern("C4"), opts)
         assert (second.pinned_calls, second.nodes_explored) == (
             first.pinned_calls, first.nodes_explored)
+
+    @pytest.mark.parametrize("n,r,expr,pruned", [(6, 2, "P4", 9), (5, 3, "P3", 4)])
+    def test_tree_alone_prunes_hosts_that_cannot_span(self, monkeypatch, n, r, expr, pruned):
+        # the level search proves every connected value, so only the tree
+        # run without it reaches the span check's prune, which must keep
+        # the value and witnesses
+        opts = SearchOptions(connected_only=True)
+        proven = search._Searcher(n, r, parse_pattern(expr), opts).run()
+        failed = []
+        real = search._spans_one_component
+
+        def spy(*args):
+            spans = real(*args)
+            if not spans:
+                failed.append(args)
+            return spans
+
+        monkeypatch.setattr(search, "_spans_one_component", spy)
+        tree = search._Searcher(n, r, parse_pattern(expr), opts).run(prove=False)
+        assert len(failed) == pruned
+        assert (tree.max_edges, tree.witnesses, tree.exact) == (
+            proven.max_edges, proven.witnesses, proven.exact)
+        assert (proven.answered_by, tree.answered_by) == ("levels", "branch-and-bound")
 
     def test_connected_variant(self):
         # two disjoint triples are not connected: best connected P2-free
