@@ -9,9 +9,12 @@ Every result type of the package derives from :class:`Record`, an
 immutable record that behaves as a frozen standard-library data class:
 fields from the class annotations, defaults from class attributes,
 ``__post_init__``, and ``==``, ``hash`` and ``repr`` over the fields.  It
-generates the same per-class methods, once per class, without importing
-the standard module, which would bring ``inspect``, ``ast``, ``dis`` and
-``tokenize`` into every command-line call.
+generates one method per class, ``__init__``, and shares the others,
+without importing the standard module, which would bring ``inspect``,
+``ast``, ``dis`` and ``tokenize`` into every command-line call.
+
+The ``.hg`` reader lives in the private module ``_reader``, which
+:func:`read_hypergraph` imports at its first call.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ from __future__ import annotations
 import io
 import sys
 from functools import lru_cache, wraps
-from operator import lt
+from operator import attrgetter, lt
 
 from .errors import (
-    FormatError,
     InvalidCycleLength,
     NonUniformEdge,
     ParamsOutOfRange,
@@ -31,7 +33,7 @@ from .errors import (
 )
 
 # Hosts with at least this many edges take the large-host routes: the bulk
-# reader parses their labels in one ``json.loads`` pass (:func:`_read_bulk`)
+# reader parses their labels in one ``json.loads`` pass (``_reader._read_bulk``)
 # and leaves the label columns on the host, and the kernel builds their
 # masks and vertex tables in one transpose of those columns
 # (``berge._host_prep``).  Smaller hosts keep the per-item routes: there a
@@ -59,13 +61,18 @@ class Record:
     attribute of the same name is the field's default.  Each subclass gets,
     once at class creation, an ``__init__`` with exactly its fields as
     parameters (positional or keyword) that calls ``__post_init__`` when
-    the class defines one, and the ``repr``, ``==`` and ``hash`` of a
-    frozen data class: ``==`` holds between instances of the same class
-    with equal compared fields, and ``hash`` is the hash of their tuple.
-    Class keywords leave fields out: ``eq_skip`` of ``==`` and ``hash``,
-    ``repr_skip`` of ``repr``.  Assignment and deletion raise
-    AttributeError; ``functools.cached_property`` still works, because it
-    writes the instance dictionary directly.
+    the class defines one; it is the one generated method, because the
+    signature of ``__init__`` and its speed need it.  The ``repr``, ``==``
+    and ``hash`` of a frozen data class are shared by every subclass and
+    read what ``__init_subclass__`` sets on it: ``_key``, the tuple of the
+    compared fields, for ``==`` and ``hash``, and ``_shown``, the names
+    of the shown fields, for ``repr``.  ``==`` holds between instances of
+    the same class with equal compared fields, and ``hash`` is the hash of
+    their tuple.  Class keywords leave fields out:
+    ``eq_skip`` of ``==`` and ``hash``, ``repr_skip`` of ``repr``.
+    Assignment and deletion raise AttributeError;
+    ``functools.cached_property`` still works, because it writes the
+    instance dictionary directly.
     """
 
     def __init_subclass__(cls, eq_skip=(), repr_skip=(), **kwargs):
@@ -74,10 +81,6 @@ class Record:
         defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
         params = ", ".join(f"{name}=_default_{name}" if name in defaults else name
                            for name in names)
-        compared = [name for name in names if name not in eq_skip]
-        mine = "".join(f"self.{name}, " for name in compared)
-        theirs = "".join(f"other.{name}, " for name in compared)
-        shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names if name not in repr_skip)
         # object.__setattr__ passes the frozen check and keeps the values
         # inline; reading self.__dict__ here would materialize the dictionary
         # and make every later attribute read, ==, and hash slower
@@ -85,23 +88,35 @@ class Record:
             f"def __init__(self, {params}):",
             *(f"    _set(self, {name!r}, {name})" for name in names),
             *(["    self.__post_init__()"] if hasattr(cls, "__post_init__") else []),
-            "def __repr__(self):",
-            f"    return f'{{self.__class__.__qualname__}}({shown})'",
-            "def __eq__(self, other):",
-            "    if other.__class__ is self.__class__:",
-            f"        return ({mine}) == ({theirs})",
-            "    return NotImplemented",
-            "def __hash__(self):",
-            f"    return hash(({mine}))",
         ]
         namespace = {f"_default_{name}": value for name, value in defaults.items()}
         namespace["_set"] = object.__setattr__
         exec("\n".join(lines), namespace)
-        for method in ("__init__", "__repr__", "__eq__", "__hash__"):
-            function = namespace[method]
-            function.__module__ = cls.__module__
-            function.__qualname__ = f"{cls.__qualname__}.{method}"
-            setattr(cls, method, function)
+        init = namespace["__init__"]
+        init.__module__ = cls.__module__
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+        compared = tuple(name for name in names if name not in eq_skip)
+        # the key is the tuple of the compared fields, as a data class
+        # hashes and compares; attrgetter returns a tuple from two names on
+        if len(compared) > 1:
+            key = attrgetter(*compared)
+        else:
+            key = lambda record: tuple(getattr(record, name) for name in compared)
+        cls._key = staticmethod(key)
+        cls._shown = tuple(name for name in names if name not in repr_skip)
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -407,7 +422,15 @@ class FormulaParams(Record):
     @property
     def hypothesis_failures(self) -> tuple[str, ...]:
         """The theorem-range conditions k >= 2, r >= 3, ell' >= r and
-        2*ell' >= r+7 that these parameters miss, in that order."""
+        2*ell' >= r+7 that these parameters miss, in that order.
+
+        They are not the range k >= 2, r >= 3, ell >= r+7 of the paper's
+        abstract.  For odd ell, 2*ell' = ell+1, so ell = r+6 passes where
+        ell' >= r holds too: at r = 3, 5 and 7, as (r, ell) = (3, 9).  For
+        r >= 9, ell' >= r needs ell >= 2r-1, so every ell from r+7 to 2r-2
+        fails on it, as (10, 17) does.  Elsewhere the two agree.  The
+        conditions stay as written until the paper's body settles which
+        range is meant."""
         conditions = (("k >= 2", self.k >= 2), ("r >= 3", self.r >= 3),
                       ("ell' >= r", self.ell_prime >= self.r),
                       ("2*ell' >= r+7", 2 * self.ell_prime >= self.r + 7))
@@ -429,6 +452,11 @@ def write_hypergraph(h: Hypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the reader's own module, imported at the first read, so that a command
+# that reads no file never compiles it
+_reader = None
+
+
 def read_hypergraph(text) -> Hypergraph:
     """Parse .hg text (a string or text stream) into a canonical Hypergraph.
 
@@ -436,111 +464,19 @@ def read_hypergraph(text) -> Hypergraph:
     problem.  read(write(h)) == h, and write(read(s)) == s byte-exactly for
     canonical s.
 
-    The edge block is checked in bulk first (:func:`_read_bulk`); a text
-    that fails any bulk check is read again line by line
-    (:func:`_read_lines`), which finds and reports the first problem.  A
-    bulk read of at least ``_LARGE_HOST_EDGES`` edges parses all its labels
-    in one ``json.loads`` pass, and imports ``json`` when it first does.
-    No edge mask is built here.
+    The edge block is checked in bulk first (``_reader._read_bulk``); a
+    text that fails any bulk check is read again line by line
+    (``_reader._read_lines``), which finds and reports the first problem.
+    A bulk read of at least ``_LARGE_HOST_EDGES`` edges parses all its
+    labels in one ``json.loads`` pass, and imports ``json`` when it first
+    does.  No edge mask is built here.
     """
+    global _reader
+    if _reader is None:
+        # an import statement here on every call would cost each small
+        # read about 2 us, 15%, of resolving the relative name
+        from . import _reader
     if isinstance(text, io.TextIOBase):
         text = text.read()
-    h = _read_bulk(text)
-    return h if h is not None else _read_lines(text)
-
-
-_DIGITS = b"0123456789"
-
-
-def _read_bulk(text):
-    """The hypergraph of ``text``, or None where :func:`_read_lines` might
-    raise.  Each check runs over the whole edge block at C speed: the lines
-    must hold r fields of ASCII digits between single spaces, and the
-    vertex columns must rise strictly within 1..n.
-
-    From ``_LARGE_HOST_EDGES`` edges on, the edge block becomes one JSON
-    array, its spaces and newlines turned into commas, and ``json.loads``
-    parses every label in one pass at C speed.  JSON refuses a label with
-    a leading zero, such as 007, which the line scan reads as 7, so a block
-    with a label that starts with 0 takes the per-field int() of smaller
-    hosts.  Either route rejects an empty field and, as the line scan does,
-    a label longer than the interpreter's integer string-conversion limit
-    (``json.loads`` raises ValueError for it too; were it to accept one,
-    the label would still exceed n, whose digits are within the limit, and
-    fail the range check)."""
-    if not text.endswith("\n"):
-        return None
-    if "#" in text:
-        lines = [line for line in text.split("\n") if not line.startswith("#")]
-        if len(lines) < 2:
-            return None
-        head, body = lines[0], "\n".join(lines[1:])
-    else:
-        head, _, body = text.partition("\n")
-    parts = head.split(" ")
-    if len(parts) != 3 or not head.isascii() or not all(map(str.isdigit, parts)):
-        return None
-    try:
-        r, n, m = map(int, parts)
-    except ValueError:  # an integer too long to convert
-        return None
-    if r < 2 or n < r or not body.isascii():
-        return None
-    # the bytes besides digits must be r-1 spaces and a newline per line
-    # (sizes first, so that the expected layout is never larger than the text)
-    holes = body.encode().translate(None, _DIGITS)
-    if len(holes) != r * m or m and holes != (b" " * (r - 1) + b"\n") * m:
-        return None
-    if not m:  # with no edges, r is bounded by nothing in the text
-        return _assemble(r, n, [])
-    try:
-        if m < _LARGE_HOST_EDGES or body[0] == "0" or " 0" in body or "\n0" in body:
-            values = list(map(int, body.split()))
-        else:
-            import json  # only large reads need it
-
-            values = json.loads("[" + body[:-1].replace(" ", ",").replace("\n", ",") + "]")
-    except ValueError:  # an empty field (JSON) or an integer too long to convert
-        return None
-    if len(values) != r * m:  # an empty field (split)
-        return None
-    columns = [values[i::r] for i in range(r)]
-    if min(columns[0]) < 1 or max(columns[-1]) > n:
-        return None
-    for low, high in zip(columns, columns[1:]):
-        if not all(map(lt, low, high)):
-            return None
-    return _assemble(r, n, zip(*columns), columns if m >= _LARGE_HOST_EDGES else None)
-
-
-def _read_lines(text) -> Hypergraph:
-    """Read ``text`` one line at a time, raising FormatError at the first
-    line with a problem."""
-    if not text.endswith("\n"):
-        raise FormatError("missing trailing newline", max(1, text.count("\n") + 1))
-    numbered = [(i + 1, line) for i, line in enumerate(text.split("\n")[:-1])]
-    content = [(no, line) for no, line in numbered if not line.startswith("#")]
-    if not content:
-        raise FormatError("missing header", 1)
-    head_no, head = content[0]
-    parts = head.split(" ")
-    if len(parts) != 3 or not head.isascii() or not all(p.isdigit() for p in parts):
-        raise FormatError("header must be three integers 'r n m'", head_no)
-    r, n, m = (_int(p, FormatError, head_no) for p in parts)
-    if len(content) - 1 != m:
-        raise FormatError(f"expected {m} edge lines, found {len(content) - 1}", head_no)
-    edges = []
-    for no, line in content[1:]:
-        fields = line.split(" ")
-        if len(fields) != r or not line.isascii() or not all(f.isdigit() for f in fields):
-            raise FormatError(f"expected {r} integers", no)
-        vertices = tuple(_int(f, FormatError, no) for f in fields)
-        if any(a >= b for a, b in zip(vertices, vertices[1:])):
-            raise FormatError("vertices must be strictly ascending", no)
-        if vertices[0] < 1 or vertices[-1] > n:
-            raise FormatError(f"vertex outside 1..{n}", no)
-        edges.append(vertices)
-    try:
-        return _assemble(r, n, edges)
-    except ParamsOutOfRange as exc:
-        raise FormatError(str(exc), head_no) from exc
+    h = _reader._read_bulk(text)
+    return h if h is not None else _reader._read_lines(text)

@@ -268,9 +268,10 @@ def _tables(n, edge_masks):
     on the incidence rows of ``symmetry.incidence``: each covered vertex,
     in ascending order, joins the first class of its degree, which twins
     share, whose root is its twin; twins form classes, so that is its own
-    class.  A host that repeats an edge gets a class per covered vertex
-    there.  The uncovered vertices, whose swaps fix every edge, are one
-    class."""
+    class.  The first vertex of a degree opens its class list with no
+    test, since there is no class to test it against.  A host that
+    repeats an edge gets a class per covered vertex there.  The uncovered
+    vertices, whose swaps fix every edge, are one class."""
     edges, through = [], [[] for _ in range(n)]
     for j, mask in enumerate(edge_masks):
         e = []
@@ -287,7 +288,11 @@ def _tables(n, edge_masks):
     twin = [v if through[v] else uncovered[0] for v in range(n)]
     classes = {}
     for v in vertices:
-        earlier = _join_class(edge_masks, edge_set, inc, classes.setdefault(degree[v], []), v)
+        group = classes.get(degree[v])
+        if group is None:
+            classes[degree[v]] = [[v, 1 << v]]
+            continue
+        earlier = _join_class(edge_masks, edge_set, inc, group, v)
         # the least of v's earlier twins, or v
         twin[v] = (earlier & -earlier or 1 << v).bit_length() - 1
     return edges, through, twin

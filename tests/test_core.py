@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import os
@@ -23,7 +24,8 @@ from bergeturan import (
     write_hypergraph,
 )
 from bergeturan import core
-from bergeturan.core import Record, _read_bulk, _read_lines
+from bergeturan._reader import _read_bulk, _read_lines
+from bergeturan.core import Record
 from bergeturan.errors import (
     FormatError,
     InvalidCycleLength,
@@ -217,6 +219,67 @@ class TestRecord:
         assert hash(Point(1, label="a")) == hash(Point(1, label="b")) == hash((1, 0, ()))
         assert Point(1, cache=(1,)) != Point(1)
         assert Point(1) != (1, 0, "", ())
+
+    def test_signature_lists_the_fields_in_order_with_defaults(self):
+        class Point(Record):
+            x: int
+            y: int = 0
+            label: str = "origin"
+
+        assert str(inspect.signature(Point)) == "(x, y=0, label='origin')"
+        assert str(inspect.signature(FormulaParams)) == "(n, r, ell, k=1)"
+        assert list(inspect.signature(Hypergraph).parameters) == [
+            "n", "r", "edges", "duplicates_collapsed"]
+
+    def test_generated_init_names_its_class(self):
+        for cls in (Hypergraph, PatternGraph, FormulaParams, EmbeddingResult):
+            assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+            assert cls.__init__.__module__ == cls.__module__
+
+    def test_one_field_record_hashes_as_a_one_tuple(self):
+        class Single(Record):
+            value: tuple
+
+        class Skipped(Record, eq_skip=("note",)):
+            value: int
+            note: str = ""
+
+        assert hash(Single((1, 2))) == hash(((1, 2),))
+        assert hash(Skipped(7, "a")) == hash(Skipped(7, "b")) == hash((7,))
+        assert Single((1, 2)) == Single((1, 2)) != Single((2, 1))
+        nan = float("nan")
+        # fields compare as members of a tuple, by identity first
+        assert Single(nan) == Single(nan)
+
+    def test_records_of_two_classes_with_equal_fields_are_unequal(self):
+        class Left(Record):
+            x: int
+
+        class Right(Record):
+            x: int
+
+        assert Left(1) != Right(1) and not Left(1) == Right(1)
+        assert Left(1) != (1,)
+        assert len({Left(1), Right(1)}) == 2
+
+    def test_eq_skip_field_is_ignored_by_eq_and_hash(self):
+        class Tagged(Record, eq_skip=("tag",)):
+            x: int
+            tag: str
+            y: int = 0
+
+        assert Tagged(1, "a", 2) == Tagged(1, "b", 2)
+        assert hash(Tagged(1, "a", 2)) == hash(Tagged(1, "b", 2)) == hash((1, 2))
+        assert Tagged(1, "a", 2) != Tagged(1, "a", 3)
+        assert repr(Tagged(1, "a")) == f"{Tagged.__qualname__}(x=1, tag='a', y=0)"
+
+    def test_repr_skip_field_is_absent_from_repr(self):
+        class Cached(Record, repr_skip=("memo",)):
+            x: int
+            memo: tuple = ()
+
+        assert repr(Cached(1, (2, 3))) == f"{Cached.__qualname__}(x=1)"
+        assert Cached(1, (2, 3)) != Cached(1)
 
     def test_fields_are_frozen(self):
         h = make_hypergraph(3, 5, [[1, 2, 3]])

@@ -128,6 +128,29 @@ class TestBergeKpl:
         ok = berge_kpl_turan(FormulaParams(n=1000, r=3, ell=19, k=2))
         assert ok.hypothesis_ok
 
+    @pytest.mark.parametrize("r,ell,failures", [
+        (3, 9, ()),
+        (5, 11, ()),
+        (7, 13, ()),
+        (10, 17, ("ell' >= r",)),
+    ])
+    def test_flag_differs_from_ell_at_least_r_plus_7(self, r, ell, failures):
+        # the points where the encoded conditions (ell' >= r, 2*ell' >= r+7)
+        # and the abstract's ell >= r+7 disagree, pinned until the paper's
+        # body settles the range
+        assert (ell >= r + 7) is bool(failures)
+        assert FormulaParams(n=1000, r=r, ell=ell, k=2).hypothesis_failures == failures
+
+    def test_flag_differs_from_ell_at_least_r_plus_7_only_where_documented(self):
+        # odd ell = r+6 at r = 3, 5, 7 passes; r+7 <= ell <= 2r-2 at r >= 9
+        # fails; nowhere else do the two ranges disagree
+        for r in range(3, 40):
+            for ell in range(1, 4 * r):
+                flag = not FormulaParams(n=1000, r=r, ell=ell, k=2).hypothesis_failures
+                documented = ell % 2 == 1 and ell == r + 6 and r <= 7 or r >= 9 and (
+                    r + 7 <= ell <= 2 * r - 2)
+                assert (flag != (ell >= r + 7)) is documented, (r, ell)
+
     def test_single_core_shape_matches_connected_formula(self):
         # with k = 1 the core has ell'-1 vertices: same shape as the
         # connected single-path formula

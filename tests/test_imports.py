@@ -90,6 +90,24 @@ def _loaded_submodules(*argv, cwd, entry=("-m", "bergeturan")):
     return code, {name for name in names if name.split(".")[0] == "bergeturan"}
 
 
+def _source_lines(loaded):
+    """``wc -l`` over the package modules among ``loaded``."""
+    lines = 0
+    for name in loaded:
+        path = SRC.joinpath(*name.split("."))
+        path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+        lines += path.read_bytes().count(b"\n")
+    return lines
+
+
+def _readme_count(command):
+    """The README's count of the lines a cold ``command`` compiles."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    stated = re.search(rf"cold `{command}`[^:]*:\s+([\d,]+)\s+lines\s+of\s+the\s+package's"
+                       r"\s+source,\s+counted\s+with\s+`wc -l`", readme)
+    return int(stated[1].replace(",", ""))
+
+
 # a run of every subcommand: its arguments, exit code, and whether it
 # loads cli_extra
 EVERY_COMMAND = [
@@ -116,19 +134,11 @@ class TestSubcommandImports:
         code, loaded = _loaded_submodules("check", str(host), "-F", "P2", cwd=tmp_path)
         assert code == 1  # P2 is there: the command ran to its answer
         assert loaded == {"bergeturan", "bergeturan.cli", "bergeturan.core",
-                          "bergeturan.errors", "bergeturan.berge", "bergeturan._engine_py",
-                          "bergeturan.symmetry"}
+                          "bergeturan.errors", "bergeturan._reader", "bergeturan.berge",
+                          "bergeturan._engine_py", "bergeturan.symmetry"}
         # the README's count of the lines a cold check compiles: ``wc -l``
         # over the package modules it leaves loaded
-        lines = 0
-        for name in loaded:
-            path = SRC.joinpath(*name.split("."))
-            path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
-            lines += path.read_bytes().count(b"\n")
-        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
-        stated = re.search(r"([\d,]+) lines of the package's source,\s+counted with\s+`wc -l`",
-                           readme)
-        assert int(stated[1].replace(",", "")) == lines
+        assert _readme_count("check") == _source_lines(loaded)
 
     def test_json_is_imported_by_the_first_large_read(self, tmp_path):
         # importing core loads no json; a read of fewer than 64 edges loads
@@ -166,11 +176,13 @@ class TestSubcommandImports:
                  "assert 'json' in sys.modules and '_label_columns' in vars(h)\n"
                  "assert h.edge_vertex_masks() == [sum(1 << v - 1 for v in e) for e in edges]\n"
                  "assert h.covered_vertices() == tuple(range(1, 13))\n")
-        for code_text in ("import bergeturan.core", probe):
+        # importing core compiles no reader; the read imports its module
+        for code_text, reader in (("import bergeturan.core", set()),
+                                  (probe, {"bergeturan._reader"})):
             code, loaded = _loaded_modules(cwd=tmp_path, entry=("-c", code_text))
             assert code == 0
             assert {name for name in loaded if name.split(".")[0] == "bergeturan"} == {
-                "bergeturan", "bergeturan.core", "bergeturan.errors"}
+                "bergeturan", "bergeturan.core", "bergeturan.errors", *reader}
 
     def test_symmetry_loads_no_other_package_module(self, tmp_path):
         # the kernel and orbits import symmetry, never the reverse
@@ -191,9 +203,11 @@ class TestSubcommandImports:
         code, loaded = _loaded_submodules("turan", "-n", "4", "-r", "3", "-F", "P2",
                                           cwd=tmp_path)
         assert code == 0
-        assert {"bergeturan.search", "bergeturan.orbits"} <= loaded
-        assert not loaded & {"bergeturan.formulas", "bergeturan.constructions",
-                             "bergeturan.cli_extra"}
+        assert loaded == {"bergeturan", "bergeturan.cli", "bergeturan.core",
+                          "bergeturan.errors", "bergeturan.berge", "bergeturan._engine_py",
+                          "bergeturan.symmetry", "bergeturan.search", "bergeturan.orbits"}
+        # the README's count of the lines a cold turan compiles
+        assert _readme_count("turan") == _source_lines(loaded)
 
     @pytest.mark.parametrize("argv,expected", [
         (("--help",), 0),
@@ -265,6 +279,21 @@ class TestSubcommandImports:
         code, loaded = _loaded_submodules(*argv, cwd=tmp_path)
         assert code == expected
         assert ("bergeturan.cli_extra" in loaded) is extra
+
+    @pytest.mark.parametrize("argv,expected", [row[:2] for row in EVERY_COMMAND],
+                             ids=[row[0][0] for row in EVERY_COMMAND])
+    def test_only_the_commands_that_read_a_host_load_the_reader(self, tmp_path, argv,
+                                                                expected):
+        # the .hg reader is its own module, which read_hypergraph imports
+        # at its first call: turan, construct, block, formula and
+        # verify-lemmas read no file and never compile it
+        (tmp_path / "h.hg").write_text("3 5 2\n1 2 3\n3 4 5\n")
+        assert main(["construct", "-n", "10", "-r", "3", "-l", "5", "-k", "2",
+                     "-o", str(tmp_path / "c.hg")]) == 0
+        code, loaded = _loaded_submodules(*argv, cwd=tmp_path)
+        assert code == expected
+        reads = argv[0] not in {"turan", "construct", "block", "formula", "verify-lemmas"}
+        assert ("bergeturan._reader" in loaded) is reads
 
     def test_no_command_loads_dataclasses(self, tmp_path):
         # the result types are Records: importing dataclasses would bring in

@@ -21,7 +21,7 @@ from bergeturan import (
     read_hypergraph,
     write_hypergraph,
 )
-from bergeturan.core import _read_bulk, _read_lines
+from bergeturan._reader import _read_bulk, _read_lines
 from bergeturan.errors import FormatError, InvalidCycleLength, ParseError
 
 PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
